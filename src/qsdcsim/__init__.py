@@ -26,6 +26,7 @@ from .consensus import (
 from .engine import (
     BlochVector,
     DensityMatrix,
+    IndexJumpSet,
     JumpSet,
     PureQubitSpec,
     bloch_of,

@@ -101,6 +101,17 @@ def _summarize_trajectory(traj: Trajectory) -> dict:
     }
 
 
+def _sharing_spread_pct(sharing: np.ndarray, online: np.ndarray) -> float:
+    """Worst relative spread (%) of the online DERs' shares over the window;
+    a row whose mean share is not above 1e-9 counts as 0."""
+    shares = np.where(online, sharing, np.nan)
+    spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
+    mean_share = np.nanmean(shares, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where(mean_share > 1e-9, spread / mean_share, 0.0)
+    return float(100.0 * np.max(rel))
+
+
 def _summarize_timeseries(ts: TimeSeries) -> dict:
     win = _final_window(len(ts.times))
     online = ts.data["online"][win] > 0.5
@@ -121,31 +132,23 @@ def _summarize_timeseries(ts: TimeSeries) -> dict:
             for k in range(len(ts.times))
         ])
         sharing = ts.data["pinner"] / ts.meta["k"]  # recovers n_i * P_i
-        shares = np.where(online, sharing[win], np.nan)
-        spread = (np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1))
-        mean_share = np.nanmean(shares, axis=1)
         out.update({
             "settling_time_s": settling_time(ts.times, err, 1e-3),
             "steady_freq_hz": float(np.mean([
                 omega[k][ts.data["online"][k] > 0.5].mean()
                 for k in range(win.start, win.stop)
             ])),
-            "sharing_spread_pct": float(100.0 * np.max(spread / mean_share)),
+            "sharing_spread_pct": _sharing_spread_pct(sharing[win], online),
         })
     else:
         vbus = ts.data["vbus"]
         nominal = ts.meta["v_nominal"]
         err = np.abs(vbus - nominal)
         sharing = ts.data["pinner"] / ts.meta["c"]  # recovers m_i * I_i
-        shares = np.where(online, sharing[win], np.nan)
-        spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
-        mean_share = np.nanmean(shares, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(mean_share > 1e-9, spread / mean_share, 0.0)
         out.update({
             "settling_time_s": settling_time(ts.times, err, 1e-2),
             "steady_vbus_v": float(vbus[win].mean()),
-            "sharing_spread_pct": float(100.0 * np.max(rel)),
+            "sharing_spread_pct": _sharing_spread_pct(sharing[win], online),
         })
     return out
 

@@ -7,7 +7,10 @@ master equation for dt, apply any active mixing event, measure, and feed the
 estimate back as the next phi_i.
 
 Backends:
-  full  - dense density matrix driven by the jump operators;
+  full  - dense density matrix driven by the jump operators, applied as a
+          phase mask (rotation-Z) and axis swaps (swap) with no 2^n x 2^n
+          operator; `engine.rz_jump`, `swap_jump`, `pauli_on` and
+          `lindblad_rhs` keep the explicit-matrix form as its oracle;
   bloch - the per-node (x, y, z) expectations, which obey a closed linear
           ODE because rotation-Z and swap conjugation map local Pauli
           observables to local Pauli observables;

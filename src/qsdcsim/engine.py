@@ -7,8 +7,22 @@ jump operators (one rotation-Z per node, one swap per edge):
 
     drho/dt = sum_k w_k * (C_k rho C_k^+ - 1/2 {C_k^+ C_k, rho})
 
-With unitary C_k this collapses to sum_k w_k (C_k rho C_k^+ - rho), which is
-what the tests cross-check against the full anticommutator form.
+With unitary C_k this collapses to sum_k w_k (C_k rho C_k^+ - rho), and both
+conjugations are index operations on rho, so the production path builds no
+2^n x 2^n operator:
+
+  rotation-Z on node i: (C rho C^+)[a, b] = e^{i alpha_i (bit_i(a) - bit_i(b))}
+      rho[a, b].  All pins fold into one phase mask per step,
+      M = sum_i outer(e_i, conj(e_i)) - W_total with e_i = exp(i alpha_i bit_i)
+      and W_total the summed pin and edge weights;
+  swap on edge (i, j): rho[p][:, p] with p the bit exchange, i.e. rho with
+      tensor axes i <-> j and n+i <-> n+j transposed.
+
+So the RHS is M * rho + sum_e w_e swap_e(rho) (`IndexJumpSet`), at
+O((n+m) 4^n) per evaluation instead of O((n+m) 8^n).  The local depolarizing
+channel is a partial trace and replace.  `rz_jump`, `swap_jump`, `pauli_on`
+and `lindblad_rhs` (the full anticommutator form on explicit matrices) are the
+oracle the tests cross-check the index form against.
 
 Tensor-factor convention: node 0 is the leftmost Kronecker factor, i.e. the
 most significant bit of the computational-basis index.
@@ -16,6 +30,7 @@ most significant bit of the computational-basis index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,11 +235,12 @@ def swap_jump(i: int, j: int, n: int) -> np.ndarray:
 
 @dataclass
 class JumpSet:
-    """Jump operators of one protocol step: per-node pins, per-edge swaps.
+    """Explicit jump operators: per-node pins, per-edge swaps.
 
     Each entry is (operator, rate weight).  Operators must be unitary; edge
     weights act as dissipator rates so weighted graphs reduce to the weighted
-    coupling a_ij (x_j - x_i) on Bloch components.
+    coupling a_ij (x_j - x_i) on Bloch components.  Its `rhs` is the full
+    anticommutator form, so a hand-built set evolves as the oracle does.
     """
 
     pin_ops: list
@@ -245,8 +261,86 @@ class JumpSet:
     def total_weight(self) -> float:
         return sum(w for _, w in self.all_ops())
 
+    def rhs(self, rho: np.ndarray) -> np.ndarray:
+        return _rhs_raw(rho, self.all_ops())
 
-def build_jump_set(graph: CommGraph, pin_angles) -> JumpSet:
+
+@functools.lru_cache(maxsize=None)
+def _node_bits(n: int) -> np.ndarray:
+    """bits[a, i]: the bit of node i in basis index a, as a float."""
+    shifts = n - 1 - np.arange(n)
+    bits = ((np.arange(2**n)[:, np.newaxis] >> shifts) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+# Transposing rho.reshape(_swap_shape(i, j, n)) by these axes exchanges
+# factors i and j of both the row and the column index.
+_SWAP_AXES = (0, 3, 2, 1, 4, 5, 8, 7, 6, 9)
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_shape(i: int, j: int, n: int) -> tuple[int, ...]:
+    """View of a 2^n x 2^n matrix whose axes 1, 3 (6, 8) are factors i < j of
+    the row (column) index; the other axes merge the factors between them."""
+    factor = (2**i, 2, 2 ** (j - i - 1), 2, 2 ** (n - j - 1))
+    return factor + factor
+
+
+class IndexJumpSet:
+    """The protocol's jumps in index form: a rotation-Z pin of angle alpha_i
+    and weight 1 on every node, a swap of weight w_e on every edge.
+
+    `rhs` applies them as one phase mask and in-place axis swaps.  `all_ops`
+    builds the explicit (rz_jump / swap_jump, weight) pairs on first use, for
+    the oracle `lindblad_rhs`.
+    """
+
+    def __init__(self, n: int, pin_angles, edges, weights):
+        self.n = n
+        self.pin_angles = np.array(pin_angles, dtype=float)
+        self.edges = tuple(edges)
+        self.weights = tuple(weights)
+
+    @property
+    def total_weight(self) -> float:
+        return sum([1.0] * self.n + list(self.weights))
+
+    def all_ops(self) -> list:
+        return self._explicit.all_ops()
+
+    @functools.cached_property
+    def _explicit(self) -> JumpSet:
+        n = self.n
+        return JumpSet(
+            pin_ops=[(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(self.pin_angles)],
+            swap_ops=[(swap_jump(i, j, n), w) for (i, j), w in zip(self.edges, self.weights)],
+        )
+
+    @functools.cached_property
+    def _mask(self) -> np.ndarray:
+        e = np.exp(1j * _node_bits(self.n) * self.pin_angles)
+        return e @ e.conj().T - self.total_weight
+
+    @functools.cached_property
+    def _swap_groups(self) -> list:
+        """Swap shapes grouped by edge weight, so rho is scaled once per weight."""
+        groups: dict[float, list] = {}
+        for (i, j), w in zip(self.edges, self.weights):
+            groups.setdefault(w, []).append(_swap_shape(min(i, j), max(i, j), self.n))
+        return list(groups.items())
+
+    def rhs(self, rho: np.ndarray) -> np.ndarray:
+        out = self._mask * rho
+        for w, shapes in self._swap_groups:
+            scaled = rho if w == 1.0 else w * rho
+            for shape in shapes:
+                view = out.reshape(shape)
+                np.add(view, scaled.reshape(shape).transpose(_SWAP_AXES), out=view)
+        return out
+
+
+def build_jump_set(graph: CommGraph, pin_angles) -> IndexJumpSet:
     """One rotation-Z jump per node (angle alpha_i) and one swap per edge."""
     n = graph.node_count
     if len(pin_angles) != n:
@@ -256,9 +350,7 @@ def build_jump_set(graph: CommGraph, pin_angles) -> JumpSet:
             f"{n} qubits exceed the dense backend cap of {MAX_DENSE_QUBITS}; "
             "use the bloch or phase backend"
         )
-    pins = [(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(pin_angles)]
-    swaps = [(swap_jump(i, j, n), w) for (i, j), w in zip(graph.edges, graph.weights)]
-    return JumpSet(pin_ops=pins, swap_ops=swaps)
+    return IndexJumpSet(n, pin_angles, graph.edges, graph.weights)
 
 
 def _rhs_raw(rho: np.ndarray, ops) -> np.ndarray:
@@ -271,8 +363,9 @@ def _rhs_raw(rho: np.ndarray, ops) -> np.ndarray:
     return out
 
 
-def lindblad_rhs(rho, jumps: JumpSet) -> np.ndarray:
-    """Master-equation right-hand side; traceless and Hermitian."""
+def lindblad_rhs(rho, jumps: JumpSet | IndexJumpSet) -> np.ndarray:
+    """Master-equation right-hand side on the explicit operators (the oracle);
+    traceless and Hermitian."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     ops = jumps.all_ops()
     if ops and ops[0][0].shape != m.shape:
@@ -282,11 +375,11 @@ def lindblad_rhs(rho, jumps: JumpSet) -> np.ndarray:
     return _rhs_raw(m, ops)
 
 
-def _rk4_step(rho: np.ndarray, ops, h: float) -> np.ndarray:
-    k1 = _rhs_raw(rho, ops)
-    k2 = _rhs_raw(rho + 0.5 * h * k1, ops)
-    k3 = _rhs_raw(rho + 0.5 * h * k2, ops)
-    k4 = _rhs_raw(rho + h * k3, ops)
+def _rk4_step(rho: np.ndarray, rhs, h: float) -> np.ndarray:
+    k1 = rhs(rho)
+    k2 = rhs(rho + 0.5 * h * k1)
+    k3 = rhs(rho + 0.5 * h * k2)
+    k4 = rhs(rho + h * k3)
     out = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # Re-Hermitize and renormalize once per substep to hold the invariants
     # over long runs.
@@ -294,17 +387,17 @@ def _rk4_step(rho: np.ndarray, ops, h: float) -> np.ndarray:
     return out / np.trace(out).real
 
 
-def evolve(rho: DensityMatrix, jumps: JumpSet, dt: float, substeps: int = 1) -> DensityMatrix:
+def evolve(rho: DensityMatrix, jumps: JumpSet | IndexJumpSet, dt: float,
+           substeps: int = 1) -> DensityMatrix:
     """Classical RK4 on the matrix ODE with step dt/substeps."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     m = rho.matrix
-    ops = jumps.all_ops()
     h = dt / substeps
     for _ in range(substeps):
-        m = _rk4_step(m, ops, h)
+        m = _rk4_step(m, jumps.rhs, h)
     out = DensityMatrix(matrix=m, qubit_count=rho.qubit_count)
     try:
         out.check(eigen_tol=1e-6)
@@ -359,17 +452,21 @@ def local_bloch(rho: DensityMatrix, i: int) -> BlochVector:
 def depolarize_local(rho: DensityMatrix, i: int, p: float) -> DensityMatrix:
     """Local depolarizing channel on node i.
 
-    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z); the node's Bloch
-    vector shrinks by 1 - 4p/3, other nodes are untouched.
+    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z), applied as
+    (1 - 4p/3) rho + (2p/3) Tr_i(rho) (x) I_i; the node's Bloch vector
+    shrinks by 1 - 4p/3, other nodes are untouched.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"depolarizing strength must lie in [0,1], got {p}")
     if p == 0.0:
         return rho
     n = rho.qubit_count
-    m = rho.matrix
-    out = (1.0 - p) * m
-    for which in ("x", "y", "z"):
-        sigma = pauli_on(i, which, n)
-        out = out + (p / 3.0) * (sigma @ m @ sigma)
-    return DensityMatrix(matrix=out, qubit_count=n)
+    if not (0 <= i < n):
+        raise IndexError(f"node {i} out of range for {n} qubits")
+    factor = (2**i, 2, 2 ** (n - i - 1))
+    t = rho.matrix.reshape(factor + factor)
+    traced = (2.0 * p / 3.0) * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+    out = (1.0 - 4.0 * p / 3.0) * t
+    out[:, 0, :, :, 0, :] += traced
+    out[:, 1, :, :, 1, :] += traced
+    return DensityMatrix(matrix=out.reshape(rho.matrix.shape), qubit_count=n)

@@ -266,6 +266,55 @@ def test_full_backend_local_expectations_match_bloch_rhs_integration():
         assert abs(b.z - v[2 * n + i]) <= 1e-9
 
 
+def test_full_step_matches_bloch_step_to_rounding():
+    # RK4 on a linear ODE commutes with the linear map from rho to local
+    # Bloch vectors, and depolarizing shrinks them exactly, so one step of
+    # `full` and `bloch` agree to rounding, not merely to integrator precision.
+    rng = np.random.default_rng(29)
+    for n in range(3, 7):
+        base = random_connected_graph(rng, n)
+        g = build_graph(n, base.edges, rng.uniform(0.5, 2.0, len(base.edges)))
+        phis = rng.uniform(0.1, 1.4, n)
+        pinners = rng.uniform(0.1, 1.4, n)
+        theta = ThetaConfig.fixed(*rng.uniform(0.4, PI - 0.4, n))
+        events = (MixingEvent(nodes=(int(rng.integers(0, n)),), t_start=0.0,
+                              t_end=1.0, p=0.1),)
+        out = {}
+        for backend in ("full", "bloch"):
+            cfg = exact_cfg(backend, theta=theta, seed=5)
+            out[backend] = qsdc_step(ProtocolState(phis=phis.copy()), g, cfg,
+                                     pinners, events)
+        for name in ("phis", "s", "zs"):
+            gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
+            assert gap <= 1e-12, (n, name, gap)
+
+
+def test_full_backend_builds_no_dense_operator(monkeypatch):
+    import qsdcsim.engine as engine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operator built on the production path")
+
+    for name in ("rz_jump", "swap_jump", "pauli_on"):
+        monkeypatch.setattr(engine, name, forbidden)
+    calls = []
+    depolarize = engine.depolarize_local
+
+    def counting_depolarize(rho, i, p):
+        calls.append(i)
+        return depolarize(rho, i, p)
+
+    monkeypatch.setattr(engine, "depolarize_local", counting_depolarize)
+    n = 7
+    ring = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    cfg = exact_cfg("full", theta=ThetaConfig.uniform(0.3, PI - 0.3), seed=2)
+    event = MixingEvent(nodes=(3,), t_start=0.0, t_end=0.03, p=0.1)
+    traj = run_consensus(np.linspace(0.1, 1.4, n), 0.8, ring, cfg, 0.03, (event,))
+    assert traj.phis.shape == (4, n)
+    assert np.all(np.isfinite(traj.phis))
+    assert calls == [3, 3, 3]
+
+
 # -- full runs ---------------------------------------------------------------
 
 

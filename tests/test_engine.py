@@ -415,3 +415,73 @@ def test_depolarize_range_error():
     rho = three_node_state()
     with pytest.raises(ValueError):
         depolarize_local(rho, 0, 1.2)
+
+
+# -- index form against the explicit-matrix oracle ---------------------------
+
+
+def random_weighted_graph(rng, n):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+    return build_graph(n, edges, rng.uniform(0.3, 2.0, len(edges)))
+
+
+def entangled_state(rng, n):
+    """Random product state sent through a partial swap of nodes 0 and n-1,
+    exp(-i t SWAP) = cos t I - i sin t SWAP, which entangles the pair."""
+    psi = np.ones(1, dtype=complex)
+    for _ in range(n):
+        spec = PureQubitSpec(theta=rng.uniform(0.2, math.pi - 0.2),
+                             phi=rng.uniform(0.0, math.pi / 2))
+        psi = np.kron(psi, spec.ket())
+    if n > 1:
+        t = rng.uniform(0.3, 1.2)
+        psi = math.cos(t) * psi - 1j * math.sin(t) * (swap_jump(0, n - 1, n) @ psi)
+    return DensityMatrix.from_matrix(np.outer(psi, psi.conj()))
+
+
+def explicit_jump_set(graph, alphas):
+    n = graph.node_count
+    return JumpSet(
+        pin_ops=[(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(alphas)],
+        swap_ops=[(swap_jump(i, j, n), w) for (i, j), w in zip(graph.edges, graph.weights)],
+    )
+
+
+def test_index_form_matches_explicit_oracle():
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        for _ in range(3):
+            g = random_weighted_graph(rng, n)
+            alphas = rng.uniform(-1.5, 1.5, n)
+            rho = entangled_state(rng, n)
+            if n > 1:  # a pure state with a mixed marginal is entangled
+                assert partial_trace_single(rho, 0).purity() < 1.0 - 1e-4
+            index = build_jump_set(g, alphas)
+            explicit = explicit_jump_set(g, alphas)
+            assert index.total_weight == explicit.total_weight
+            oracle = lindblad_rhs(rho, explicit)
+            assert np.max(np.abs(index.rhs(rho.matrix) - oracle)) <= 1e-12
+            assert np.max(np.abs(lindblad_rhs(rho, index) - oracle)) <= 1e-12
+            fast = evolve(rho, index, 0.05, 2)
+            slow = evolve(rho, explicit, 0.05, 2)
+            assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
+
+
+def test_depolarize_matches_pauli_oracle():
+    rng = np.random.default_rng(13)
+    for n in range(1, 6):
+        rho = entangled_state(rng, n)
+        for i in range(n):
+            p = float(rng.uniform(0.0, 1.0))
+            m = rho.matrix
+            explicit = (1.0 - p) * m
+            for which in ("x", "y", "z"):
+                sigma = pauli_on(i, which, n)
+                explicit = explicit + (p / 3.0) * (sigma @ m @ sigma)
+            out = depolarize_local(rho, i, p)
+            assert np.max(np.abs(out.matrix - explicit)) <= 1e-12
+
+
+def test_depolarize_index_error():
+    with pytest.raises(IndexError):
+        depolarize_local(three_node_state(), 3, 0.1)

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from qsdcsim.cli import fitted_decay_rate, main, settling_time, summarize
 from qsdcsim.consensus import Trajectory, convergence_rate, run_consensus
+from qsdcsim.microgrid import TimeSeries
 from qsdcsim.scenario import (
     ScenarioError,
     parse_scenario,
@@ -177,6 +179,22 @@ def test_summarize_requires_window():
     )
     with pytest.raises(ValueError, match="short"):
         summarize(traj)
+
+
+def test_summarize_ac_zero_shares_is_finite():
+    # all-zero shares over the final window: no 0/0, the spread reads 0
+    steps, n = 20, 3
+    ts = TimeSeries(
+        times=np.linspace(0.0, 0.19, steps),
+        data={"omega": np.full((steps, n), 60.0), "online": np.ones((steps, n)),
+              "pinner": np.zeros((steps, n))},
+        kind="ac",
+        meta={"omega_nominal": 60.0, "k": 0.5},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = summarize(ts)
+    assert s["sharing_spread_pct"] == 0.0
 
 
 def test_fitted_rate_matches_convergence_bound():
