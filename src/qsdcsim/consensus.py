@@ -11,16 +11,21 @@ Backends:
           phase mask (rotation-Z) and axis swaps (swap) with no 2^n x 2^n
           operator; `engine.rz_jump`, `swap_jump`, `pauli_on` and
           `lindblad_rhs` keep the explicit-matrix form as its oracle;
-  bloch - the per-node (x, y, z) expectations, which obey a closed linear
-          ODE because rotation-Z and swap conjugation map local Pauli
-          observables to local Pauli observables;
-  phase - the same flow in polar form, per-node (phi, s) with
-          s = r*sin(theta).
+  bloch - the per-node local expectations.  Rotation-Z and swap conjugation
+          map local Pauli observables to local Pauli observables, so with
+          w_i = x_i + i*y_i they obey the closed linear flow
+
+              dw/dt = (e^{i*alpha} - 1) * w - L w,    dz/dt = -L z,
+
+          with alpha_i = pinner_i - phi_i and L the weighted Laplacian;
+  phase - another name for the bloch core, kept for existing scenarios.
 
 Within a step the rotation angle stays frozen (it is set once per step from
-the measured phase), so all three backends integrate the same vector field
-and agree to integrator precision; the instantaneous-pinner forms
-`bloch_rhs` and `phase_rhs` coincide with it at the step start.
+the measured phase), so the dense backend integrates the same linear flow;
+RK4 commutes with the linear map from rho to local Bloch vectors, so `full`
+and `bloch` agree to rounding.  The instantaneous-pinner forms `bloch_rhs`
+and `phase_rhs` are the reference equations; they coincide with the flow at
+the step start.
 """
 
 from __future__ import annotations
@@ -39,7 +44,13 @@ from .measurement import (
     sample_basis,
     stream_rng,
 )
-from .netgraph import CommGraph, adjacency_matrix, incidence_matrix, lambda_min_sym
+from .netgraph import (
+    CommGraph,
+    adjacency_matrix,
+    incidence_matrix,
+    lambda_min_sym,
+    laplacian,
+)
 
 BACKENDS = ("full", "bloch", "phase")
 MODES = ("qsdc", "qdc_legacy")
@@ -310,7 +321,6 @@ def qsdc_step(
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
-    shrink = _mixing_factors(n, events, t_now, config.dt)
 
     if config.backend == "full":
         if n > engine.MAX_DENSE_QUBITS:
@@ -334,47 +344,16 @@ def qsdc_step(
             b = engine.local_bloch(rho, i)
             xs[i], ys[i], zs[i] = b.x, b.y, b.z
         final_rho = rho
-    else:
-        cos_a = np.cos(alphas)
-        sin_a = np.sin(alphas)
-        a = adjacency_matrix(graph)
-        deg = a.sum(axis=1)
-
-        if config.backend == "bloch":
-            xyz0 = np.concatenate([
-                np.sin(thetas) * np.cos(phis),
-                np.sin(thetas) * np.sin(phis),
-                np.cos(thetas),
-            ])
-
-            def rhs(v):
-                x, y, z = v[:n], v[n:2 * n], v[2 * n:]
-                dx = cos_a * x - sin_a * y - x + a @ x - deg * x
-                dy = sin_a * x + cos_a * y - y + a @ y - deg * y
-                dz = a @ z - deg * z
-                return np.concatenate([dx, dy, dz])
-
-            out = _rk4(xyz0, rhs, config.dt, config.substeps)
-            xs = out[:n] * shrink
-            ys = out[n:2 * n] * shrink
-            zs = out[2 * n:] * shrink
-        else:  # phase backend: polar form of the same flow
-            ps0 = np.concatenate([phis, np.sin(thetas)])
-
-            def rhs(v):
-                ph, s = v[:n], v[n:]
-                diff = np.subtract.outer(ph, ph)
-                sj_over_si = np.divide.outer(1.0 / s, 1.0 / s)
-                sj_cos = np.cos(diff) * s[np.newaxis, :]
-                dph = sin_a + np.sum(a * sj_over_si * np.sin(-diff), axis=1)
-                ds = (cos_a - 1.0) * s + (a * sj_cos).sum(axis=1) - deg * s
-                return np.concatenate([dph, ds])
-
-            out = _rk4(ps0, rhs, config.dt, config.substeps)
-            ph, s = out[:n], out[n:] * shrink
-            xs = s * np.cos(ph)
-            ys = s * np.sin(ph)
-            zs = None
+    else:  # bloch and phase: the linear flow on (w, z), w = x + i*y
+        gain = np.zeros((n, 2), dtype=complex)
+        gain[:, 0] = np.exp(1j * alphas) - 1.0
+        lap = laplacian(graph)
+        v0 = np.empty((n, 2), dtype=complex)
+        v0[:, 0] = np.sin(thetas) * np.exp(1j * phis)
+        v0[:, 1] = np.cos(thetas)
+        out = _rk4(v0, lambda v: gain * v - lap @ v, config.dt, config.substeps)
+        out *= _mixing_factors(n, events, t_now, config.dt)[:, np.newaxis]
+        xs, ys, zs = out[:, 0].real, out[:, 0].imag, out[:, 1].real
         final_rho = None
 
     s_after = np.hypot(xs, ys)

@@ -3,8 +3,7 @@
 The consensus layer couples nodes along an undirected weighted graph; the
 convergence-rate bound needs the smallest eigenvalue of matrices of the form
 ``sigma1*I + sigma2*B W B^T``.  Everything here is dense and small (a few
-dozen nodes at most), so the eigensolver is a plain cyclic Jacobi sweep that
-is deterministic and easy to cross-check.
+dozen nodes at most); the spectra come from numpy's symmetric eigensolvers.
 """
 
 from __future__ import annotations
@@ -143,57 +142,14 @@ def is_connected(g: CommGraph) -> bool:
     return len(seen) == g.node_count
 
 
-def jacobi_eigh(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Sweeps until
-    the off-diagonal Frobenius norm drops below `tol` (scaled by the matrix
-    norm for badly scaled inputs) or `max_sweeps` is hit; the matrices used
-    here (<= 32x32) converge in a handful of sweeps.
-    """
+def lambda_min_sym(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (LAPACK via numpy)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > 1e-9:
         raise ValueError("matrix is not symmetric within 1e-9")
-    n = m.shape[0]
-    a = 0.5 * (m + m.T)
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(a**2) - np.sum(np.diag(a) ** 2))
-        if off < tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol * scale / (n * n):
-                    continue
-                # Classic 2x2 rotation zeroing a[p,q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    vals = np.diag(a).copy()
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
-
-
-def lambda_min_sym(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (cyclic Jacobi)."""
-    vals, _ = jacobi_eigh(m)
-    return float(vals[0])
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 @dataclass(frozen=True)
@@ -207,7 +163,7 @@ class SpectralReport:
     @classmethod
     def of_graph(cls, g: CommGraph) -> "SpectralReport":
         lap = laplacian(g)
-        vals, vecs = jacobi_eigh(lap)
+        vals, vecs = np.linalg.eigh(lap)
         return cls(laplacian=lap, eigenvalues=vals, eigenvectors=vecs)
 
     @staticmethod

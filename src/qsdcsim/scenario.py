@@ -81,6 +81,8 @@ class Scenario:
             raise ScenarioError(f"protocol: {exc}") from exc
 
     def graph(self) -> CommGraph:
+        if "graph" not in self.raw:
+            raise ScenarioError(f"{self.kind} scenario has no graph section")
         g = self.raw["graph"]
         try:
             return build_graph(g["nodes"], [tuple(e) for e in g["edges"]],

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from qsdcsim.consensus import (
 )
 from qsdcsim.engine import CapacityError, local_bloch
 from qsdcsim.netgraph import build_graph
+from qsdcsim.scenario import parse_scenario
 
 PI = math.pi
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 PAPER_INIT = [0.0, PI / 8, PI / 2]
 PAPER_THETA = ThetaConfig.fixed(1.96, 1.49, 2.07)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def exact_cfg(backend="phase", theta=None, **kw):
@@ -287,6 +290,33 @@ def test_full_step_matches_bloch_step_to_rounding():
         for name in ("phis", "s", "zs"):
             gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
             assert gap <= 1e-12, (n, name, gap)
+
+
+def test_phase_matches_bloch_at_low_coherence():
+    # theta_0 = 1e-6 starts node 0 at the pole with coherence 1e-6; its
+    # neighbours lift it to about 0.018 within the step.  A polar (phi, s)
+    # integrator divides by s there and lands 0.2 rad off, with s still
+    # above S_FLOOR and so without a warning.
+    theta = ThetaConfig.fixed(1e-6, 1.2, 1.3)
+    out = {}
+    for backend in ("bloch", "phase"):
+        out[backend] = qsdc_step(ProtocolState(phis=np.array([0.2, 0.8, 1.2])),
+                                 TRIANGLE, exact_cfg(backend, theta=theta),
+                                 np.full(3, 1.0))
+    assert out["bloch"].s[0] < 0.02
+    assert not out["phase"].warnings
+    for name in ("phis", "s", "zs"):
+        gap = np.max(np.abs(getattr(out["phase"], name) - getattr(out["bloch"], name)))
+        assert gap <= 1e-12, (name, gap)
+
+
+def test_phase_and_bloch_run_the_same_core():
+    sc = parse_scenario(SCENARIOS / "ac15.json")
+    graph = sc.graph()
+    init = np.linspace(0.1, 1.4, graph.node_count)
+    trajs = {backend: run_consensus(init, 0.8, graph, sc.protocol(backend=backend), 1.0)
+             for backend in ("phase", "bloch")}
+    assert np.array_equal(trajs["phase"].phis, trajs["bloch"].phis)
 
 
 def test_full_backend_builds_no_dense_operator(monkeypatch):

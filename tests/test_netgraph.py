@@ -11,7 +11,6 @@ from qsdcsim.netgraph import (
     build_graph,
     incidence_matrix,
     is_connected,
-    jacobi_eigh,
     lambda_min_sym,
     laplacian,
 )
@@ -108,17 +107,17 @@ def test_incidence_column_signs():
 
 
 def test_laplacian_triangle_spectrum():
-    vals, _ = jacobi_eigh(laplacian(triangle()))
+    vals = SpectralReport.of_graph(triangle()).eigenvalues
     assert np.allclose(vals, [0.0, 3.0, 3.0], atol=1e-9)
 
 
 def test_laplacian_single_edge_spectrum():
-    vals, _ = jacobi_eigh(laplacian(build_graph(2, [(0, 1)])))
+    vals = SpectralReport.of_graph(build_graph(2, [(0, 1)])).eigenvalues
     assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
 
 def test_laplacian_disconnected_zero_multiplicity():
-    vals, _ = jacobi_eigh(laplacian(build_graph(4, [(0, 1), (2, 3)])))
+    vals = SpectralReport.of_graph(build_graph(4, [(0, 1), (2, 3)])).eigenvalues
     assert np.sum(np.abs(vals) < 1e-9) == 2
 
 
@@ -165,7 +164,8 @@ def test_lambda_min_rejects_nonsymmetric():
 
 def test_connected_laplacian_kernel_is_constant_vector():
     for g in (triangle(), ac15_comm()):
-        vals, vecs = jacobi_eigh(laplacian(g))
+        rep = SpectralReport.of_graph(g)
+        vals, vecs = rep.eigenvalues, rep.eigenvectors
         assert abs(vals[0]) < 1e-9
         v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
         ones = np.ones(g.node_count) / math.sqrt(g.node_count)
@@ -203,18 +203,23 @@ def _char_poly_roots_bisection(m: np.ndarray, tol=1e-11) -> np.ndarray:
     return np.sort(np.array(roots)) + shift
 
 
-def test_jacobi_against_bisection_oracle():
+def test_spectrum_against_bisection_oracle():
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = rng.normal(size=(8, 8))
         m = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigh(m)
         oracle = _char_poly_roots_bisection(m)
         assert len(oracle) == 8  # random spectra are simple
+        assert abs(lambda_min_sym(m) - oracle[0]) < 1e-8
+        # a connected weighted graph on 8 nodes has a simple Laplacian spectrum
+        edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 6), (2, 5)]
+        rep = SpectralReport.of_graph(build_graph(8, edges, rng.uniform(0.2, 3.0, 11)))
+        vals, vecs = rep.eigenvalues, rep.eigenvectors
+        oracle = _char_poly_roots_bisection(rep.laplacian)
+        assert len(oracle) == 8
         assert np.max(np.abs(vals - oracle)) < 1e-8
-        # eigenpairs actually solve the problem (residual degrades a little
-        # when two eigenvalues nearly coincide)
-        assert np.max(np.abs(m @ vecs - vecs * vals)) < 1e-7
+        # eigenpairs actually solve the problem
+        assert np.max(np.abs(rep.laplacian @ vecs - vecs * vals)) < 1e-7
 
 
 def test_spectral_report():

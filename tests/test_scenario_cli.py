@@ -277,6 +277,14 @@ def test_cli_rate_rejects_bad_epsilon(tmp_path, capsys):
     assert "epsilon" in err
 
 
+def test_cli_rate_without_graph_is_validation_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["rate", "--scenario", str(SCENARIOS / "eve_pi6.json"),
+         "--epsilon", "0.5"], tmp_path, capsys)
+    assert code == 1
+    assert "validation error" in err and "no graph" in err
+
+
 def test_cli_eve_report(tmp_path, capsys):
     code, out, _ = run_cli(
         ["eve", "--scenario", str(SCENARIOS / "eve_pi6.json"), "--seed", "7"],
