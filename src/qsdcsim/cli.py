@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .consensus import (
+    BACKENDS,
     ConsensusError,
     RateRegionError,
     Trajectory,
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--backend", choices=["full", "bloch", "phase"])
+        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--shots", type=int)
         p.add_argument("--exact", action="store_true",
                        help="exact-expectation mode (infinite-shot limit)")

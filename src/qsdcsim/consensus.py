@@ -20,6 +20,10 @@ Backends:
           with alpha_i = pinner_i - phi_i and L the weighted Laplacian;
   phase - another name for the bloch core, kept for existing scenarios.
 
+Nodes keep their labels when some go offline (`qsdc_step`'s `online`
+flags): an offline node loses its edges, so both backends see it isolated,
+and theta and shot streams stay keyed by the physical node index.
+
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the dense backend integrates the same linear flow;
 RK4 commutes with the linear map from rho to local Bloch vectors, so `full`
@@ -38,6 +42,7 @@ import numpy as np
 from . import engine
 from .engine import BlochVector, PureQubitSpec
 from .measurement import (
+    _BASIS_TAG,
     DegenerateCoherenceError,
     phase_from_expectations,
     qdc_from_expectation,
@@ -57,7 +62,6 @@ MODES = ("qsdc", "qdc_legacy")
 
 S_FLOOR = 1e-3
 _THETA_TAG = 3
-_BASIS_TAG = {"X": 0, "Y": 1}
 
 
 class ConsensusError(Exception):
@@ -213,11 +217,11 @@ class ProtocolState:
         )
 
 
-def _clamp_pinners(pinners: np.ndarray, warnings: list) -> np.ndarray:
+def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> np.ndarray:
     lo, hi = 0.0, math.pi / 2
     clamped = np.clip(pinners, lo, hi)
-    if np.any(clamped != pinners):
-        bad = np.flatnonzero(clamped != pinners)
+    bad = np.flatnonzero((clamped != pinners) & online)
+    if bad.size:
         warnings.append(f"pinners clamped to [0, pi/2] at nodes {bad.tolist()}")
     return clamped
 
@@ -312,11 +316,25 @@ def qsdc_step(
     config: ProtocolConfig,
     pinners,
     events=(),
+    online=None,
 ) -> ProtocolState:
-    """One full protocol iteration; deterministic given config.seed."""
+    """One full protocol iteration; deterministic given config.seed.
+
+    `online` has one bool per node (None: all online).  An offline node's
+    edges are dropped; it is not measured, no warning names it and its
+    phase comes back unchanged.  Thetas are drawn for all nodes, and theta
+    and shot streams and mixing events use physical node indices.
+    """
     n = graph.node_count
+    online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
+    if online.shape != (n,):
+        raise ValueError(f"need {n} online flags, got shape {online.shape}")
+    if not online.all():
+        kept = [k for k, (i, j) in enumerate(graph.edges) if online[i] and online[j]]
+        graph = CommGraph(n, tuple(graph.edges[k] for k in kept),
+                          tuple(graph.weights[k] for k in kept))
     warnings: list = []
-    pt = _clamp_pinners(np.asarray(pinners, dtype=float), warnings)
+    pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
     phis = np.clip(np.asarray(state.phis, dtype=float), 0.0, math.pi / 2)
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
@@ -357,8 +375,8 @@ def qsdc_step(
         final_rho = None
 
     s_after = np.hypot(xs, ys)
-    new_phis = phis.copy()
-    for i in range(n):
+    new_phis = np.where(online, phis, state.phis)
+    for i in np.flatnonzero(online).tolist():
         if s_after[i] < S_FLOOR:
             warnings.append(
                 f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; "

@@ -3,8 +3,8 @@ estimator, the legacy arccos estimator, and the eavesdropper experiment.
 
 Basis changes are folded into closed-form Bernoulli probabilities
 p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
-S-dagger then Hadamard for Y, nothing for Z).  A gate-level path that
-actually applies the 2x2 circuit is kept behind a flag for cross-checks.
+S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` applies the
+actual 2x2 circuit; the tests check the closed form against it.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def sample_basis(
     basis: str,
     shots: int,
     seed,
-    gate_level: bool = False,
 ) -> CountHistogram:
     """Draw independent shots in the given basis.
 
@@ -127,7 +126,7 @@ def sample_basis(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p0 = _gate_level_p0(bloch, basis) if gate_level else exact_probability(bloch, basis)
+    p0 = exact_probability(bloch, basis)
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, _BASIS_TAG[basis])
     zeros = int(rng.binomial(shots, min(1.0, max(0.0, p0))))
     return CountHistogram(zeros=zeros, ones=shots - zeros)

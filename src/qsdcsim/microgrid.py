@@ -12,6 +12,10 @@ c m_i I_i.  The droop acts inside the power-electronics fast loop, so the
 co-simulation closes it algebraically each step (the one-step-delayed
 alternative is unstable for m_i >> R_i, which is exactly the regime the
 droop accuracy condition requires).
+
+An offline DER keeps its index: each step runs `qsdc_step` on the full
+communication graph with the DERs' online flags, which isolates the DER and
+holds its phase.  It carries no current (DC); its bus is passive (AC).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import MixingEvent, ProtocolConfig, ProtocolState, lyapunov, qsdc_step
+from .consensus import ProtocolConfig, ProtocolState, lyapunov, qsdc_step
 from .netgraph import CommGraph, is_connected
 
 
@@ -201,21 +205,12 @@ def ac_step(
     droops = np.array([d.droop for d in ders])
     pinners_full = network.k * droops * power
 
-    sub = comm.subgraph(set(online))
-    sub_state = ProtocolState(
-        phis=plant.protocol.phis[online], step=plant.protocol.step
-    )
-    sub_events = _remap_events(mixing, online)
-    sub_state = qsdc_step(sub_state, sub, config, pinners_full[online], sub_events)
-
-    phis = plant.protocol.phis.copy()
-    phis[online] = sub_state.phis
-    protocol = ProtocolState(phis=phis, step=sub_state.step,
-                             warnings=sub_state.warnings)
+    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing,
+                         online=[d.online for d in ders])
 
     omega = np.full(n, network.omega_nominal)
     omega[online] = (network.omega_nominal - droops[online] * power[online]
-                     + phis[online] / network.k)
+                     + protocol.phis[online] / network.k)
 
     deltas = deltas.copy()
     deltas[online] += config.dt * 2.0 * math.pi * (omega[online] - network.omega_nominal)
@@ -224,23 +219,11 @@ def ac_step(
     outputs = {
         "omega": omega,
         "power": power,
-        "phi": phis,
+        "phi": protocol.phis,
         "pinner": pinners_full,
         "online": np.array([d.online for d in ders], dtype=float),
     }
     return new_plant, outputs
-
-
-def _remap_events(mixing, online) -> list:
-    """Restrict mixing events to online nodes, relabeled to subgraph ids."""
-    relabel = {node: idx for idx, node in enumerate(online)}
-    out = []
-    for ev in mixing:
-        nodes = tuple(relabel[i] for i in ev.nodes if i in relabel)
-        if nodes:
-            out.append(MixingEvent(nodes=nodes, t_start=ev.t_start,
-                                   t_end=ev.t_end, p=ev.p))
-    return out
 
 
 def dc_solve(v_refs, ders, r_load: float, online=None) -> tuple[float, np.ndarray]:
@@ -310,14 +293,9 @@ def dc_step(
     droop_m = np.array([d.droop_m for d in ders])
     pinners_full = network.c * droop_m * plant.currents
 
-    sub = comm.subgraph(set(online))
-    sub_state = ProtocolState(phis=plant.protocol.phis[online], step=plant.protocol.step)
-    sub_state = qsdc_step(sub_state, sub, config, pinners_full[online],
-                          _remap_events(mixing, online))
-
-    phis = plant.protocol.phis.copy()
-    phis[online] = sub_state.phis
-    protocol = ProtocolState(phis=phis, step=sub_state.step, warnings=sub_state.warnings)
+    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing,
+                         online=[d.online for d in ders])
+    phis = protocol.phis
 
     vb, currents = _dc_droop_solve(phis, ders, network, online)
     v_refs = np.full(n, network.v_nominal)

@@ -199,9 +199,7 @@ def _physics_checks(doc: dict) -> None:
         for p in pins:
             if not (0.0 <= p <= math.pi / 2):
                 fail("$.consensus.pinner", f"pinner {p} outside [0, pi/2]")
-        for i, ev in enumerate(sec.get("mixing", [])):
-            if ev["t_end"] > horizon:
-                fail(f"$.consensus.mixing[{i}].t_end", "window exceeds the horizon")
+        _check_mixing(sec, n, horizon, "$.consensus")
 
     if kind == "ac":
         sec = doc["ac"]
@@ -258,6 +256,10 @@ def _check_plant_events(sec: dict, n: int, horizon: float, prefix: str) -> None:
                 raise ScenarioError(f"{path}: dc step_load needs r_load")
         if "node" in ev and not (0 <= ev["node"] < n):
             raise ScenarioError(f"{path}.node: {ev['node']} out of range")
+    _check_mixing(sec, n, horizon, prefix)
+
+
+def _check_mixing(sec: dict, n: int, horizon: float, prefix: str) -> None:
     for idx, ev in enumerate(sec.get("mixing", [])):
         path = f"{prefix}.mixing[{idx}]"
         if ev["t_end"] > horizon:

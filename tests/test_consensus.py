@@ -164,6 +164,17 @@ def test_step_pinner_clamp_warning():
     out = qsdc_step(state, TRIANGLE, cfg, np.array([2.0, 0.5, 0.5]))
     assert any("clamped" in w for w in out.warnings)
     assert out.pinners[0] == PI / 2
+    # an offline node's pinner is clamped too, but no warning names it
+    off = qsdc_step(state, TRIANGLE, cfg, np.array([2.0, 0.5, 0.5]),
+                    online=[False, True, True])
+    assert off.pinners[0] == PI / 2
+    assert not off.warnings
+
+
+def test_step_online_flags_need_one_per_node():
+    with pytest.raises(ValueError, match="3 online flags"):
+        qsdc_step(ProtocolState(phis=np.full(3, 0.5)), TRIANGLE, exact_cfg(),
+                  np.full(3, 0.5), online=[False])
 
 
 def test_step_full_backend_capacity():
@@ -273,6 +284,9 @@ def test_full_step_matches_bloch_step_to_rounding():
     # RK4 on a linear ODE commutes with the linear map from rho to local
     # Bloch vectors, and depolarizing shrinks them exactly, so one step of
     # `full` and `bloch` agree to rounding, not merely to integrator precision.
+    # The second input takes one node offline: both backends isolate it and
+    # must still agree, and its phase must come back unchanged.  For even n
+    # the offline node is the one being depolarized.
     rng = np.random.default_rng(29)
     for n in range(3, 7):
         base = random_connected_graph(rng, n)
@@ -282,14 +296,18 @@ def test_full_step_matches_bloch_step_to_rounding():
         theta = ThetaConfig.fixed(*rng.uniform(0.4, PI - 0.4, n))
         events = (MixingEvent(nodes=(int(rng.integers(0, n)),), t_start=0.0,
                               t_end=1.0, p=0.1),)
-        out = {}
-        for backend in ("full", "bloch"):
-            cfg = exact_cfg(backend, theta=theta, seed=5)
-            out[backend] = qsdc_step(ProtocolState(phis=phis.copy()), g, cfg,
-                                     pinners, events)
-        for name in ("phis", "s", "zs"):
-            gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
-            assert gap <= 1e-12, (n, name, gap)
+        offline = (events[0].nodes[0] + n % 2) % n
+        for online in (None, np.arange(n) != offline):
+            out = {}
+            for backend in ("full", "bloch"):
+                cfg = exact_cfg(backend, theta=theta, seed=5)
+                out[backend] = qsdc_step(ProtocolState(phis=phis.copy()), g, cfg,
+                                         pinners, events, online=online)
+            for name in ("phis", "s", "zs"):
+                gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
+                assert gap <= 1e-12, (n, online, name, gap)
+            if online is not None:
+                assert out["bloch"].phis[offline] == phis[offline]
 
 
 def test_phase_matches_bloch_at_low_coherence():

@@ -100,12 +100,6 @@ def test_gate_level_path_matches_closed_form():
             )
 
 
-def test_gate_level_sampling_flag():
-    h1 = sample_basis(equator(0.7), "Y", 500, seed=4)
-    h2 = sample_basis(equator(0.7), "Y", 500, seed=4, gate_level=True)
-    assert (h1.zeros, h1.ones) == (h2.zeros, h2.ones)
-
-
 def test_sampling_deterministic_per_stream():
     h1 = sample_basis(equator(0.3), "X", 100, stream_rng(42, 1, 2, 0))
     h2 = sample_basis(equator(0.3), "X", 100, stream_rng(42, 1, 2, 0))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qsdcsim.consensus import MixingEvent, ProtocolConfig, ProtocolState, ThetaConfig
+from qsdcsim.consensus import (
+    MixingEvent,
+    ProtocolConfig,
+    ProtocolState,
+    ThetaConfig,
+    qsdc_step,
+)
 from qsdcsim.microgrid import (
     AcDer,
     AcNetwork,
@@ -137,6 +143,35 @@ def test_ac_unplug_reshare_and_replug():
     # after replug all three share again
     assert np.allclose(ts.data["power"][-1], [12.0, 24.0, 24.0], atol=0.05)
     assert "t=8 unplug node=0" in ts.events_applied
+
+
+def test_ac_unplug_with_per_der_fixed_theta():
+    # A per-DER theta list stays valid while a DER is offline.
+    ders, net, comm = ac3()
+    cfg = ProtocolConfig(dt=0.01, substeps=2, backend="phase", seed=4,
+                         theta=ThetaConfig.fixed(1.2, 1.3, 1.4))
+    events = [Event(time=2.0, kind="unplug", payload={"node": 0}),
+              Event(time=4.0, kind="plug", payload={"node": 0})]
+    ts = run_plant("ac", ders, net, comm, cfg, horizon=6.0, events=events)
+    assert len(ts.times) == 600
+    assert ts.events_applied == ["t=2 unplug node=0", "t=4 plug node=0"]
+
+
+def test_offline_der_keeps_its_streams():
+    # With DER 0 offline, DERs 1 and 2 still draw theta and shots from their
+    # own index, exactly as on the full graph with node 0 isolated.
+    ders, net, comm = ac3()
+    ders[0].online = False
+    net.apply_default_k(ders)
+    cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=4)
+    plant = AcPlantState(deltas=np.zeros(3),
+                         protocol=ProtocolState(phis=np.full(3, 0.5), step=7))
+    plant2, out = ac_step(plant, ders, net, comm, cfg)
+    assert np.array_equal(plant2.protocol.thetas[1:], cfg.theta.draw(4, 7, 3)[1:])
+    isolated = qsdc_step(ProtocolState(phis=np.full(3, 0.5), step=7),
+                         build_graph(3, [(1, 2)]), cfg, out["pinner"])
+    assert np.array_equal(plant2.protocol.phis[1:], isolated.phis[1:])
+    assert plant2.protocol.phis[0] == 0.5
 
 
 def test_ac_partition_detected():

@@ -304,6 +304,18 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_cli_consensus_mixing_node_out_of_range(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "consensus3_mixed.json").read_text())
+    doc["consensus"]["mixing"][0]["nodes"] = [5]
+    path = tmp_path / "mixed_bad_node.json"
+    path.write_text(json.dumps(doc))
+    for backend in ("bloch", "full"):
+        code, _, err = run_cli(["consensus", "--scenario", str(path),
+                                "--backend", backend], tmp_path, capsys)
+        assert code == 1
+        assert err.strip() == "validation error: $.consensus.mixing[0].nodes: 5 out of range"
+
+
 def test_cli_wrong_kind_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         ["ac", "--scenario", str(SCENARIOS / "consensus3.json")], tmp_path, capsys)
