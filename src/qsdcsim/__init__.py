@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .consensus import (
     MixingEvent,
-    NodeState,
     ProtocolConfig,
     ProtocolState,
     ThetaConfig,
@@ -43,8 +42,6 @@ from .measurement import (
     CountHistogram,
     EveReport,
     PhaseEstimate,
-    estimate_phase_qdc,
-    estimate_phase_qsdc,
     eve_intercept,
     exact_probability,
     sample_basis,

@@ -20,15 +20,14 @@ import numpy as np
 from . import __version__
 from .consensus import (
     BACKENDS,
-    ConsensusError,
     RateRegionError,
     Trajectory,
     convergence_rate,
     run_consensus,
 )
-from .engine import EngineError, IntegrationDivergedError
+from .engine import EngineError
 from .measurement import constant_phase_stream, eve_intercept, stream_rng
-from .microgrid import MicrogridError, PartitionError, TimeSeries, run_plant
+from .microgrid import MicrogridError, TimeSeries, run_plant
 from .netgraph import GraphValidationError
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -368,8 +367,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrationDivergedError, PartitionError, MicrogridError,
-            ConsensusError, EngineError, ZeroDivisionError) as exc:
+    except (EngineError, MicrogridError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,12 @@ flags): an offline node loses its edges, so both backends see it isolated,
 and theta and shot streams stay keyed by the physical node index.
 
 Within a step the rotation angle stays frozen (it is set once per step from
-the measured phase), so the dense backend integrates the same linear flow;
-RK4 commutes with the linear map from rho to local Bloch vectors, so `full`
-and `bloch` agree to rounding.  The instantaneous-pinner forms `bloch_rhs`
-and `phase_rhs` are the reference equations; they coincide with the flow at
-the step start.
+the measured phase), so the dense backend integrates the same linear flow.
+`full` and `bloch` share one integrator, `engine._rk4`, on rho and on the
+(n, 2) array of (w, z); RK4 commutes with the linear map from rho to local
+Bloch vectors, so the two agree to rounding.  The instantaneous-pinner
+forms `bloch_rhs` and `phase_rhs` are the reference equations; they
+coincide with the flow at the step start.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import BlochVector, PureQubitSpec
+from .engine import BlochVector, PureQubitSpec, _rk4
 from .measurement import (
     _BASIS_TAG,
     DegenerateCoherenceError,
@@ -62,10 +63,6 @@ MODES = ("qsdc", "qdc_legacy")
 
 S_FLOOR = 1e-3
 _THETA_TAG = 3
-
-
-class ConsensusError(Exception):
-    pass
 
 
 class RateRegionError(ValueError):
@@ -185,16 +182,6 @@ class MixingEvent:
         return 1.0 - 4.0 * self.p / 3.0
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """Per-node snapshot of one protocol step."""
-
-    phi: float
-    theta: float
-    s: float
-    pinner: float
-
-
 @dataclass
 class ProtocolState:
     """State carried across protocol steps plus last-step diagnostics."""
@@ -207,14 +194,6 @@ class ProtocolState:
     pinners: np.ndarray | None = None
     rho: engine.DensityMatrix | None = None
     warnings: list = field(default_factory=list)
-
-    def node_state(self, i: int) -> NodeState:
-        return NodeState(
-            phi=float(self.phis[i]),
-            theta=float(self.thetas[i]) if self.thetas is not None else float("nan"),
-            s=float(self.s[i]) if self.s is not None else float("nan"),
-            pinner=float(self.pinners[i]) if self.pinners is not None else float("nan"),
-        )
 
 
 def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> np.ndarray:
@@ -270,18 +249,6 @@ def phase_rhs(phi, s, pinners, graph: CommGraph) -> np.ndarray:
     ratio = np.divide.outer(1.0 / s, 1.0 / s)  # ratio[i, j] = s_j / s_i
     dphi += np.sum(a * ratio * np.sin(-diff), axis=1)
     return dphi
-
-
-def _rk4(state: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
-    h = dt / substeps
-    y = state
-    for _ in range(substeps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 def _measure_node(x: float, y: float, config: ProtocolConfig, step: int, node: int):
@@ -341,11 +308,6 @@ def qsdc_step(
     t_now = state.step * config.dt
 
     if config.backend == "full":
-        if n > engine.MAX_DENSE_QUBITS:
-            raise engine.CapacityError(
-                f"{n} nodes exceed the dense backend cap of {engine.MAX_DENSE_QUBITS}; "
-                "use the bloch or phase backend"
-            )
         rho = engine.product_state(
             [PureQubitSpec(theta=float(th), phi=float(ph)) for th, ph in zip(thetas, phis)]
         )
@@ -449,10 +411,16 @@ class Trajectory:
         n = self.node_count
         cols = (["t"] + [f"phi_{i}" for i in range(n)]
                 + [f"pinner_{i}" for i in range(n)] + ["V"])
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(self.times)):
-            row = [self.times[k], *self.phis[k], *self.pinners[k], self.lyapunov[k]]
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv_rows(fh, cols, np.column_stack(
+            [self.times, self.phis, self.pinners, self.lyapunov]))
+
+
+def write_csv_rows(fh, cols, block: np.ndarray) -> None:
+    """The header, then one line per row of `block`, each value as {:.9g};
+    every CSV the package writes goes through here."""
+    fh.write(",".join(cols) + "\n")
+    for row in block:
+        fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def run_consensus(

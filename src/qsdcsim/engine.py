@@ -1,6 +1,6 @@
-"""Dense density-matrix engine: jump operators, master-equation RHS, RK4
-time stepping, partial traces, Bloch extraction, and a local depolarizing
-channel.
+"""Dense density-matrix engine: jump operators, master-equation RHS, the
+classical-RK4 stepper `_rk4`, partial traces, Bloch extraction, and a local
+depolarizing channel.
 
 The master equation used throughout has no Hamiltonian term and only unitary
 jump operators (one rotation-Z per node, one swap per edge):
@@ -23,6 +23,13 @@ O((n+m) 4^n) per evaluation instead of O((n+m) 8^n).  The local depolarizing
 channel is a partial trace and replace.  `rz_jump`, `swap_jump`, `pauli_on`
 and `lindblad_rhs` (the full anticommutator form on explicit matrices) are the
 oracle the tests cross-check the index form against.
+
+`_rk4` is the package's one integrator: `evolve` runs it on rho, the
+`bloch`/`phase` core of `consensus` on the local expectations.  On a linear
+flow y' = Ay one RK4 step is the degree-4 Taylor polynomial of e^{hA}; the
+master equation's A maps Hermitian matrices to traceless Hermitian ones, so
+trace and Hermiticity hold to rounding with no re-projection between
+substeps, and the final `DensityMatrix.check` in `evolve` guards the state.
 
 Tensor-factor convention: node 0 is the leftmost Kronecker factor, i.e. the
 most significant bit of the computational-basis index.
@@ -155,17 +162,6 @@ class DensityMatrix:
         tol = self.EIGEN_TOL if eigen_tol is None else eigen_tol
         if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -tol:
             raise StateValidationError("state has an eigenvalue below -1e-9")
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def to_json_dict(self) -> dict:
-        """Debug dump: dim plus flattened [re, im] pairs, row major."""
-        flat = self.matrix.reshape(-1)
-        return {
-            "dim": int(self.matrix.shape[0]),
-            "entries": [[float(v.real), float(v.imag)] for v in flat],
-        }
 
 
 def product_state(specs) -> DensityMatrix:
@@ -345,11 +341,6 @@ def build_jump_set(graph: CommGraph, pin_angles) -> IndexJumpSet:
     n = graph.node_count
     if len(pin_angles) != n:
         raise ValueError(f"need {n} pin angles, got {len(pin_angles)}")
-    if n > MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"{n} qubits exceed the dense backend cap of {MAX_DENSE_QUBITS}; "
-            "use the bloch or phase backend"
-        )
     return IndexJumpSet(n, pin_angles, graph.edges, graph.weights)
 
 
@@ -375,29 +366,28 @@ def lindblad_rhs(rho, jumps: JumpSet | IndexJumpSet) -> np.ndarray:
     return _rhs_raw(m, ops)
 
 
-def _rk4_step(rho: np.ndarray, rhs, h: float) -> np.ndarray:
-    k1 = rhs(rho)
-    k2 = rhs(rho + 0.5 * h * k1)
-    k3 = rhs(rho + 0.5 * h * k2)
-    k4 = rhs(rho + h * k3)
-    out = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # Re-Hermitize and renormalize once per substep to hold the invariants
-    # over long runs.
-    out = 0.5 * (out + out.conj().T)
-    return out / np.trace(out).real
+def _rk4(y: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
+    """Classical RK4 on y' = rhs(y) over dt, in `substeps` equal steps."""
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def evolve(rho: DensityMatrix, jumps: JumpSet | IndexJumpSet, dt: float,
            substeps: int = 1) -> DensityMatrix:
-    """Classical RK4 on the matrix ODE with step dt/substeps."""
+    """`_rk4` on the matrix ODE with step dt/substeps, not re-Hermitized
+    between substeps; the final `check` (eigenvalues above -1e-6) raises
+    IntegrationDivergedError when the step left the state space."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    m = rho.matrix
-    h = dt / substeps
-    for _ in range(substeps):
-        m = _rk4_step(m, jumps.rhs, h)
+    m = _rk4(rho.matrix, jumps.rhs, dt, substeps)
     out = DensityMatrix(matrix=m, qubit_count=rho.qubit_count)
     try:
         out.check(eigen_tol=1e-6)

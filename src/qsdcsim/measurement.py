@@ -172,18 +172,6 @@ def qdc_from_expectation(sx: float, shots_used: int = 0) -> PhaseEstimate:
     )
 
 
-def estimate_phase_qsdc(counts_x: CountHistogram, counts_y: CountHistogram) -> PhaseEstimate:
-    """Twin-qubit estimator: sigma_x on one twin, sigma_y on the other."""
-    sx = counts_x.p0 - counts_x.p1
-    sy = counts_y.p0 - counts_y.p1
-    return phase_from_expectations(sx, sy, shots_used=counts_x.shots + counts_y.shots)
-
-
-def estimate_phase_qdc(counts_x: CountHistogram) -> PhaseEstimate:
-    sx = counts_x.p0 - counts_x.p1
-    return qdc_from_expectation(sx, shots_used=counts_x.shots)
-
-
 def binary_entropy_bits(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

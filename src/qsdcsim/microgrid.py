@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ProtocolConfig, ProtocolState, lyapunov, qsdc_step
+from .consensus import ProtocolConfig, ProtocolState, lyapunov, qsdc_step, write_csv_rows
 from .netgraph import CommGraph, is_connected
 
 
@@ -182,7 +182,6 @@ def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweep
 class AcPlantState:
     deltas: np.ndarray
     protocol: ProtocolState
-    last_power: np.ndarray | None = None
 
 
 def ac_step(
@@ -215,7 +214,7 @@ def ac_step(
     deltas = deltas.copy()
     deltas[online] += config.dt * 2.0 * math.pi * (omega[online] - network.omega_nominal)
 
-    new_plant = AcPlantState(deltas=deltas, protocol=protocol, last_power=power)
+    new_plant = AcPlantState(deltas=deltas, protocol=protocol)
     outputs = {
         "omega": omega,
         "power": power,
@@ -226,48 +225,24 @@ def ac_step(
     return new_plant, outputs
 
 
-def dc_solve(v_refs, ders, r_load: float, online=None) -> tuple[float, np.ndarray]:
-    """Kirchhoff solution of the star network for given reference voltages.
-
-    V_b = (sum V_ref_i / R_i) / (1/R_L + sum 1/R_i) over online DERs;
-    I_i = (V_ref_i - V_b)/R_i online, 0 otherwise.
-    """
-    n = len(ders)
-    if online is None:
-        online = [i for i in range(n) if ders[i].online]
+def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]:
+    """Kirchhoff solution of the star network, source v_i behind r_i:
+    V_b = (sum v_i/r_i) / (1/R_L + sum 1/r_i) over the `online` indices,
+    I_i = (v_i - V_b)/r_i online, 0 otherwise.  `dc_step` closes the droop
+    through it with v_i = V* + phi_i/c and r_i = R_i + m_i."""
     if not online:
         raise MicrogridError("no online DER; the bus is dead")
     if not (r_load > 0.0):
         raise MicrogridError(f"load resistance must be positive, got {r_load}")
-    g_load = 0.0 if math.isinf(r_load) else 1.0 / r_load
-    num = sum(v_refs[i] / ders[i].line_r for i in online)
-    den = g_load + sum(1.0 / ders[i].line_r for i in online)
-    vb = num / den
-    currents = np.zeros(n)
-    for i in online:
-        currents[i] = (v_refs[i] - vb) / ders[i].line_r
-    return float(vb), currents
-
-
-def _dc_droop_solve(phis, ders, network: DcNetwork, online):
-    """Operating point with the droop closed algebraically:
-    I_i = (V* + phi_i/c - V_b)/(R_i + m_i), V_b from current balance."""
-    if not online:
-        raise MicrogridError("no online DER; the bus is dead")
-    g_load = 0.0 if math.isinf(network.r_load) else 1.0 / network.r_load
     num = 0.0
-    den = g_load
+    den = 0.0 if math.isinf(r_load) else 1.0 / r_load
     for i in online:
-        u = network.v_nominal + phis[i] / network.c
-        z = ders[i].line_r + ders[i].droop_m
-        num += u / z
-        den += 1.0 / z
+        num += v_src[i] / r_series[i]
+        den += 1.0 / r_series[i]
     vb = num / den
-    n = len(ders)
-    currents = np.zeros(n)
+    currents = np.zeros(len(r_series))
     for i in online:
-        u = network.v_nominal + phis[i] / network.c
-        currents[i] = (u - vb) / (ders[i].line_r + ders[i].droop_m)
+        currents[i] = (v_src[i] - vb) / r_series[i]
     return float(vb), currents
 
 
@@ -297,7 +272,8 @@ def dc_step(
                          online=[d.online for d in ders])
     phis = protocol.phis
 
-    vb, currents = _dc_droop_solve(phis, ders, network, online)
+    vb, currents = dc_solve(network.v_nominal + phis / network.c,
+                            [d.line_r + d.droop_m for d in ders], network.r_load, online)
     v_refs = np.full(n, network.v_nominal)
     for i in online:
         v_refs[i] = (network.v_nominal - ders[i].droop_m * currents[i]
@@ -341,10 +317,7 @@ class TimeSeries:
         if self.lyapunov is not None:
             cols.append("V")
             series.append(self.lyapunov[:, np.newaxis])
-        block = np.hstack([self.times[:, np.newaxis]] + series)
-        fh.write(",".join(cols) + "\n")
-        for row in block:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv_rows(fh, cols, np.hstack([self.times[:, np.newaxis]] + series))
 
 
 def _check_comm_connected(comm: CommGraph, ders, when: str) -> None:

@@ -30,15 +30,6 @@ class CommGraph:
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
-
     def weight_of(self, i: int, j: int) -> float:
         key = (min(i, j), max(i, j))
         for e, w in zip(self.edges, self.weights):
@@ -165,10 +156,6 @@ class SpectralReport:
         lap = laplacian(g)
         vals, vecs = np.linalg.eigh(lap)
         return cls(laplacian=lap, eigenvalues=vals, eigenvectors=vecs)
-
-    @staticmethod
-    def lambda_min_of(m: np.ndarray) -> float:
-        return lambda_min_sym(m)
 
     @property
     def fiedler_value(self) -> float:

@@ -141,9 +141,6 @@ class Scenario:
         )
         return ders, net
 
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
-
 
 def _apply_defaults(doc: dict) -> dict:
     doc = json.loads(json.dumps(doc))  # deep copy, normalizes tuples
@@ -187,6 +184,11 @@ def _physics_checks(doc: dict) -> None:
     if theta["kind"] == "uniform" and not (0.0 < theta["lo"] < theta["hi"] < math.pi):
         fail("$.protocol.theta", f"uniform bounds ({theta['lo']}, {theta['hi']}) "
              "must satisfy 0 < lo < hi < pi")
+    values = theta.get("values") if theta["kind"] == "fixed" else None
+    if kind in ("consensus", "ac", "dc") and isinstance(values, list) and len(values) > 1:
+        n = doc["graph"]["nodes"] if kind == "consensus" else len(doc[kind]["ders"])
+        if len(values) != n:
+            fail("$.protocol.theta.values", f"{len(values)} values for {n} nodes")
 
     if kind == "consensus":
         n = doc["graph"]["nodes"]

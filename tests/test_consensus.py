@@ -198,10 +198,9 @@ def test_step_node_state_view():
     cfg = exact_cfg("phase", theta=ThetaConfig.fixed(1.1, 1.2, 1.3))
     out = qsdc_step(ProtocolState(phis=np.full(3, 0.5)), TRIANGLE, cfg,
                     np.full(3, 0.6))
-    ns = out.node_state(2)
-    assert ns.theta == 1.3
-    assert ns.pinner == 0.6
-    assert 0.0 < ns.s <= 1.0
+    assert out.thetas[2] == 1.3
+    assert out.pinners[2] == 0.6
+    assert 0.0 < out.s[2] <= 1.0
 
 
 def test_step_sampled_mode_deterministic():

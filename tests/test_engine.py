@@ -14,6 +14,7 @@ from qsdcsim.engine import (
     IntegrationDivergedError,
     JumpSet,
     PureQubitSpec,
+    _rk4,
     bloch_of,
     build_jump_set,
     depolarize_local,
@@ -36,6 +37,10 @@ def three_node_state():
     return product_state(
         [PureQubitSpec(theta=t, phi=p) for t, p in zip(PAPER_THETAS, PAPER_PHIS)]
     )
+
+
+def purity(rho):
+    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def rand_product(rng, n):
@@ -63,7 +68,7 @@ def test_product_state_three_node_example():
     rho = three_node_state()
     assert rho.matrix.shape == (8, 8)
     rho.check()
-    assert abs(rho.purity() - 1.0) < 1e-9
+    assert abs(purity(rho) - 1.0) < 1e-9
 
 
 def test_product_state_plus_state():
@@ -85,15 +90,6 @@ def test_product_state_capacity():
     specs = [PureQubitSpec(theta=1.0, phi=0.1)] * (MAX_DENSE_QUBITS + 1)
     with pytest.raises(CapacityError, match="bloch"):
         product_state(specs)
-
-
-def test_density_matrix_json_dump():
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0)])
-    d = rho.to_json_dict()
-    assert d["dim"] == 2
-    assert d["entries"][0][0] == pytest.approx(0.5)
-    assert d["entries"][0][1] == 0.0
-    assert len(d["entries"]) == 4
 
 
 # -- jump operators ----------------------------------------------------------
@@ -455,7 +451,7 @@ def test_index_form_matches_explicit_oracle():
             alphas = rng.uniform(-1.5, 1.5, n)
             rho = entangled_state(rng, n)
             if n > 1:  # a pure state with a mixed marginal is entangled
-                assert partial_trace_single(rho, 0).purity() < 1.0 - 1e-4
+                assert purity(partial_trace_single(rho, 0)) < 1.0 - 1e-4
             index = build_jump_set(g, alphas)
             explicit = explicit_jump_set(g, alphas)
             assert index.total_weight == explicit.total_weight
@@ -465,6 +461,49 @@ def test_index_form_matches_explicit_oracle():
             fast = evolve(rho, index, 0.05, 2)
             slow = evolve(rho, explicit, 0.05, 2)
             assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
+
+
+# -- the shared RK4 stepper --------------------------------------------------
+
+
+def taylor4(apply, y, dt, substeps):
+    """`substeps` applications of sum_{k<=4} (hA)^k / k! with h = dt/substeps."""
+    h = dt / substeps
+    for _ in range(substeps):
+        term, out = y, y
+        for k in range(1, 5):
+            term = (h / k) * apply(term)
+            out = out + term
+        y = out
+    return y
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_rk4_is_taylor_polynomial_on_linear_core():
+    from qsdcsim import consensus
+
+    assert consensus._rk4 is _rk4  # one stepper for both backends
+    rng = np.random.default_rng(31)
+    n = 7
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y0 = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    out = _rk4(y0, lambda v: a @ v, 0.3, 3)
+    assert rel_gap(out, taylor4(lambda v: a @ v, y0, 0.3, 3)) <= 1e-13
+    # the truncation error is far above the bound, so a wrong stage weight shows
+    assert rel_gap(out, taylor4(lambda v: a @ v, y0, 0.3, 1)) > 1e-6
+
+
+def test_rk4_is_taylor_polynomial_on_dense_state():
+    rng = np.random.default_rng(32)
+    n = 4
+    rho = entangled_state(rng, n)
+    jumps = build_jump_set(random_weighted_graph(rng, n), rng.uniform(-1.5, 1.5, n))
+    out = _rk4(rho.matrix, jumps.rhs, 0.2, 2)
+    assert rel_gap(out, taylor4(jumps.rhs, rho.matrix, 0.2, 2)) <= 1e-13
+    assert np.array_equal(evolve(rho, jumps, 0.2, 2).matrix, out)
 
 
 def test_depolarize_matches_pauli_oracle():

@@ -16,12 +16,14 @@ from qsdcsim.microgrid import (
     AcPlantState,
     DcDer,
     DcNetwork,
+    DcPlantState,
     Event,
     MicrogridError,
     PartitionError,
     ac_power_flow,
     ac_step,
     dc_solve,
+    dc_step,
     default_ac_scaling,
     default_dc_scaling,
     run_plant,
@@ -218,15 +220,13 @@ def test_ac_zero_event_run_is_flat_after_transient():
 
 def test_dc_solve_no_load():
     ders, _, _ = dc3()
-    vb, cur = dc_solve([48.0, 48.0, 48.0], ders, math.inf)
+    vb, cur = dc_solve([48.0, 48.0, 48.0], [d.line_r for d in ders], math.inf, [0, 1, 2])
     assert vb == pytest.approx(48.0, abs=1e-12)
     assert np.allclose(cur, 0.0)
 
 
 def test_dc_solve_two_der_closed_form():
-    ders = [DcDer(droop_m=1.0, line_r=0.1, rated_current=10.0),
-            DcDer(droop_m=1.0, line_r=0.1, rated_current=10.0)]
-    vb, cur = dc_solve([48.0, 48.0], ders, 3.0)
+    vb, cur = dc_solve([48.0, 48.0], [0.1, 0.1], 3.0, [0, 1])
     assert vb == pytest.approx(47.2131, abs=1e-4)
     assert np.allclose(cur, 7.8689, atol=1e-4)
     # nodal residuals of both defining equations
@@ -236,23 +236,32 @@ def test_dc_solve_two_der_closed_form():
 
 
 def test_dc_solve_unplug_recomputes():
-    ders = [DcDer(droop_m=1.0, line_r=0.1, rated_current=10.0),
-            DcDer(droop_m=1.0, line_r=0.1, rated_current=10.0)]
-    ders[1].online = False
-    vb, cur = dc_solve([48.0, 48.0], ders, 3.0)
+    vb, cur = dc_solve([48.0, 48.0], [0.1, 0.1], 3.0, [0])
     assert cur[1] == 0.0
     assert vb == pytest.approx(48.0 * 10.0 / (1.0 / 3.0 + 10.0), abs=1e-9)
 
 
 def test_dc_solve_errors():
-    ders, _, _ = dc3()
-    for d in ders:
-        d.online = False
+    r = [d.line_r for d in dc3()[0]]
     with pytest.raises(MicrogridError, match="online"):
-        dc_solve([48.0] * 3, ders, 3.0)
-    ders[0].online = True
+        dc_solve([48.0] * 3, r, 3.0, [])
     with pytest.raises(MicrogridError, match="positive"):
-        dc_solve([48.0] * 3, ders, -3.0)
+        dc_solve([48.0] * 3, r, -3.0, [0])
+
+
+def test_dc_solve_is_the_closed_loop_oracle():
+    # the droop-closed step must satisfy the open-loop Kirchhoff solve at its
+    # own reference voltages V* - m_i I_i + phi_i/c
+    ders, net, comm = dc3(r_load=8.0)
+    ders[1].online = False
+    net.apply_default_c(ders)
+    state = DcPlantState(protocol=ProtocolState(phis=np.array([0.3, 0.5, 0.4])),
+                         currents=np.array([2.0, 0.0, 1.5]))
+    _, out = dc_step(state, ders, net, comm, phase_cfg(seed=3))
+    vb, cur = dc_solve(out["vref"], [d.line_r for d in ders], net.r_load, [0, 2])
+    assert abs(vb - out["vbus"][0]) <= 1e-9
+    assert np.max(np.abs(cur - out["current"])) <= 1e-9
+    assert out["current"][1] == 0.0 and out["current"][0] > 1.0
 
 
 # -- DC closed loop ----------------------------------------------------------

@@ -226,7 +226,7 @@ def test_spectral_report():
     rep = SpectralReport.of_graph(triangle())
     assert np.allclose(rep.eigenvalues, [0.0, 3.0, 3.0], atol=1e-9)
     assert abs(rep.fiedler_value - 3.0) < 1e-9
-    assert abs(rep.lambda_min_of(np.diag([4.0, 1.0])) - 1.0) < 1e-12
+    assert abs(lambda_min_sym(np.diag([4.0, 1.0])) - 1.0) < 1e-12
 
 
 def test_subgraph_relabels():

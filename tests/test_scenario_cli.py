@@ -231,12 +231,15 @@ def test_cli_consensus_end_to_end(tmp_path, capsys):
     assert header == "t,phi_0,phi_1,phi_2,pinner_0,pinner_1,pinner_2,V"
 
 
-def test_cli_determinism_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("run_args", [
+    pytest.param(["--backend", "phase", "--shots", "400", "--seed", "9"], id="phase-sampled"),
+    pytest.param(["--backend", "full", "--exact"], id="full-exact"),
+])
+def test_cli_determinism_byte_identical(tmp_path, capsys, run_args):
     a, b = tmp_path / "a", tmp_path / "b"
     for out_dir in (a, b):
         code = main(["consensus", "--scenario", str(SCENARIOS / "consensus3.json"),
-                     "--backend", "phase", "--shots", "400", "--seed", "9",
-                     "--out", str(out_dir)])
+                     *run_args, "--out", str(out_dir)])
         capsys.readouterr()
         assert code == 0
     csv_a = (a / "consensus3_trajectory.csv").read_bytes()
@@ -314,6 +317,18 @@ def test_cli_consensus_mixing_node_out_of_range(tmp_path, capsys):
                                 "--backend", backend], tmp_path, capsys)
         assert code == 1
         assert err.strip() == "validation error: $.consensus.mixing[0].nodes: 5 out of range"
+
+
+@pytest.mark.parametrize("scenario, nodes", [("consensus3", 3), ("dc9", 9)])
+def test_cli_fixed_theta_list_must_match_node_count(tmp_path, capsys, scenario, nodes):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    doc["protocol"]["theta"] = {"kind": "fixed", "values": [1.2, 1.3]}
+    path = tmp_path / f"{scenario}_bad_theta.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([doc["kind"], "--scenario", str(path)], tmp_path, capsys)
+    assert code == 1
+    assert err.strip() == (
+        f"validation error: $.protocol.theta.values: 2 values for {nodes} nodes")
 
 
 def test_cli_wrong_kind_exit_code(tmp_path, capsys):
