@@ -41,7 +41,6 @@ from .engine import (
 from .measurement import (
     CountHistogram,
     EveReport,
-    PhaseEstimate,
     eve_intercept,
     exact_probability,
     sample_basis,

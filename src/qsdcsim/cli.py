@@ -26,12 +26,12 @@ from .consensus import (
     run_consensus,
 )
 from .engine import EngineError
-from .measurement import constant_phase_stream, eve_intercept, stream_rng
+from .measurement import _STREAM_TAG, constant_phase_stream, eve_intercept, stream_rng
 from .microgrid import MicrogridError, TimeSeries, run_plant
 from .netgraph import GraphValidationError
 from .scenario import Scenario, ScenarioError, parse_scenario
 
-_EVE_THETA_TAG = 4
+_EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
 
 
 def settling_time(times: np.ndarray, err: np.ndarray, tol: float):
@@ -239,10 +239,6 @@ def _run_plant_cmd(args, kind: str) -> int:
         events=sc.plant_events(),
         mixing=sc.mixing_events(),
     )
-    ts.meta["omega_nominal"] = getattr(network, "omega_nominal", None)
-    ts.meta["v_nominal"] = getattr(network, "v_nominal", None)
-    ts.meta["k"] = getattr(network, "k", None)
-    ts.meta["c"] = getattr(network, "c", None)
     summary = summarize(ts)
     files = _emit(args, f"{sc.name}_timeseries", ts, summary)
     headline = (f"steady_freq={summary['steady_freq_hz']:.4f} Hz" if kind == "ac"

@@ -21,8 +21,12 @@ Backends:
   phase - another name for the bloch core, kept for existing scenarios.
 
 Nodes keep their labels when some go offline (`qsdc_step`'s `online`
-flags): an offline node loses its edges, so both backends see it isolated,
-and theta and shot streams stay keyed by the physical node index.
+flags): an offline node loses its edges, so both backends see it isolated.
+
+Random streams are keyed per step, not per node (`measurement.stream_rng`):
+one stream draws all n thetas, and with shots one stream per basis draws
+all n counts, entry i for physical node i.  Offline and aborted nodes draw
+and discard, so no node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the dense backend integrates the same linear flow.
@@ -41,13 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import BlochVector, PureQubitSpec, _rk4
+from .engine import PureQubitSpec, _rk4
 from .measurement import (
-    _BASIS_TAG,
-    DegenerateCoherenceError,
+    _STREAM_TAG,
+    _sample_zeros,
     phase_from_expectations,
     qdc_from_expectation,
-    sample_basis,
     stream_rng,
 )
 from .netgraph import (
@@ -62,7 +65,6 @@ BACKENDS = ("full", "bloch", "phase")
 MODES = ("qsdc", "qdc_legacy")
 
 S_FLOOR = 1e-3
-_THETA_TAG = 3
 
 
 class RateRegionError(ValueError):
@@ -115,11 +117,7 @@ class ThetaConfig:
                     f"fixed theta list has {len(self.values)} entries for {n} nodes"
                 )
             return np.array(self.values, dtype=float)
-        out = np.empty(n)
-        for i in range(n):
-            rng = stream_rng(seed, step, i, _THETA_TAG)
-            out[i] = rng.uniform(self.lo, self.hi)
-        return out
+        return stream_rng(seed, step, _STREAM_TAG["theta"]).uniform(self.lo, self.hi, n)
 
 
 @dataclass(frozen=True)
@@ -251,21 +249,23 @@ def phase_rhs(phi, s, pinners, graph: CommGraph) -> np.ndarray:
     return dphi
 
 
-def _measure_node(x: float, y: float, config: ProtocolConfig, step: int, node: int):
-    """Phase estimate of one node from its in-plane expectations."""
+def _measure_node(xs: np.ndarray, ys: np.ndarray, config: ProtocolConfig, step: int):
+    """Measured <X> and <Y> of all n nodes.
+
+    Exact mode returns (xs, ys).  With shots, each basis draws config.shots
+    shots on every node in one binomial draw from the stream (seed, step,
+    basis tag).  qdc_legacy measures X only and reads <Y> as nan.
+    """
     if config.exact:
-        if config.mode == "qdc_legacy":
-            return qdc_from_expectation(x).phi_hat
-        return phase_from_expectations(x, y).phi_hat
-    bloch = BlochVector(x=x, y=y, z=0.0)
-    cx = sample_basis(bloch, "X", config.shots,
-                      stream_rng(config.seed, step, node, _BASIS_TAG["X"]))
+        return xs, ys
+
+    def measure(e, basis):
+        rng = stream_rng(config.seed, step, _STREAM_TAG[basis])
+        return 2.0 * _sample_zeros(rng, config.shots, e) / config.shots - 1.0
+
     if config.mode == "qdc_legacy":
-        return qdc_from_expectation(cx.p0 - cx.p1, cx.shots).phi_hat
-    cy = sample_basis(bloch, "Y", config.shots,
-                      stream_rng(config.seed, step, node, _BASIS_TAG["Y"]))
-    return phase_from_expectations(cx.p0 - cx.p1, cy.p0 - cy.p1,
-                                   cx.shots + cy.shots).phi_hat
+        return measure(xs, "X"), np.full(len(xs), np.nan)
+    return measure(xs, "X"), measure(ys, "Y")
 
 
 def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
@@ -288,9 +288,11 @@ def qsdc_step(
     """One full protocol iteration; deterministic given config.seed.
 
     `online` has one bool per node (None: all online).  An offline node's
-    edges are dropped; it is not measured, no warning names it and its
-    phase comes back unchanged.  Thetas are drawn for all nodes, and theta
-    and shot streams and mixing events use physical node indices.
+    edges are dropped; its measurement is discarded, no warning names it and
+    its phase comes back unchanged.  Thetas and shots are drawn for all
+    nodes, and mixing events use physical node indices.  An online node
+    below S_FLOOR, or whose sampled <X> and <Y> are both zero, keeps its
+    phase and gets a warning.
     """
     n = graph.node_count
     online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
@@ -337,20 +339,19 @@ def qsdc_step(
         final_rho = None
 
     s_after = np.hypot(xs, ys)
+    sx, sy = _measure_node(xs, ys, config, state.step)
+    low = online & (s_after < S_FLOOR)
+    degenerate = online & ~low & (sx == 0.0) & (sy == 0.0)
+    for i in np.flatnonzero(low | degenerate).tolist():
+        warnings.append(
+            f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; step aborted for this node"
+            if low[i] else f"node {i}: degenerate coherence; step aborted for this node"
+        )
+    estimated = online & ~low & ~degenerate
+    est = (qdc_from_expectation(sx[estimated]) if config.mode == "qdc_legacy"
+           else phase_from_expectations(sx[estimated], sy[estimated]))
     new_phis = np.where(online, phis, state.phis)
-    for i in np.flatnonzero(online).tolist():
-        if s_after[i] < S_FLOOR:
-            warnings.append(
-                f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; "
-                "step aborted for this node"
-            )
-            continue
-        try:
-            est = _measure_node(float(xs[i]), float(ys[i]), config, state.step, i)
-        except DegenerateCoherenceError:
-            warnings.append(f"node {i}: degenerate coherence; step aborted for this node")
-            continue
-        new_phis[i] = min(max(est, 0.0), math.pi / 2)
+    new_phis[estimated] = np.clip(est, 0.0, math.pi / 2)
 
     return ProtocolState(
         phis=new_phis,

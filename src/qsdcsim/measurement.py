@@ -5,6 +5,10 @@ Basis changes are folded into closed-form Bernoulli probabilities
 p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
 S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` applies the
 actual 2x2 circuit; the tests check the closed form against it.
+
+Everything measures arrays: one random stream per step and basis draws the
+counts of all nodes (or of all intercepted steps) at once, and a node that
+is offline or aborted draws and discards, never shifting another's draws.
 """
 
 from __future__ import annotations
@@ -18,7 +22,12 @@ import numpy as np
 from .engine import BlochVector
 
 BASES = ("X", "Y", "Z")
-_BASIS_TAG = {"X": 0, "Y": 1, "Z": 2}
+# The last key of every random stream: one table, so that no two callers
+# share a stream by accident (see `stream_rng` for the full keys).
+_STREAM_TAG = {"X": 0, "Y": 1, "Z": 2, "theta": 3, "eve_theta": 4}
+# The bases an interceptor measures at step t: entry t mod length.
+_EVE_SCHEDULE = {"cycle": ("X", "Y", "Z"), "xy": ("X", "Y"), "all": ("XYZ",),
+                 "x": ("X",), "y": ("Y",), "z": ("Z",)}
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
@@ -39,8 +48,15 @@ class DegenerateCoherenceError(MeasurementError):
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent, order-insensitive random stream keyed by integer tags.
 
-    One stream per (node, step, basis) keeps shot sampling reproducible and
-    embarrassingly parallel.
+    Streams are keyed per step and basis, never per node: one Generator
+    draws the values of all nodes (or all intercepted steps) as one vector,
+    entry i for node i.  The keys in use, with T = `_STREAM_TAG`:
+
+      (seed, step, T["theta"])  protocol thetas of all n nodes at one step;
+      (seed, step, T[basis])    protocol shots in basis X or Y, all n nodes;
+      (seed, T["eve_theta"])    polar angles of the `qsdcsim eve` stream;
+      (seed, T[basis])          the interceptor's shots in one basis over all
+                                its steps, and `sample_basis` given an int.
     """
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(t) for t in tags]])
 
@@ -74,23 +90,27 @@ class CountHistogram:
     def p1(self) -> float:
         return self.ones / self.shots
 
-    def merge(self, other: "CountHistogram") -> "CountHistogram":
-        return CountHistogram(self.zeros + other.zeros, self.ones + other.ones)
-
 
 def _component(bloch: BlochVector, basis: str) -> float:
     try:
-        e = {"X": bloch.x, "Y": bloch.y, "Z": bloch.z}[basis]
+        return {"X": bloch.x, "Y": bloch.y, "Z": bloch.z}[basis]
     except KeyError:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}") from None
-    if abs(e) > 1.0 + 1e-9:
-        raise InvalidStateError(f"{basis} component {e} lies outside [-1, 1]")
-    return max(-1.0, min(1.0, e))
+
+
+def _clamped(e) -> np.ndarray:
+    """Bloch components clamped to [-1, 1]; one beyond it by more than 1e-9
+    is not a state."""
+    e = np.asarray(e, dtype=float)
+    bad = np.abs(e) > 1.0 + 1e-9
+    if bad.any():
+        raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
+    return np.clip(e, -1.0, 1.0)
 
 
 def exact_probability(bloch: BlochVector, basis: str) -> float:
     """Infinite-shot limit of p0 for the chosen measurement circuit."""
-    return 0.5 * (1.0 + _component(bloch, basis))
+    return float(0.5 * (1.0 + _clamped(_component(bloch, basis))))
 
 
 def _gate_level_p0(bloch: BlochVector, basis: str) -> float:
@@ -113,63 +133,37 @@ def _gate_level_p0(bloch: BlochVector, basis: str) -> float:
     return float(rot[0, 0].real)
 
 
-def sample_basis(
-    bloch: BlochVector,
-    basis: str,
-    shots: int,
-    seed,
-) -> CountHistogram:
+def _sample_zeros(rng: np.random.Generator, shots: int, e):
+    """Zero outcomes of `shots` shots on each qubit whose component in the
+    measured basis is `e`, in one binomial draw: the package's one sampler."""
+    return rng.binomial(shots, 0.5 * (1.0 + _clamped(e)))
+
+
+def sample_basis(bloch: BlochVector, basis: str, shots: int, seed) -> CountHistogram:
     """Draw independent shots in the given basis.
 
-    `seed` is either an integer or a numpy Generator (the protocol passes a
-    per-(node, step, basis) stream).
+    `seed` is either a numpy Generator or an integer, which selects the
+    stream (seed, basis tag).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    p0 = exact_probability(bloch, basis)
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, _BASIS_TAG[basis])
-    zeros = int(rng.binomial(shots, min(1.0, max(0.0, p0))))
+    e = _component(bloch, basis)
+    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, _STREAM_TAG[basis])
+    zeros = int(_sample_zeros(rng, shots, e))
     return CountHistogram(zeros=zeros, ones=shots - zeros)
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """Estimated azimuthal phase of one node for one protocol step."""
-
-    phi_hat: float
-    method: str  # "qsdc_atan2" or "qdc_arccos"
-    sx_hat: float
-    sy_hat: float
-    shots_used: int
-    clamped: bool = False
-
-
-def phase_from_expectations(sx: float, sy: float, shots_used: int = 0) -> PhaseEstimate:
-    """atan2 twin estimator from expectation values; the common r*sin(theta)
-    factor cancels, so it is exact for any state with in-plane coherence."""
-    if sx == 0.0 and sy == 0.0:
+def phase_from_expectations(sx, sy) -> np.ndarray:
+    """atan2 twin estimator from expectation values, elementwise; the common
+    r*sin(theta) factor cancels, so it is exact for any state with in-plane
+    coherence.  Raises if any entry has both expectations zero."""
+    if np.any(np.hypot(sx, sy) == 0.0):
         raise DegenerateCoherenceError("sx and sy both vanished; no phase signal")
-    return PhaseEstimate(
-        phi_hat=math.atan2(sy, sx),
-        method="qsdc_atan2",
-        sx_hat=sx,
-        sy_hat=sy,
-        shots_used=shots_used,
-    )
+    return np.arctan2(sy, sx)
 
 
-def qdc_from_expectation(sx: float, shots_used: int = 0) -> PhaseEstimate:
-    """Legacy arccos estimator; unbiased only when r*sin(theta) = 1."""
-    clamped = abs(sx) > 1.0
-    x = max(-1.0, min(1.0, sx))
-    return PhaseEstimate(
-        phi_hat=math.acos(x),
-        method="qdc_arccos",
-        sx_hat=sx,
-        sy_hat=0.0,
-        shots_used=shots_used,
-        clamped=clamped,
-    )
+def qdc_from_expectation(sx) -> np.ndarray:
+    """Legacy arccos estimator, elementwise, of sx clipped to [-1, 1];
+    unbiased only when r*sin(theta) = 1."""
+    return np.arccos(np.clip(sx, -1.0, 1.0))
 
 
 def binary_entropy_bits(p: float) -> float:
@@ -205,97 +199,64 @@ class EveReport:
         }
 
 
-def constant_phase_stream(phi: float, thetas, r: float = 1.0) -> list[BlochVector]:
-    """Per-step Bloch vectors of a qubit with fixed phase and varying theta,
-    as seen by an interceptor on one channel."""
-    return [BlochVector.from_polar(r, float(th), phi) for th in thetas]
-
-
-def _policy_bases(policy: str, step: int) -> tuple[str, ...]:
-    if policy == "cycle":
-        return (BASES[step % 3],)
-    if policy == "all":
-        return BASES
-    if policy in ("x", "y", "z"):
-        return (policy.upper(),)
-    if policy == "xy":
-        return ("X", "Y")[step % 2],
-    raise ValueError(f"unknown bases policy {policy!r}")
+def constant_phase_stream(phi: float, thetas, r: float = 1.0) -> np.ndarray:
+    """Bloch components (x, y, z), one row per step, of a qubit with fixed
+    phase and varying theta, as seen by an interceptor on one channel."""
+    thetas = np.asarray(thetas, dtype=float)
+    s = r * np.sin(thetas)
+    return np.column_stack([s * math.cos(phi), s * math.sin(phi), r * np.cos(thetas)])
 
 
 def eve_intercept(
     stream,
     bases_policy: str = "cycle",
     shots_per_step: int = 1,
-    steps: int | None = None,
     seed: int = 0,
     exact: bool = False,
 ) -> EveReport:
     """Aggregate interception statistics over a stream of exchanged qubits.
 
-    Each stream entry is the Bloch vector of the qubit at one protocol step
-    (theta re-randomized by the protocol).  Counts are pooled per basis over
-    all intercepted steps; the naive estimate applies arccos to the pooled X
-    expectation, the informed one takes atan2 of pooled X and Y estimates.
-    In exact mode the infinite-shot p0 is averaged instead of sampling.
+    `stream` has one row of Bloch components (x, y, z) per protocol step,
+    as `constant_phase_stream` returns.  The policy selects the bases
+    measured at each step; each basis draws the shots of all its steps at
+    once from the stream (seed, basis tag) and pools them.  The naive
+    estimate applies arccos to the pooled X expectation, the informed one
+    takes atan2 of pooled X and Y estimates.  In exact mode the infinite-shot
+    expectations are averaged over the same steps instead of sampling.
     """
-    stream = list(stream)
-    if not stream:
+    comps = _clamped(np.reshape(stream, (-1, len(BASES))))
+    if not len(comps):
         raise ValueError("stream must be nonempty")
-    if steps is not None:
-        stream = stream[:steps]
+    if bases_policy not in _EVE_SCHEDULE:
+        raise ValueError(f"unknown bases policy {bases_policy!r}")
+    schedule = np.array([[b in bases for b in BASES] for bases in _EVE_SCHEDULE[bases_policy]])
+    mask = schedule[np.arange(len(comps)) % len(schedule)]  # (steps, basis)
 
+    measured = mask.sum(axis=0).tolist()
+    means = (np.where(mask, comps, 0.0).sum(axis=0) / np.maximum(measured, 1)).tolist()
     hist: dict[str, CountHistogram] = {}
-    p0_sums: dict[str, float] = {b: 0.0 for b in BASES}
-    p0_counts: dict[str, int] = {b: 0 for b in BASES}
-    comp_sums = {"X": 0.0, "Y": 0.0, "Z": 0.0}
-
-    for t, bloch in enumerate(stream):
-        for basis in _policy_bases(bases_policy, t):
-            p0_sums[basis] += exact_probability(bloch, basis)
-            comp_sums[basis] += _component(bloch, basis)
-            p0_counts[basis] += 1
-            if not exact:
-                h = sample_basis(
-                    bloch, basis, shots_per_step,
-                    stream_rng(seed, t, _BASIS_TAG[basis]),
-                )
-                hist[basis] = hist[basis].merge(h) if basis in hist else h
-
-    def pooled_expectation(basis: str) -> float:
-        if exact or basis not in hist:
-            if p0_counts[basis] == 0:
-                return 0.0
-            return 2.0 * (p0_sums[basis] / p0_counts[basis]) - 1.0
-        h = hist[basis]
-        return h.p0 - h.p1
-
-    ex = pooled_expectation("X")
-    ey = pooled_expectation("Y")
-    ez = pooled_expectation("Z")
+    if not exact:
+        for k, basis in enumerate(BASES):
+            if measured[k]:
+                zeros = int(_sample_zeros(stream_rng(seed, _STREAM_TAG[basis]),
+                                          shots_per_step, comps[mask[:, k], k]).sum())
+                hist[basis] = CountHistogram(zeros, measured[k] * shots_per_step - zeros)
+    ex, ey = (hist[basis].p0 - hist[basis].p1 if basis in hist else means[k]
+              for k, basis in enumerate("XY"))
     naive = math.acos(max(-1.0, min(1.0, ex)))
     informed = math.atan2(ey, ex) if (ex, ey) != (0.0, 0.0) else float("nan")
 
-    entropy = {}
-    exact_p0 = {}
-    for basis in BASES:
-        if p0_counts[basis] == 0:
-            continue
-        exact_p0[basis] = p0_sums[basis] / p0_counts[basis]
-        p_obs = hist[basis].p0 if (not exact and basis in hist) else exact_p0[basis]
-        entropy[basis] = binary_entropy_bits(p_obs)
-
-    avg = BlochVector(
-        x=comp_sums["X"] / max(1, p0_counts["X"]),
-        y=comp_sums["Y"] / max(1, p0_counts["Y"]),
-        z=comp_sums["Z"] / max(1, p0_counts["Z"]),
-    )
+    exact_p0 = {basis: 0.5 * (1.0 + means[k]) for k, basis in enumerate(BASES) if measured[k]}
+    entropy = {
+        basis: binary_entropy_bits(hist[basis].p0 if basis in hist else p0)
+        for basis, p0 in exact_p0.items()
+    }
     return EveReport(
         histograms=hist,
         exact_p0=exact_p0,
         naive_phi=naive,
         informed_phi=informed,
-        avg_bloch=avg,
+        avg_bloch=BlochVector(*means),
         entropy_bits=entropy,
         shots_total=sum(h.shots for h in hist.values()),
     )

@@ -20,6 +20,7 @@ holds its phase.  It carries no current (DC); its bus is passive (AC).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -366,15 +367,18 @@ def run_plant(
     """Fixed-step co-simulation of an AC or DC scenario.
 
     Plant and protocol share the same dt; events snap to the nearest step.
+    The run works on copies of `ders` and `network`, so events and the
+    default k (AC) or c (DC) never reach the caller's objects; `meta` has
+    the k or c and the nominal frequency or voltage used.
     """
     n = len(ders)
     steps = int(round(horizon / config.dt))
+    ders, network = copy.deepcopy((ders, network))
     if kind == "ac":
         network.apply_default_k(ders)
-        network.check_scaling(ders)
     else:
         network.apply_default_c(ders)
-        network.check_scaling(ders)
+    network.check_scaling(ders)
     _check_comm_connected(comm, ders, "initial topology")
 
     by_step: dict[int, list[Event]] = {}
@@ -422,4 +426,6 @@ def run_plant(
     return TimeSeries(times=times, data=data, kind=kind, events_applied=applied,
                       lyapunov=vs, warnings=warnings,
                       meta={"dt": config.dt, "seed": config.seed,
-                            "backend": config.backend, "mode": config.mode})
+                            "backend": config.backend, "mode": config.mode,
+                            **{key: getattr(network, key, None)
+                               for key in ("omega_nominal", "v_nominal", "k", "c")}})

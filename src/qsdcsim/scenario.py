@@ -124,6 +124,7 @@ class Scenario:
             voltage_nominal=sec.get("voltage_nominal", 380.0),
             k=sec.get("k", 0.0),
         )
+        net.apply_default_k(ders)
         return ders, net
 
     def dc_plant(self) -> tuple[list[DcDer], DcNetwork]:
@@ -139,6 +140,7 @@ class Scenario:
             r_load=math.inf if r_load == "inf" else float(r_load),
             c=sec.get("c", 0.0),
         )
+        net.apply_default_c(ders)
         return ders, net
 
 

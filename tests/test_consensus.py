@@ -1,9 +1,11 @@
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qsdcsim import consensus
 from qsdcsim.consensus import (
     MixingEvent,
     ProtocolConfig,
@@ -16,6 +18,7 @@ from qsdcsim.consensus import (
     phase_rhs,
     qsdc_step,
     run_consensus,
+    write_csv_rows,
 )
 from qsdcsim.engine import CapacityError, local_bloch
 from qsdcsim.netgraph import build_graph
@@ -210,6 +213,39 @@ def test_step_sampled_mode_deterministic():
     a = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), TRIANGLE, cfg, np.full(3, 0.9))
     b = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), TRIANGLE, cfg, np.full(3, 0.9))
     assert np.array_equal(a.phis, b.phis)
+
+
+def test_step_draws_one_stream_per_step_and_basis(monkeypatch):
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return np.random.default_rng(list(key))
+
+    monkeypatch.setattr(consensus, "stream_rng", counted)
+    g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    state = ProtocolState(phis=np.full(6, 0.4), step=3)
+    uniform = ThetaConfig.uniform(0.5, 2.5)
+    qsdc_step(state, g, exact_cfg("phase", theta=uniform), np.full(6, 0.9))
+    assert len(calls) == 1
+    calls.clear()
+    sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8)
+    qsdc_step(state, g, sampled, np.full(6, 0.9), online=[True, False] * 3)
+    assert len(calls) <= 3
+
+
+def test_sampled_estimate_ignores_isolated_node_going_offline():
+    # node 0 has no edges, so whether it is online must not move the others,
+    # although all nodes draw from the same per-step streams
+    g = build_graph(4, [(1, 2), (2, 3), (1, 3)])
+    cfg = ProtocolConfig(dt=0.01, substeps=2, shots=256,
+                         theta=ThetaConfig.uniform(0.5, 2.5), seed=5)
+    state = ProtocolState(phis=np.array([0.3, 0.4, 0.6, 0.8]), step=2)
+    pinners = np.full(4, 0.7)
+    on = qsdc_step(state, g, cfg, pinners)
+    off = qsdc_step(state, g, cfg, pinners, online=[False, True, True, True])
+    assert np.array_equal(on.phis[1:], off.phis[1:])
+    assert off.phis[0] == 0.3 and on.phis[0] != 0.3
 
 
 # -- backend equivalence -----------------------------------------------------
@@ -460,6 +496,13 @@ def test_trajectory_csv_shape(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phi_0,phi_1,phi_2,pinner_0,pinner_1,pinner_2,V"
     assert len(lines) == len(traj.times) + 1
+
+
+def test_csv_number_format_is_pinned():
+    fh = io.StringIO()
+    write_csv_rows(fh, ["a", "b", "c"],
+                   np.array([[1 / 3, 60.000007598933855, 1e-17], [-0.0, 1e21, 3.0]]))
+    assert fh.getvalue() == "a,b,c\n0.333333333,60.0000076,1e-17\n-0,1e+21,3\n"
 
 
 # -- convergence rate --------------------------------------------------------

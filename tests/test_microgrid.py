@@ -1,4 +1,6 @@
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from qsdcsim.microgrid import (
     run_plant,
 )
 from qsdcsim.netgraph import build_graph
+from qsdcsim.scenario import parse_scenario
 
 PI = math.pi
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def phase_cfg(seed=4, mode="qsdc", dt=0.01):
@@ -93,8 +97,9 @@ def test_ac_three_der_power_sharing():
     # sum(x/n_i) = 60 kW => n_i P_i = 0.06, P = (12, 24, 24), omega = 60
     assert np.allclose(ts.data["power"][-1], [12.0, 24.0, 24.0], atol=1e-3)
     assert np.allclose(ts.data["omega"][-1], 60.0, atol=1e-4)
-    share = ts.data["pinner"][-1] / net.k
-    assert np.allclose(share, 0.06 * net.k / net.k, atol=1e-5)
+    k = ts.meta["k"]
+    share = ts.data["pinner"][-1] / k
+    assert np.allclose(share, 0.06 * k / k, atol=1e-5)
 
 
 def test_ac_equilibrium_is_stationary():
@@ -107,6 +112,7 @@ def test_ac_equilibrium_is_stationary():
     deltas = 2.0 * PI * cfg.dt * np.sum(ts.data["omega"] - 60.0, axis=0)
     plant = AcPlantState(deltas=deltas,
                          protocol=ProtocolState(phis=ts.data["phi"][-1].copy()))
+    net.k = ts.meta["k"]
     plant2, out = ac_step(plant, ders, net, comm, cfg)
     assert np.max(np.abs(out["omega"] - 60.0)) <= 1e-4
     assert np.max(np.abs(plant2.protocol.phis - plant.protocol.phis)) <= 1e-5
@@ -117,7 +123,7 @@ def test_ac_droop_change_resolves_common_value():
     events = [Event(time=10.0, kind="droop_change",
                     payload={"node": 0, "droop": 4.0e-3})]
     ts = run_plant("ac", ders, net, comm, phase_cfg(), horizon=25.0, events=events)
-    x_star = ts.data["pinner"][-1].mean() / net.k
+    x_star = ts.data["pinner"][-1].mean() / ts.meta["k"]
     droops = np.array([4.0e-3, 2.5e-3, 2.5e-3])
     assert abs(np.sum(x_star / droops) - 60.0) <= 0.1 * 0.01 * 60.0  # 0.1%
     assert np.allclose(ts.data["omega"][-1], 60.0, atol=1e-3)
@@ -271,7 +277,7 @@ def test_dc_steady_state_light_load():
     ders, net, comm = dc3(r_load=100.0)
     ts = run_plant("dc", ders, net, comm, phase_cfg(seed=2), horizon=20.0)
     assert abs(ts.data["vbus"][-1] - 48.0) <= 1e-3
-    share = ts.data["pinner"][-1] / net.c
+    share = ts.data["pinner"][-1] / ts.meta["c"]
     assert (share.max() - share.min()) / share.mean() <= 0.01
     # bus relation V_b = V_ref - R I holds per online DER
     vb = ts.data["vbus"][-1]
@@ -313,6 +319,22 @@ def test_dc_mixing_dichotomy():
     err_qdc = abs(qdc.data["vbus"][-1] - 48.0)
     assert err_qsdc <= 1e-2
     assert err_qdc >= 0.1  # persistent offset under the legacy estimator
+
+
+def test_run_plant_leaves_its_inputs_alone():
+    # dc9 steps the load resistance at t=20 and unplugs and replugs a DER
+    sc = parse_scenario(SCENARIOS / "dc9.json")
+    ders, net = sc.dc_plant()
+    csvs = []
+    for _ in range(2):
+        ts = run_plant("dc", ders, net, sc.graph(), sc.protocol(), horizon=sc.horizon,
+                       events=sc.plant_events(), mixing=sc.mixing_events())
+        fh = io.StringIO()
+        ts.write_csv(fh)
+        csvs.append(fh.getvalue())
+    assert len(set(csvs)) == 1  # not csvs[0] == csvs[1]: a diff of two CSVs takes minutes
+    assert (ders, net) == sc.dc_plant()
+    assert ts.meta["c"] == net.c > 0.0
 
 
 def test_dc_partition_detected():
