@@ -114,7 +114,8 @@ def _sharing_spread_pct(sharing: np.ndarray, online: np.ndarray) -> float:
 
 def _summarize_timeseries(ts: TimeSeries) -> dict:
     win = _final_window(len(ts.times))
-    online = ts.data["online"][win] > 0.5
+    all_online = ts.data["online"] > 0.5
+    online = all_online[win]
     out = {
         "kind": ts.kind,
         "backend": ts.meta.get("backend"),
@@ -127,17 +128,11 @@ def _summarize_timeseries(ts: TimeSeries) -> dict:
     if ts.kind == "ac":
         omega = ts.data["omega"]
         nominal = ts.meta["omega_nominal"]
-        err = np.array([
-            np.max(np.abs(omega[k][ts.data["online"][k] > 0.5] - nominal))
-            for k in range(len(ts.times))
-        ])
+        err = np.max(np.abs(omega - nominal), axis=1, where=all_online, initial=0.0)
         sharing = ts.data["pinner"] / ts.meta["k"]  # recovers n_i * P_i
         out.update({
             "settling_time_s": settling_time(ts.times, err, 1e-3),
-            "steady_freq_hz": float(np.mean([
-                omega[k][ts.data["online"][k] > 0.5].mean()
-                for k in range(win.start, win.stop)
-            ])),
+            "steady_freq_hz": float(np.mean(omega[win], axis=1, where=online).mean()),
             "sharing_spread_pct": _sharing_spread_pct(sharing[win], online),
         })
     else:

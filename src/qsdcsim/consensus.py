@@ -29,16 +29,19 @@ all n counts, entry i for physical node i.  Offline and aborted nodes draw
 and discard, so no node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
-the measured phase), so the dense backend integrates the same linear flow.
-`full` and `bloch` share one integrator, `engine._rk4`, on rho and on the
-(n, 2) array of (w, z); RK4 commutes with the linear map from rho to local
-Bloch vectors, so the two agree to rounding.  The instantaneous-pinner
-forms `bloch_rhs` and `phase_rhs` are the reference equations; they
-coincide with the flow at the step start.
+the measured phase), so the flow is one matrix on v = [w; z]:
+v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  `_online_core`
+caches -blockdiag(L, L), read-only, per graph and online set; a step adds
+the gains to its first n diagonal entries.  `full` and `bloch` share one
+integrator, `engine._rk4` (Horner-form RK4), on rho and on v; it commutes
+with the linear map from rho to local Bloch vectors, so the two agree to
+rounding.  The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are
+the reference equations; they coincide with the flow at the step start.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -277,6 +280,19 @@ def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
     return f
 
 
+@functools.lru_cache(maxsize=64)
+def _online_core(graph: CommGraph, online: bytes) -> tuple[CommGraph, np.ndarray]:
+    """`graph` without the edges of nodes offline in the bool mask `online`,
+    and -blockdiag(L, L) of it: the read-only linear core before the gains."""
+    mask = np.frombuffer(online, dtype=bool)
+    kept = [k for k, (i, j) in enumerate(graph.edges) if mask[i] and mask[j]]
+    graph = CommGraph(graph.node_count, tuple(graph.edges[k] for k in kept),
+                      tuple(graph.weights[k] for k in kept))
+    core = -np.kron(np.eye(2), laplacian(graph)).astype(complex)
+    core.setflags(write=False)
+    return graph, core
+
+
 def qsdc_step(
     state: ProtocolState,
     graph: CommGraph,
@@ -298,10 +314,7 @@ def qsdc_step(
     online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
     if online.shape != (n,):
         raise ValueError(f"need {n} online flags, got shape {online.shape}")
-    if not online.all():
-        kept = [k for k, (i, j) in enumerate(graph.edges) if online[i] and online[j]]
-        graph = CommGraph(n, tuple(graph.edges[k] for k in kept),
-                          tuple(graph.weights[k] for k in kept))
+    graph, core = _online_core(graph, online.tobytes())
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
     phis = np.clip(np.asarray(state.phis, dtype=float), 0.0, math.pi / 2)
@@ -326,16 +339,14 @@ def qsdc_step(
             b = engine.local_bloch(rho, i)
             xs[i], ys[i], zs[i] = b.x, b.y, b.z
         final_rho = rho
-    else:  # bloch and phase: the linear flow on (w, z), w = x + i*y
-        gain = np.zeros((n, 2), dtype=complex)
-        gain[:, 0] = np.exp(1j * alphas) - 1.0
-        lap = laplacian(graph)
-        v0 = np.empty((n, 2), dtype=complex)
-        v0[:, 0] = np.sin(thetas) * np.exp(1j * phis)
-        v0[:, 1] = np.cos(thetas)
-        out = _rk4(v0, lambda v: gain * v - lap @ v, config.dt, config.substeps)
-        out *= _mixing_factors(n, events, t_now, config.dt)[:, np.newaxis]
-        xs, ys, zs = out[:, 0].real, out[:, 0].imag, out[:, 1].real
+    else:  # bloch and phase: v' = A v on v = [w; z], w = x + i*y
+        a = core.copy()
+        diag = np.arange(n)
+        a[diag, diag] += np.exp(1j * alphas) - 1.0
+        v0 = np.concatenate([np.sin(thetas) * np.exp(1j * phis), np.cos(thetas)])
+        out = _rk4(v0, a.dot, config.dt, config.substeps).reshape(2, n)
+        out *= _mixing_factors(n, events, t_now, config.dt)
+        xs, ys, zs = out[0].real, out[0].imag, out[1].real
         final_rho = None
 
     s_after = np.hypot(xs, ys)
@@ -417,11 +428,12 @@ class Trajectory:
 
 
 def write_csv_rows(fh, cols, block: np.ndarray) -> None:
-    """The header, then one line per row of `block`, each value as {:.9g};
+    """The header, then one line per row of `block`, each value as %.9g;
     every CSV the package writes goes through here."""
     fh.write(",".join(cols) + "\n")
+    line = ",".join(["%.9g"] * block.shape[1]) + "\n"
     for row in block:
-        fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        fh.write(line % tuple(row.tolist()))
 
 
 def run_consensus(

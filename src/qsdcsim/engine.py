@@ -25,11 +25,13 @@ and `lindblad_rhs` (the full anticommutator form on explicit matrices) are the
 oracle the tests cross-check the index form against.
 
 `_rk4` is the package's one integrator: `evolve` runs it on rho, the
-`bloch`/`phase` core of `consensus` on the local expectations.  On a linear
-flow y' = Ay one RK4 step is the degree-4 Taylor polynomial of e^{hA}; the
-master equation's A maps Hermitian matrices to traceless Hermitian ones, so
-trace and Hermiticity hold to rounding with no re-projection between
-substeps, and the final `DensityMatrix.check` in `evolve` guards the state.
+`bloch`/`phase` core of `consensus` on v' = A v with A the 2n x 2n matrix
+it builds from a Laplacian cached per online set.  On a linear flow one RK4
+step is the degree-4 Taylor polynomial of e^{hA}, evaluated in Horner form
+y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))).  The master equation's A maps
+Hermitian matrices to traceless Hermitian ones, so trace and Hermiticity
+hold to rounding with no re-projection between substeps, and the final
+`DensityMatrix.check` in `evolve` (Cholesky: lambda_min > -1e-6) guards it.
 
 Tensor-factor convention: node 0 is the leftmost Kronecker factor, i.e. the
 most significant bit of the computational-basis index.
@@ -159,9 +161,13 @@ class DensityMatrix:
             raise StateValidationError("state is not Hermitian within 1e-9")
         if abs(np.trace(m).real - 1.0) > self.TRACE_TOL or abs(np.trace(m).imag) > self.TRACE_TOL:
             raise StateValidationError(f"trace {np.trace(m)} is not 1 within 1e-9")
+        # lambda_min(H) > -tol exactly when H + tol*I has a Cholesky factor
         tol = self.EIGEN_TOL if eigen_tol is None else eigen_tol
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -tol:
-            raise StateValidationError("state has an eigenvalue below -1e-9")
+        shifted = 0.5 * (m + m.conj().T) + tol * np.eye(len(m))
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise StateValidationError(f"state has an eigenvalue below {-tol:g}") from None
 
 
 def product_state(specs) -> DensityMatrix:
@@ -367,14 +373,16 @@ def lindblad_rhs(rho, jumps: JumpSet | IndexJumpSet) -> np.ndarray:
 
 
 def _rk4(y: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
-    """Classical RK4 on y' = rhs(y) over dt, in `substeps` equal steps."""
+    """Classical RK4 on a linear y' = rhs(y) over dt in `substeps` steps, in
+    Horner form; `rhs` must return a new array (it is scaled in place)."""
     h = dt / substeps
     for _ in range(substeps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = y
+        for c in (h / 4.0, h / 3.0, h / 2.0, h):
+            u = rhs(u)
+            u *= c
+            u += y
+        y = u
     return y
 
 

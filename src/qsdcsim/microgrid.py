@@ -21,13 +21,14 @@ holds its phase.  It carries no current (DC); its bus is passive (AC).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ProtocolConfig, ProtocolState, lyapunov, qsdc_step, write_csv_rows
-from .netgraph import CommGraph, is_connected
+from .consensus import ProtocolConfig, ProtocolState, qsdc_step, write_csv_rows
+from .netgraph import CommGraph, incidence_matrix, is_connected
 
 
 class MicrogridError(Exception):
@@ -137,23 +138,31 @@ class Event:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _line_operators(lines: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only incidence matrix B (+1 at i, -1 at j of line (i, j, b)) and
+    strengths b of a `lines` tuple over n buses."""
+    inc = incidence_matrix(CommGraph(n, tuple((i, j) for i, j, _b in lines), ()))
+    strength = np.array([b for _i, _j, b in lines], dtype=float)
+    inc.setflags(write=False)
+    strength.setflags(write=False)
+    return inc, strength
+
+
 def ac_power_flow(deltas, lines, bus_loads) -> np.ndarray:
-    """Injections P_i = P_L,i + sum_j b_ij sin(delta_i - delta_j).
+    """Injections P = P_L + B (b * sin(B^T delta)), i.e.
+    P_i = P_L,i + sum_j b_ij sin(delta_i - delta_j).
 
     The sine terms cancel pairwise, so sum(P) = sum(P_L) identically.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    p = np.array(bus_loads, dtype=float)
-    for i, j, b in lines:
-        flow = b * math.sin(deltas[i] - deltas[j])
-        p[i] += flow
-        p[j] -= flow
-    return p
+    inc, strength = _line_operators(lines, len(bus_loads))
+    return np.asarray(bus_loads, dtype=float) + inc @ (strength * np.sin(inc.T @ deltas))
 
 
 def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200):
     """Zero-injection angles for buses whose DER is offline (1-D Newton per
-    bus, Gauss-Seidel sweeps)."""
+    bus, Gauss-Seidel sweeps); MicrogridError if the injections stay above
+    tol after max_sweeps sweeps, as when a load exceeds what its lines carry."""
     if not passive:
         return deltas
     deltas = deltas.copy()
@@ -175,8 +184,9 @@ def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweep
             if abs(fp) > 1e-9:
                 deltas[i] -= f / fp
         if worst < tol:
-            break
-    return deltas
+            return deltas
+    raise MicrogridError(f"passive buses {passive} did not settle: injection "
+                         f"residual {worst:.3g} kW after {max_sweeps} sweeps")
 
 
 @dataclass
@@ -195,25 +205,19 @@ def ac_step(
 ) -> tuple[AcPlantState, dict]:
     """One co-simulation step of dt: power flow, consensus update with
     pinners k*n_i*P_i, droop frequencies, angle integration."""
-    n = len(ders)
-    online = [i for i in range(n) if ders[i].online]
-    passive = [i for i in range(n) if not ders[i].online]
-
-    deltas = _solve_passive_buses(plant.deltas, network.lines, network.bus_loads, passive)
-    power = ac_power_flow(deltas, network.lines, network.bus_loads)
-
+    online = np.array([d.online for d in ders])
     droops = np.array([d.droop for d in ders])
+    nominal = network.omega_nominal
+
+    deltas = _solve_passive_buses(plant.deltas, network.lines, network.bus_loads,
+                                  np.flatnonzero(~online).tolist())
+    power = ac_power_flow(deltas, network.lines, network.bus_loads)
     pinners_full = network.k * droops * power
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing,
-                         online=[d.online for d in ders])
+    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing, online=online)
 
-    omega = np.full(n, network.omega_nominal)
-    omega[online] = (network.omega_nominal - droops[online] * power[online]
-                     + protocol.phis[online] / network.k)
-
-    deltas = deltas.copy()
-    deltas[online] += config.dt * 2.0 * math.pi * (omega[online] - network.omega_nominal)
+    omega = np.where(online, nominal - droops * power + protocol.phis / network.k, nominal)
+    deltas = deltas + np.where(online, config.dt * 2.0 * math.pi * (omega - nominal), 0.0)
 
     new_plant = AcPlantState(deltas=deltas, protocol=protocol)
     outputs = {
@@ -221,7 +225,7 @@ def ac_step(
         "power": power,
         "phi": protocol.phis,
         "pinner": pinners_full,
-        "online": np.array([d.online for d in ders], dtype=float),
+        "online": online.astype(float),
     }
     return new_plant, outputs
 
@@ -305,20 +309,15 @@ class TimeSeries:
     meta: dict = field(default_factory=dict)
 
     def write_csv(self, fh) -> None:
-        cols = ["t"]
-        series = []
+        cols, series = ["t"], [self.times]
         for name in sorted(self.data):
             arr = self.data[name]
-            if arr.ndim == 1:
-                cols.append(name)
-                series.append(arr[:, np.newaxis])
-            else:
-                cols.extend(f"{name}_{i}" for i in range(arr.shape[1]))
-                series.append(arr)
+            cols += [name] if arr.ndim == 1 else [f"{name}_{i}" for i in range(arr.shape[1])]
+            series.append(arr)
         if self.lyapunov is not None:
             cols.append("V")
-            series.append(self.lyapunov[:, np.newaxis])
-        write_csv_rows(fh, cols, np.hstack([self.times[:, np.newaxis]] + series))
+            series.append(self.lyapunov)
+        write_csv_rows(fh, cols, np.column_stack(series))
 
 
 def _check_comm_connected(comm: CommGraph, ders, when: str) -> None:
@@ -353,6 +352,13 @@ def _apply_event(ev: Event, ders, network, kind: str) -> str:
     return f"{ev.kind} node={node}"
 
 
+def _lyapunov_rows(phi: np.ndarray, pinner: np.ndarray, online: np.ndarray) -> np.ndarray:
+    """`lyapunov` of every row of phi over its online DERs, against their mean pinner."""
+    on = online > 0.5
+    z = np.where(on, phi - np.mean(pinner, axis=1, where=on, keepdims=True), 0.0)
+    return 0.5 * np.einsum("ij,ij->i", z, z)
+
+
 def run_plant(
     kind: str,
     ders,
@@ -373,6 +379,8 @@ def run_plant(
     """
     n = len(ders)
     steps = int(round(horizon / config.dt))
+    if steps < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step of {config.dt}")
     ders, network = copy.deepcopy((ders, network))
     if kind == "ac":
         network.apply_default_k(ders)
@@ -398,8 +406,7 @@ def run_plant(
         stepper = lambda p, mix: dc_step(p, ders, network, comm, config, mix)
 
     times = np.empty(steps)
-    collected: dict[str, list] = {}
-    vs = np.empty(steps)
+    data: dict[str, np.ndarray] = {}
     applied: list = []
     warnings: list = []
 
@@ -413,18 +420,15 @@ def run_plant(
             warnings.extend(f"t={kstep * config.dt:.6g}: {w}"
                             for w in plant.protocol.warnings)
         times[kstep] = (kstep + 1) * config.dt
+        if not data:
+            data = {name: np.empty((steps, len(arr))) for name, arr in out.items()}
         for name, arr in out.items():
-            collected.setdefault(name, []).append(arr)
-        online_idx = [i for i, d in enumerate(ders) if d.online]
-        vs[kstep] = lyapunov(out["phi"][online_idx],
-                             float(out["pinner"][online_idx].mean()))
+            data[name][kstep] = arr
 
-    data = {name: np.array(rows) for name, rows in collected.items()}
-    for name in list(data):
-        if data[name].ndim == 2 and data[name].shape[1] == 1:
-            data[name] = data[name][:, 0]
+    data = {name: arr[:, 0] if arr.shape[1] == 1 else arr for name, arr in data.items()}
     return TimeSeries(times=times, data=data, kind=kind, events_applied=applied,
-                      lyapunov=vs, warnings=warnings,
+                      lyapunov=_lyapunov_rows(data["phi"], data["pinner"], data["online"]),
+                      warnings=warnings,
                       meta={"dt": config.dt, "seed": config.seed,
                             "backend": config.backend, "mode": config.mode,
                             **{key: getattr(network, key, None)

@@ -248,6 +248,36 @@ def test_sampled_estimate_ignores_isolated_node_going_offline():
     assert off.phis[0] == 0.3 and on.phis[0] != 0.3
 
 
+def test_offline_node_step_equals_hand_pruned_graph():
+    rng = np.random.default_rng(41)
+    g = random_connected_graph(rng, 7)
+    g = build_graph(7, g.edges, rng.uniform(0.5, 2.0, len(g.edges)))
+    pruned = build_graph(7, [e for e in g.edges if 4 not in e],
+                         [w for e, w in zip(g.edges, g.weights) if 4 not in e])
+    state = ProtocolState(phis=rng.uniform(0.1, 1.4, 7), step=9)
+    pinners = rng.uniform(0.2, 1.3, 7)
+    online = np.arange(7) != 4
+    for backend in ("phase", "bloch"):
+        cfg = exact_cfg(backend, theta=ThetaConfig.uniform(0.4, 2.6), seed=3)
+        masked = qsdc_step(state, g, cfg, pinners, online=online)
+        by_hand = qsdc_step(state, pruned, cfg, pinners)
+        assert np.max(np.abs(masked.phis - by_hand.phis)[online]) <= 1e-14
+        assert masked.phis[4] == state.phis[4]
+
+
+def test_online_core_is_cached_read_only():
+    online = np.array([True, False, True])
+    graph, core = consensus._online_core(TRIANGLE, online.tobytes())
+    assert graph.edges == ((0, 2),)
+    assert consensus._online_core(TRIANGLE, online.tobytes())[1] is core
+    lap = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
+    assert np.array_equal(core, -np.kron(np.eye(2), lap))
+    with pytest.raises(ValueError, match="read-only"):
+        core[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        core += 1.0
+
+
 # -- backend equivalence -----------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from qsdcsim.engine import (
     IntegrationDivergedError,
     JumpSet,
     PureQubitSpec,
+    StateValidationError,
     _rk4,
     bloch_of,
     build_jump_set,
@@ -298,8 +299,37 @@ def test_evolve_divergence_error():
     rho = product_state([PureQubitSpec(theta=1.0, phi=0.3),
                          PureQubitSpec(theta=1.2, phi=0.4)])
     jumps = build_jump_set(build_graph(2, [(0, 1)]), [0.5, -0.5])
-    with pytest.raises(IntegrationDivergedError, match="substeps"):
+    with pytest.raises(IntegrationDivergedError, match="substeps") as exc:
         evolve(rho, jumps, 5.0, 1)
+    assert "eigenvalue below -1e-06" in str(exc.value)  # the bound evolve tests
+
+
+def state_with_lambda_min(rng, n, lam_min):
+    """A Hermitian trace-1 n-qubit matrix whose smallest eigenvalue is lam_min."""
+    dim = 2**n
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    vals = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    m = (q * vals) @ q.conj().T
+    return DensityMatrix(matrix=0.5 * (m + m.conj().T), qubit_count=n)
+
+
+@pytest.mark.parametrize("tol", [DensityMatrix.EIGEN_TOL, 1e-6])
+def test_positivity_check_matches_eigvalsh_oracle(tol):
+    rng = np.random.default_rng(33)
+    for n in (1, 2, 3, 4):
+        for side in (1.0 - 1e-3, 1.0 + 1e-3):
+            rho = state_with_lambda_min(rng, n, -tol * side)
+            passes = np.linalg.eigvalsh(rho.matrix).min() >= -tol
+            assert passes == (side < 1.0)
+            if passes:
+                rho.check(eigen_tol=tol)
+            else:
+                with pytest.raises(StateValidationError, match=f"below {-tol:g}$"):
+                    rho.check(eigen_tol=tol)
+    if tol == DensityMatrix.EIGEN_TOL:  # the default bound
+        with pytest.raises(StateValidationError, match="below -1e-09$"):
+            DensityMatrix.from_matrix(state_with_lambda_min(rng, 2, -1.001e-9).matrix)
 
 
 def test_evolve_argument_validation():

@@ -88,6 +88,79 @@ def test_power_flow_balance_random():
         assert abs(p.sum() - sum(loads)) <= 1e-9
 
 
+def loop_power_flow(deltas, lines, bus_loads):
+    """The per-line loop the incidence form replaced."""
+    p = np.array(bus_loads, dtype=float)
+    for i, j, b in lines:
+        flow = b * math.sin(deltas[i] - deltas[j])
+        p[i] += flow
+        p[j] -= flow
+    return p
+
+
+def test_power_flow_matches_per_line_loop():
+    rng = np.random.default_rng(21)
+    for n in (2, 5, 15):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        picked = rng.choice(len(pairs), size=min(len(pairs), 2 * n), replace=False)
+        lines = tuple((*pairs[k], float(rng.uniform(20.0, 400.0))) for k in sorted(picked))
+        for _ in range(20):
+            deltas = rng.uniform(-0.6, 0.6, n)
+            loads = rng.uniform(0.0, 60.0, n)
+            p = ac_power_flow(deltas, lines, loads)
+            want = loop_power_flow(deltas, lines, loads)
+            assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_passive_buses_inject_nothing_after_ac_step():
+    ring = tuple((i, (i + 1) % 5, 150.0 + 10.0 * i) for i in range(5))
+    ders = [AcDer(droop=4e-3, rated_kw=40.0) for _ in range(5)]
+    net = AcNetwork(lines=ring, bus_loads=np.array([20.0, 12.0, 18.0, 9.0, 15.0]))
+    net.apply_default_k(ders)
+    ders[1].online = ders[3].online = False
+    comm = build_graph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (2, 4)])
+    plant = AcPlantState(deltas=np.array([0.05, -0.02, 0.01, 0.03, -0.04]),
+                         protocol=ProtocolState(phis=np.full(5, 0.3)))
+    _, out = ac_step(plant, ders, net, comm, phase_cfg())
+    assert np.max(np.abs(out["power"][[1, 3]])) <= 1e-9
+    assert abs(out["power"].sum() - net.bus_loads.sum()) <= 1e-9
+
+
+def test_passive_bus_overload_is_a_runtime_error():
+    # bus 2 hangs off one 200 kW line but carries 500 kW: once its DER is
+    # unplugged no angle gives zero injection
+    ders = [AcDer(droop=5e-3, rated_kw=40.0) for _ in range(3)]
+    net = AcNetwork(lines=((0, 1, 200.0), (1, 2, 200.0)),
+                    bus_loads=np.array([20.0, 20.0, 500.0]))
+    comm = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    events = [Event(time=0.5, kind="unplug", payload={"node": 2})]
+    with pytest.raises(MicrogridError, match=r"passive buses \[2\] did not settle"):
+        run_plant("ac", ders, net, comm, phase_cfg(), horizon=1.0, events=events)
+
+
+def test_run_plant_rejects_horizon_below_one_step():
+    ders, net, comm = ac3()
+    with pytest.raises(ValueError, match="shorter than one step"):
+        run_plant("ac", ders, net, comm, phase_cfg(), horizon=0.004)
+
+
+def test_plant_csv_matches_per_value_writer():
+    sc = parse_scenario(SCENARIOS / "ac15.json")
+    ders, net = sc.ac_plant()
+    events = [Event(time=1.0, kind="unplug", payload={"node": 3}),
+              Event(time=2.0, kind="plug", payload={"node": 3})]
+    ts = run_plant("ac", ders, net, sc.graph(), sc.protocol(), horizon=3.0, events=events)
+    fh = io.StringIO()
+    ts.write_csv(fh)
+    text = fh.getvalue()
+    header = text[:text.index("\n") + 1]
+    block = np.column_stack([ts.times] + [ts.data[name] for name in sorted(ts.data)]
+                            + [ts.lyapunov])
+    assert header.startswith("t,omega_0,") and block.shape == (300, 77)
+    want = header + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in block)
+    assert len({text, want}) == 1  # not text == want: a diff of two CSVs takes minutes
+
+
 # -- AC closed loop ----------------------------------------------------------
 
 

@@ -358,6 +358,30 @@ def test_cli_partition_exit_code(tmp_path, capsys):
     assert "disconnected" in err
 
 
+def test_cli_passive_bus_overload_exit_code(tmp_path, capsys):
+    # bus 2 carries 500 kW over one 200 kW line: unplugging its DER leaves
+    # no zero-injection angle
+    doc = {
+        "schema_version": 1,
+        "kind": "ac",
+        "horizon": 1.0,
+        "graph": {"nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        "protocol": {"dt": 0.01, "backend": "phase", "seed": 1},
+        "ac": {
+            "ders": [{"droop": 5e-3, "rated_kw": 40.0, "bus_load_kw": load}
+                     for load in (20.0, 20.0, 500.0)],
+            "lines": [[0, 1, 200.0], [1, 2, 200.0]],
+            "events": [{"time": 0.5, "kind": "unplug", "node": 2}],
+        },
+    }
+    path = tmp_path / "overload.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["ac", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("runtime error: passive buses [2] did not settle")
+    assert not (tmp_path / "overload_timeseries.csv").exists()
+
+
 def test_cli_env_overrides_out(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "env_dir"
     monkeypatch.setenv("QSDC_OUT_DIR", str(env_dir))
