@@ -1,9 +1,16 @@
 """Command-line front end: scenario execution, batch determinism, and
 result serialization.
 
-Subcommands: consensus | ac | dc | eve | rate.  Identical scenario + seed
-produce byte-identical CSV/JSON outputs.  Exit codes: 0 success,
-1 validation error, 2 runtime divergence.
+Every subcommand takes --scenario FILE, --out DIR and --format csv|json|both.
+consensus, ac and dc run a scenario of their own kind and also take --backend,
+--shots, --exact, --seed and --dt; eve runs an eve scenario and also takes
+--shots, --exact and --seed; rate bounds the convergence rate over the graph
+of any scenario that has one and also takes --epsilon.  Identical scenario +
+seed produce byte-identical CSV/JSON outputs.
+
+Exit codes: 0 success; 1 validation error, the input is at fault
+(ScenarioError, GraphValidationError, RateRegionError); 2 runtime error
+(EngineError, MicrogridError or any other ValueError) or argparse usage error.
 """
 
 from __future__ import annotations
@@ -192,17 +199,13 @@ def _protocol_overrides(args) -> dict:
     }
 
 
-def cmd_consensus(args) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != "consensus":
-        raise ScenarioError(f"{args.scenario} is a {sc.kind!r} scenario, expected consensus")
+def cmd_consensus(args, sc: Scenario) -> int:
     config = sc.protocol(**_protocol_overrides(args))
-    graph = sc.graph()
     sec = sc.raw["consensus"]
     traj = run_consensus(
         init_phis=sec["initial_phi"],
         pinner_signal=sec["pinner"],
-        graph=graph,
+        graph=sc.graph(),
         config=config,
         horizon=sc.horizon,
         events=sc.mixing_events(),
@@ -218,57 +221,41 @@ def cmd_consensus(args) -> int:
     return 0
 
 
-def _run_plant_cmd(args, kind: str) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != kind:
-        raise ScenarioError(f"{args.scenario} is a {sc.kind!r} scenario, expected {kind}")
+def cmd_plant(args, sc: Scenario) -> int:
     config = sc.protocol(**_protocol_overrides(args))
-    graph = sc.graph()
-    if kind == "ac":
-        ders, network = sc.ac_plant()
-    else:
-        ders, network = sc.dc_plant()
+    ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
     ts = run_plant(
-        kind, ders, network, graph, config,
+        sc.kind, ders, network, sc.graph(), config,
         horizon=sc.horizon,
         events=sc.plant_events(),
         mixing=sc.mixing_events(),
     )
     summary = summarize(ts)
     files = _emit(args, f"{sc.name}_timeseries", ts, summary)
-    headline = (f"steady_freq={summary['steady_freq_hz']:.4f} Hz" if kind == "ac"
+    headline = (f"steady_freq={summary['steady_freq_hz']:.4f} Hz" if sc.kind == "ac"
                 else f"steady_vbus={summary['steady_vbus_v']:.4f} V")
     print(
-        f"{kind} {sc.name}: mode={config.mode} {headline} "
+        f"{sc.kind} {sc.name}: mode={config.mode} {headline} "
         f"spread={summary['sharing_spread_pct']:.3f}% "
         f"settling={summary['settling_time_s']} -> {', '.join(files) or 'no files'}"
     )
     return 0
 
 
-def cmd_ac(args) -> int:
-    return _run_plant_cmd(args, "ac")
-
-
-def cmd_dc(args) -> int:
-    return _run_plant_cmd(args, "dc")
-
-
-def cmd_eve(args) -> int:
-    sc = parse_scenario(args.scenario)
-    if sc.kind != "eve":
-        raise ScenarioError(f"{args.scenario} is a {sc.kind!r} scenario, expected eve")
+def cmd_eve(args, sc: Scenario) -> int:
     sec = sc.raw["eve"]
     seed = args.seed if args.seed is not None else sc.raw["protocol"]["seed"]
+    shots = args.shots if args.shots is not None else sec["shots_per_step"]
+    if shots < 1:
+        raise ScenarioError(f"--shots: {shots} shots per step, need at least 1")
     theta = sec["theta"]
     steps = sec["steps"]
     if theta["kind"] == "fixed":
-        vals = theta.get("values", math.pi / 2)
-        thetas = np.full(steps, vals if isinstance(vals, (int, float)) else vals[0])
+        # a scalar or, by the physics checks, a one-value list
+        thetas = np.full(steps, theta.get("values", math.pi / 2), dtype=float)
     else:
         thetas = stream_rng(seed, _EVE_THETA_TAG).uniform(theta["lo"], theta["hi"], steps)
     stream = constant_phase_stream(sec["phi"], thetas, r=sec["r"])
-    shots = args.shots if args.shots is not None else sec["shots_per_step"]
     report = eve_intercept(
         stream,
         bases_policy=sec["bases_policy"],
@@ -294,8 +281,7 @@ def cmd_eve(args) -> int:
     return 0
 
 
-def cmd_rate(args) -> int:
-    sc = parse_scenario(args.scenario)
+def cmd_rate(args, sc: Scenario) -> int:
     graph = sc.graph()
     rate_sec = sc.raw.get("rate", {})
     epsilon = args.epsilon if args.epsilon is not None else rate_sec.get("epsilon")
@@ -323,42 +309,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--backend", choices=BACKENDS)
+        p.add_argument("--out", default=".", help="output directory "
+                       "(env QSDC_OUT_DIR overrides)")
+        p.add_argument("--format", choices=["csv", "json", "both"], default="both")
+        p.set_defaults(func=func)
+        return p
+
+    for name, func in (("consensus", cmd_consensus), ("ac", cmd_plant), ("dc", cmd_plant),
+                       ("eve", cmd_eve)):
+        p = add(name, func, f"run a {name} scenario")
+        if name != "eve":
+            p.add_argument("--backend", choices=BACKENDS)
+            p.add_argument("--dt", type=float)
         p.add_argument("--shots", type=int)
         p.add_argument("--exact", action="store_true",
                        help="exact-expectation mode (infinite-shot limit)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--out", default=".", help="output directory "
-                       "(env QSDC_OUT_DIR overrides)")
-        p.add_argument("--format", choices=["csv", "json", "both"], default="both")
 
-    for name, func in (("consensus", cmd_consensus), ("ac", cmd_ac), ("dc", cmd_dc),
-                       ("eve", cmd_eve)):
-        p = sub.add_parser(name, help=f"run a {name} scenario")
-        common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("rate", help="Lyapunov convergence-rate bound of a scenario graph")
-    common(p)
+    p = add("rate", cmd_rate, "Lyapunov convergence-rate bound of a scenario graph")
     p.add_argument("--epsilon", type=float, help="max initial phase deviation (rad)")
-    p.set_defaults(func=cmd_rate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sc = parse_scenario(args.scenario)
+        if args.command != "rate" and sc.kind != args.command:
+            raise ScenarioError(
+                f"{args.scenario} is a {sc.kind!r} scenario, expected {args.command}")
+        return args.func(args, sc)
     except (ScenarioError, GraphValidationError, RateRegionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    except (EngineError, MicrogridError) as exc:
+    except (ValueError, EngineError, MicrogridError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

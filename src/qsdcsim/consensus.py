@@ -382,6 +382,13 @@ def lyapunov(phis, pinner_star: float) -> float:
     return float(0.5 * np.dot(z, z))
 
 
+def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> np.ndarray:
+    """`lyapunov` of every row of phis over the nodes that the bool mask
+    `online` marks, against the mean of their pinners."""
+    z = np.where(online, phis - np.mean(pinners, axis=1, where=online, keepdims=True), 0.0)
+    return 0.5 * np.einsum("ij,ij->i", z, z)
+
+
 def convergence_rate(graph: CommGraph, epsilon: float, weights=None) -> float:
     """Exponential synchronization rate mu = lambda_min(s1*I + s2*B W B^T)
     with s1 = sinc(eps), s2 = sinc(2*eps), valid for initial deviations
@@ -446,47 +453,32 @@ def run_consensus(
 ) -> Trajectory:
     """Iterate the protocol for horizon/dt steps recording phi, pinners, V.
 
-    pinner_signal is a scalar, a per-node array, or a callable t -> array.
+    pinner_signal is a scalar or a per-node array, held for the whole run.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     n = graph.node_count
     steps = int(round(horizon / config.dt))
-
-    def pinners_at(t: float) -> np.ndarray:
-        if callable(pinner_signal):
-            return np.broadcast_to(np.asarray(pinner_signal(t), dtype=float), (n,)).copy()
-        return np.broadcast_to(np.asarray(pinner_signal, dtype=float), (n,)).copy()
-
+    pt = np.broadcast_to(np.asarray(pinner_signal, dtype=float), (n,))
     state = ProtocolState(phis=np.asarray(init_phis, dtype=float).copy())
     if state.phis.shape != (n,):
         raise ValueError(f"need {n} initial phases, got shape {state.phis.shape}")
 
-    times = np.empty(steps + 1)
     phis = np.empty((steps + 1, n))
     pinners = np.empty((steps + 1, n))
-    vs = np.empty(steps + 1)
-    all_warnings: list = []
-
-    pt = pinners_at(0.0)
-    times[0] = 0.0
     phis[0] = state.phis
     pinners[0] = pt
-    vs[0] = lyapunov(state.phis, float(pt.mean()))
-
+    all_warnings: list = []
     for k in range(steps):
-        t = k * config.dt
-        pt = pinners_at(t)
         state = qsdc_step(state, graph, config, pt, events)
         if state.warnings:
-            all_warnings.extend(f"t={t:.6g}: {w}" for w in state.warnings)
-        times[k + 1] = (k + 1) * config.dt
+            all_warnings.extend(f"t={k * config.dt:.6g}: {w}" for w in state.warnings)
         phis[k + 1] = state.phis
         pinners[k + 1] = state.pinners
-        vs[k + 1] = lyapunov(state.phis, float(state.pinners.mean()))
 
     return Trajectory(
-        times=times, phis=phis, pinners=pinners, lyapunov=vs,
+        times=np.arange(steps + 1) * config.dt, phis=phis, pinners=pinners,
+        lyapunov=lyapunov_rows(phis, pinners, np.ones((steps + 1, n), dtype=bool)),
         backend=config.backend, mode=config.mode, seed=config.seed,
         dt=config.dt, warnings=all_warnings,
     )

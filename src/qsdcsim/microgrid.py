@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ProtocolConfig, ProtocolState, qsdc_step, write_csv_rows
+from .consensus import ProtocolConfig, ProtocolState, lyapunov_rows, qsdc_step, write_csv_rows
 from .netgraph import CommGraph, incidence_matrix, is_connected
 
 
@@ -61,7 +61,6 @@ class AcNetwork:
     lines: tuple          # ((i, j, b_kw), ...) sine-coupling strengths
     bus_loads: np.ndarray  # kW per DER bus
     omega_nominal: float = 60.0
-    voltage_nominal: float = 380.0  # metadata only
     k: float = 0.0        # rad per Hz; 0 means "apply the default rule"
 
     def apply_default_k(self, ders) -> None:
@@ -232,22 +231,19 @@ def ac_step(
 
 def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]:
     """Kirchhoff solution of the star network, source v_i behind r_i:
-    V_b = (sum v_i/r_i) / (1/R_L + sum 1/r_i) over the `online` indices,
+    V_b = (sum v_i/r_i) / (1/R_L + sum 1/r_i) over the `online` index array,
     I_i = (v_i - V_b)/r_i online, 0 otherwise.  `dc_step` closes the droop
     through it with v_i = V* + phi_i/c and r_i = R_i + m_i."""
-    if not online:
+    if not len(online):
         raise MicrogridError("no online DER; the bus is dead")
     if not (r_load > 0.0):
         raise MicrogridError(f"load resistance must be positive, got {r_load}")
-    num = 0.0
+    v_on = np.asarray(v_src, dtype=float)[online]
+    r_on = np.asarray(r_series, dtype=float)[online]
     den = 0.0 if math.isinf(r_load) else 1.0 / r_load
-    for i in online:
-        num += v_src[i] / r_series[i]
-        den += 1.0 / r_series[i]
-    vb = num / den
+    vb = np.sum(v_on / r_on) / (den + np.sum(1.0 / r_on))
     currents = np.zeros(len(r_series))
-    for i in online:
-        currents[i] = (v_src[i] - vb) / r_series[i]
+    currents[online] = (v_on - vb) / r_on
     return float(vb), currents
 
 
@@ -267,22 +263,17 @@ def dc_step(
 ) -> tuple[DcPlantState, dict]:
     """One co-simulation step: consensus with pinners c*m_i*I_i, then the
     droop-closed bus solve with the updated phases."""
-    n = len(ders)
-    online = [i for i in range(n) if ders[i].online]
-
+    online = np.array([d.online for d in ders])
     droop_m = np.array([d.droop_m for d in ders])
     pinners_full = network.c * droop_m * plant.currents
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing,
-                         online=[d.online for d in ders])
+    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing, online=online)
     phis = protocol.phis
 
-    vb, currents = dc_solve(network.v_nominal + phis / network.c,
-                            [d.line_r + d.droop_m for d in ders], network.r_load, online)
-    v_refs = np.full(n, network.v_nominal)
-    for i in online:
-        v_refs[i] = (network.v_nominal - ders[i].droop_m * currents[i]
-                     + phis[i] / network.c)
+    v_src = network.v_nominal + phis / network.c
+    r_series = np.array([d.line_r for d in ders]) + droop_m
+    vb, currents = dc_solve(v_src, r_series, network.r_load, np.flatnonzero(online))
+    v_refs = np.where(online, v_src - droop_m * currents, network.v_nominal)
 
     new_plant = DcPlantState(protocol=protocol, currents=currents)
     outputs = {
@@ -291,7 +282,7 @@ def dc_step(
         "vref": v_refs,
         "phi": phis,
         "pinner": pinners_full,
-        "online": np.array([d.online for d in ders], dtype=float),
+        "online": online.astype(float),
     }
     return new_plant, outputs
 
@@ -352,13 +343,6 @@ def _apply_event(ev: Event, ders, network, kind: str) -> str:
     return f"{ev.kind} node={node}"
 
 
-def _lyapunov_rows(phi: np.ndarray, pinner: np.ndarray, online: np.ndarray) -> np.ndarray:
-    """`lyapunov` of every row of phi over its online DERs, against their mean pinner."""
-    on = online > 0.5
-    z = np.where(on, phi - np.mean(pinner, axis=1, where=on, keepdims=True), 0.0)
-    return 0.5 * np.einsum("ij,ij->i", z, z)
-
-
 def run_plant(
     kind: str,
     ders,
@@ -368,7 +352,6 @@ def run_plant(
     horizon: float,
     events=(),
     mixing=(),
-    init_phis=None,
 ) -> TimeSeries:
     """Fixed-step co-simulation of an AC or DC scenario.
 
@@ -396,16 +379,12 @@ def run_plant(
             raise ValueError(f"event at t={ev.time} outside the horizon")
         by_step.setdefault(idx, []).append(ev)
 
-    phis0 = np.zeros(n) if init_phis is None else np.asarray(init_phis, dtype=float)
-    protocol = ProtocolState(phis=phis0.copy())
+    protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
-        plant = AcPlantState(deltas=np.zeros(n), protocol=protocol)
-        stepper = lambda p, mix: ac_step(p, ders, network, comm, config, mix)
+        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
     else:
-        plant = DcPlantState(protocol=protocol, currents=np.zeros(n))
-        stepper = lambda p, mix: dc_step(p, ders, network, comm, config, mix)
+        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
 
-    times = np.empty(steps)
     data: dict[str, np.ndarray] = {}
     applied: list = []
     warnings: list = []
@@ -415,19 +394,19 @@ def run_plant(
             applied.append(f"t={ev.time:g} {_apply_event(ev, ders, network, kind)}")
             if ev.kind in ("plug", "unplug"):
                 _check_comm_connected(comm, ders, f"after {ev.kind} at t={ev.time:g}")
-        plant, out = stepper(plant, mixing)
+        plant, out = step(plant, ders, network, comm, config, mixing)
         if plant.protocol.warnings:
             warnings.extend(f"t={kstep * config.dt:.6g}: {w}"
                             for w in plant.protocol.warnings)
-        times[kstep] = (kstep + 1) * config.dt
         if not data:
             data = {name: np.empty((steps, len(arr))) for name, arr in out.items()}
         for name, arr in out.items():
             data[name][kstep] = arr
 
     data = {name: arr[:, 0] if arr.shape[1] == 1 else arr for name, arr in data.items()}
-    return TimeSeries(times=times, data=data, kind=kind, events_applied=applied,
-                      lyapunov=_lyapunov_rows(data["phi"], data["pinner"], data["online"]),
+    return TimeSeries(times=np.arange(1, steps + 1) * config.dt, data=data, kind=kind,
+                      events_applied=applied,
+                      lyapunov=lyapunov_rows(data["phi"], data["pinner"], data["online"] > 0.5),
                       warnings=warnings,
                       meta={"dt": config.dt, "seed": config.seed,
                             "backend": config.backend, "mode": config.mode,

@@ -121,7 +121,6 @@ class Scenario:
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
             bus_loads=loads,
             omega_nominal=sec.get("omega_nominal", 60.0),
-            voltage_nominal=sec.get("voltage_nominal", 380.0),
             k=sec.get("k", 0.0),
         )
         net.apply_default_k(ders)
@@ -159,7 +158,6 @@ def _apply_defaults(doc: dict) -> dict:
         eve.setdefault("bases_policy", "cycle")
     if doc["kind"] == "ac":
         doc["ac"].setdefault("omega_nominal", 60.0)
-        doc["ac"].setdefault("voltage_nominal", 380.0)
         doc["ac"].setdefault("events", [])
         doc["ac"].setdefault("mixing", [])
     if doc["kind"] == "dc":
@@ -198,11 +196,11 @@ def _physics_checks(doc: dict) -> None:
         if len(sec["initial_phi"]) != n:
             fail("$.consensus.initial_phi",
                  f"{len(sec['initial_phi'])} phases for {n} nodes")
-        pin = sec["pinner"]
-        pins = pin if isinstance(pin, list) else [pin]
-        for p in pins:
-            if not (0.0 <= p <= math.pi / 2):
-                fail("$.consensus.pinner", f"pinner {p} outside [0, pi/2]")
+        for key in ("initial_phi", "pinner"):
+            vals = sec[key] if isinstance(sec[key], list) else [sec[key]]
+            for p in vals:
+                if not (0.0 <= p <= math.pi / 2):
+                    fail(f"$.consensus.{key}", f"{key} {p} outside [0, pi/2]")
         _check_mixing(sec, n, horizon, "$.consensus")
 
     if kind == "ac":
@@ -236,11 +234,19 @@ def _physics_checks(doc: dict) -> None:
         th = doc["eve"]["theta"]
         if th["kind"] == "uniform" and not (0.0 <= th["lo"] < th["hi"] <= math.pi):
             fail("$.eve.theta", "uniform bounds must satisfy 0 <= lo < hi <= pi")
+        vals = th.get("values") if th["kind"] == "fixed" else None
+        if isinstance(vals, list) and len(vals) > 1:
+            fail("$.eve.theta.values", f"{len(vals)} values; the stream has one fixed theta")
 
+    rate = doc.get("rate", {})
     if kind == "rate":
-        eps = doc.get("rate", {}).get("epsilon")
+        eps = rate.get("epsilon")
         if eps is not None and not (0.0 <= eps < math.pi / 2):
             fail("$.rate.epsilon", f"epsilon {eps} outside [0, pi/2)")
+    if "weights" in rate and "graph" in doc:
+        edges = len(doc["graph"]["edges"])
+        if len(rate["weights"]) != edges:
+            fail("$.rate.weights", f"{len(rate['weights'])} weights for {edges} edges")
 
 
 def _check_plant_events(sec: dict, n: int, horizon: float, prefix: str) -> None:

@@ -15,6 +15,7 @@ from qsdcsim.consensus import (
     bloch_rhs,
     convergence_rate,
     lyapunov,
+    lyapunov_rows,
     phase_rhs,
     qsdc_step,
     run_consensus,
@@ -565,3 +566,25 @@ def test_convergence_rate_custom_weights():
 def test_lyapunov_values():
     assert lyapunov([0.5, 0.5], 0.5) == 0.0
     assert lyapunov([0.6, 0.4, 0.7], 0.5) == pytest.approx(0.03)
+
+
+def test_lyapunov_rows_match_scalar_form():
+    rng = np.random.default_rng(11)
+    phis = rng.uniform(0.0, PI / 2, (50, 7))
+    pinners = rng.uniform(0.0, PI / 2, (50, 7))
+    online = rng.random((50, 7)) < 0.7
+    online[:, 0] = True
+    rows = lyapunov_rows(phis, pinners, online)
+    for k in range(50):
+        on = online[k]
+        assert abs(rows[k] - lyapunov(phis[k, on], pinners[k, on].mean())) <= 1e-15
+
+
+def test_run_lyapunov_column_is_v_against_mean_pinner():
+    sc = parse_scenario(SCENARIOS / "consensus3.json")
+    traj = run_consensus(PAPER_INIT, [0.5, 0.9, 1.2], TRIANGLE,
+                         sc.protocol(backend="phase", shots=50), 0.5)
+    assert len(traj.lyapunov) == len(traj.times) == 51
+    for k in range(len(traj.times)):
+        v = lyapunov(traj.phis[k], traj.pinners[k].mean())
+        assert abs(traj.lyapunov[k] - v) <= 1e-15 * max(1.0, v)

@@ -331,6 +331,72 @@ def test_cli_fixed_theta_list_must_match_node_count(tmp_path, capsys, scenario, 
         f"validation error: $.protocol.theta.values: 2 values for {nodes} nodes")
 
 
+@pytest.mark.parametrize("command, scenario, option", [
+    ("rate", "consensus3", ["--backend", "phase"]),
+    ("rate", "consensus3", ["--shots", "5"]),
+    ("rate", "consensus3", ["--exact"]),
+    ("rate", "consensus3", ["--seed", "1"]),
+    ("rate", "consensus3", ["--dt", "0.1"]),
+    ("eve", "eve_pi6", ["--backend", "phase"]),
+    ("eve", "eve_pi6", ["--dt", "0.1"]),
+])
+def test_cli_options_a_subcommand_ignores_are_usage_errors(tmp_path, capsys, command,
+                                                           scenario, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"), *option,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def edited_scenario(tmp_path, scenario, edit):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    edit(doc)
+    path = tmp_path / f"{scenario}_edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command, scenario, edit, args, message", [
+    pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [1.0]}),
+                 ["--epsilon", "0.5"], "$.rate.weights: 1 weights for 3 edges",
+                 id="rate-weights"),
+    pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "0"],
+                 "--shots: 0 shots per step, need at least 1", id="eve-shots-0"),
+    pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "-2"],
+                 "--shots: -2 shots per step, need at least 1", id="eve-shots-negative"),
+    pytest.param("eve", "eve_pi6",
+                 lambda d: d["eve"].update(theta={"kind": "fixed", "values": [0.3, 2.0]}),
+                 [], "$.eve.theta.values: 2 values; the stream has one fixed theta",
+                 id="eve-theta-list"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["consensus"].update(initial_phi=[2.0, 0.1, -1.0]), [],
+                 "$.consensus.initial_phi: initial_phi 2.0 outside [0, pi/2]",
+                 id="initial-phi-range"),
+])
+def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
+                                                  edit, args, message):
+    path = edited_scenario(tmp_path, scenario, edit)
+    code, _, err = run_cli([command, "--scenario", str(path), *args], tmp_path, capsys)
+    assert code == 1
+    assert err.strip() == f"validation error: {message}"
+
+
+def test_cli_eve_single_fixed_theta_list_runs(tmp_path, capsys):
+    path = edited_scenario(tmp_path, "eve_pi6", lambda d: d["eve"].update(
+        steps=300, theta={"kind": "fixed", "values": [0.3]}))
+    code, _, _ = run_cli(["eve", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 0
+
+
+def test_cli_short_horizon_is_runtime_error(tmp_path, capsys):
+    path = edited_scenario(tmp_path, "consensus3", lambda d: d.update(horizon=0.05))
+    code, _, err = run_cli(["consensus", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("runtime error: series too short")
+
+
 def test_cli_wrong_kind_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         ["ac", "--scenario", str(SCENARIOS / "consensus3.json")], tmp_path, capsys)
