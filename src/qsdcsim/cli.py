@@ -3,10 +3,10 @@ result serialization.
 
 Every subcommand takes --scenario FILE, --out DIR and --format csv|json|both.
 consensus, ac and dc run a scenario of their own kind and also take --backend,
---shots, --exact, --seed and --dt; eve runs an eve scenario and also takes
---shots, --exact and --seed; rate bounds the convergence rate over the graph
-of any scenario that has one and also takes --epsilon.  Identical scenario +
-seed produce byte-identical CSV/JSON outputs.
+--shots or --exact (not both), --seed and --dt; eve runs an eve scenario and
+also takes --shots or --exact, and --seed; rate bounds the convergence rate
+over the graph of any scenario that has one and also takes --epsilon.
+Identical scenario + seed produce byte-identical CSV/JSON outputs.
 
 Exit codes: 0 success; 1 validation error, the input is at fault
 (ScenarioError, GraphValidationError, RateRegionError); 2 runtime error
@@ -324,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "eve":
             p.add_argument("--backend", choices=BACKENDS)
             p.add_argument("--dt", type=float)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--exact", action="store_true",
-                       help="exact-expectation mode (infinite-shot limit)")
+        shots = p.add_mutually_exclusive_group()
+        shots.add_argument("--shots", type=int)
+        shots.add_argument("--exact", action="store_true",
+                           help="exact-expectation mode (infinite-shot limit)")
         p.add_argument("--seed", type=int)
 
     p = add("rate", cmd_rate, "Lyapunov convergence-rate bound of a scenario graph")

@@ -24,9 +24,12 @@ Nodes keep their labels when some go offline (`qsdc_step`'s `online`
 flags): an offline node loses its edges, so both backends see it isolated.
 
 Random streams are keyed per step, not per node (`measurement.stream_rng`):
-one stream draws all n thetas, and with shots one stream per basis draws
-all n counts, entry i for physical node i.  Offline and aborted nodes draw
-and discard, so no node's draws depend on another node's state.
+with shots one stream per basis draws all n counts of a step, entry i for
+physical node i.  Thetas come in blocks of THETA_BLOCK steps: the stream
+(seed, step // THETA_BLOCK, theta tag) draws a (THETA_BLOCK, n) block and
+step reads its row step % THETA_BLOCK, so the thetas stay a pure function of
+(seed, step, n, lo, hi).  Offline and aborted nodes draw and discard, so no
+node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the flow is one matrix on v = [w; z]:
@@ -68,6 +71,8 @@ BACKENDS = ("full", "bloch", "phase")
 MODES = ("qsdc", "qdc_legacy")
 
 S_FLOOR = 1e-3
+# Steps per theta stream: one Generator serves this many steps' thetas.
+THETA_BLOCK = 1024
 
 
 class RateRegionError(ValueError):
@@ -78,7 +83,9 @@ class RateRegionError(ValueError):
 class ThetaConfig:
     """Distribution of the per-step polar angle theta.
 
-    kind "uniform": fresh draw per node per step from (lo, hi);
+    kind "uniform": fresh draw per node per step from (lo, hi); step reads
+    row step % THETA_BLOCK of the block that the stream
+    (seed, step // THETA_BLOCK, theta tag) draws, as a read-only view;
     kind "fixed": constant, either one scalar for all nodes or one value per
     node (used to reproduce pinned example runs deterministically).
     """
@@ -120,7 +127,15 @@ class ThetaConfig:
                     f"fixed theta list has {len(self.values)} entries for {n} nodes"
                 )
             return np.array(self.values, dtype=float)
-        return stream_rng(seed, step, _STREAM_TAG["theta"]).uniform(self.lo, self.hi, n)
+        return _theta_block(seed, step // THETA_BLOCK, n, self.lo, self.hi)[step % THETA_BLOCK]
+
+
+@functools.lru_cache(maxsize=2)
+def _theta_block(seed: int, block: int, n: int, lo: float, hi: float) -> np.ndarray:
+    """Read-only thetas of steps block*THETA_BLOCK onwards, one row per step."""
+    rows = stream_rng(seed, block, _STREAM_TAG["theta"]).uniform(lo, hi, (THETA_BLOCK, n))
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -198,11 +213,11 @@ class ProtocolState:
 
 
 def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> np.ndarray:
-    lo, hi = 0.0, math.pi / 2
-    clamped = np.clip(pinners, lo, hi)
-    bad = np.flatnonzero((clamped != pinners) & online)
-    if bad.size:
-        warnings.append(f"pinners clamped to [0, pi/2] at nodes {bad.tolist()}")
+    clamped = pinners.clip(0.0, math.pi / 2)
+    changed = (clamped != pinners) & online
+    if changed.any():
+        bad = np.flatnonzero(changed).tolist()
+        warnings.append(f"pinners clamped to [0, pi/2] at nodes {bad}")
     return clamped
 
 
@@ -317,7 +332,7 @@ def qsdc_step(
     graph, core = _online_core(graph, online.tobytes())
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
-    phis = np.clip(np.asarray(state.phis, dtype=float), 0.0, math.pi / 2)
+    phis = np.asarray(state.phis, dtype=float).clip(0.0, math.pi / 2)
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
@@ -341,28 +356,31 @@ def qsdc_step(
         final_rho = rho
     else:  # bloch and phase: v' = A v on v = [w; z], w = x + i*y
         a = core.copy()
-        diag = np.arange(n)
-        a[diag, diag] += np.exp(1j * alphas) - 1.0
-        v0 = np.concatenate([np.sin(thetas) * np.exp(1j * phis), np.cos(thetas)])
+        a.ravel()[:n * (2 * n + 1):2 * n + 1] += np.exp(1j * alphas) - 1.0  # w's diagonal
+        v0 = np.empty(2 * n, dtype=complex)
+        np.multiply(np.sin(thetas), np.exp(1j * phis), out=v0[:n])
+        v0[n:] = np.cos(thetas)
         out = _rk4(v0, a.dot, config.dt, config.substeps).reshape(2, n)
-        out *= _mixing_factors(n, events, t_now, config.dt)
+        if events:
+            out *= _mixing_factors(n, events, t_now, config.dt)
         xs, ys, zs = out[0].real, out[0].imag, out[1].real
         final_rho = None
 
     s_after = np.hypot(xs, ys)
     sx, sy = _measure_node(xs, ys, config, state.step)
-    low = online & (s_after < S_FLOOR)
-    degenerate = online & ~low & (sx == 0.0) & (sy == 0.0)
-    for i in np.flatnonzero(low | degenerate).tolist():
-        warnings.append(
-            f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; step aborted for this node"
-            if low[i] else f"node {i}: degenerate coherence; step aborted for this node"
-        )
-    estimated = online & ~low & ~degenerate
+    aborted = online & ((s_after < S_FLOOR) | ((sx == 0.0) & (sy == 0.0)))
+    if aborted.any():
+        for i in np.flatnonzero(aborted).tolist():
+            warnings.append(
+                f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; step aborted for this node"
+                if s_after[i] < S_FLOOR
+                else f"node {i}: degenerate coherence; step aborted for this node"
+            )
+    estimated = online & ~aborted
     est = (qdc_from_expectation(sx[estimated]) if config.mode == "qdc_legacy"
            else phase_from_expectations(sx[estimated], sy[estimated]))
     new_phis = np.where(online, phis, state.phis)
-    new_phis[estimated] = np.clip(est, 0.0, math.pi / 2)
+    new_phis[estimated] = est.clip(0.0, math.pi / 2)
 
     return ProtocolState(
         phis=new_phis,

@@ -48,15 +48,17 @@ class DegenerateCoherenceError(MeasurementError):
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent, order-insensitive random stream keyed by integer tags.
 
-    Streams are keyed per step and basis, never per node: one Generator
-    draws the values of all nodes (or all intercepted steps) as one vector,
-    entry i for node i.  The keys in use, with T = `_STREAM_TAG`:
+    Streams are keyed per step (thetas: per block of B steps) and basis,
+    never per node: one Generator draws the values of all nodes (or all
+    intercepted steps) at once, entry i for node i.  The keys in use, with
+    T = `_STREAM_TAG` and B = `consensus.THETA_BLOCK`:
 
-      (seed, step, T["theta"])  protocol thetas of all n nodes at one step;
-      (seed, step, T[basis])    protocol shots in basis X or Y, all n nodes;
-      (seed, T["eve_theta"])    polar angles of the `qsdcsim eve` stream;
-      (seed, T[basis])          the interceptor's shots in one basis over all
-                                its steps, and `sample_basis` given an int.
+      (seed, step // B, T["theta"])  protocol thetas of all n nodes for B
+                                     steps, one row per step (row step % B);
+      (seed, step, T[basis])         protocol shots in basis X or Y, all n nodes;
+      (seed, T["eve_theta"])         polar angles of the `qsdcsim eve` stream;
+      (seed, T[basis])               the interceptor's shots in one basis over
+                                     all its steps, and `sample_basis` given an int.
     """
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(t) for t in tags]])
 
@@ -155,7 +157,7 @@ def phase_from_expectations(sx, sy) -> np.ndarray:
     """atan2 twin estimator from expectation values, elementwise; the common
     r*sin(theta) factor cancels, so it is exact for any state with in-plane
     coherence.  Raises if any entry has both expectations zero."""
-    if np.any(np.hypot(sx, sy) == 0.0):
+    if (np.hypot(sx, sy) == 0.0).any():
         raise DegenerateCoherenceError("sx and sy both vanished; no phase signal")
     return np.arctan2(sy, sx)
 

@@ -158,32 +158,39 @@ def ac_power_flow(deltas, lines, bus_loads) -> np.ndarray:
     return np.asarray(bus_loads, dtype=float) + inc @ (strength * np.sin(inc.T @ deltas))
 
 
-def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200):
-    """Zero-injection angles for buses whose DER is offline (1-D Newton per
-    bus, Gauss-Seidel sweeps); MicrogridError if the injections stay above
-    tol after max_sweeps sweeps, as when a load exceeds what its lines carry."""
-    if not passive:
-        return deltas
-    deltas = deltas.copy()
+@functools.lru_cache(maxsize=64)
+def _passive_neighbours(lines: tuple, passive: tuple) -> tuple:
+    """For each bus in `passive`, its (neighbour, b) pairs in `lines` order."""
     neigh = {i: [] for i in passive}
     for i, j, b in lines:
         if i in neigh:
             neigh[i].append((j, b))
         if j in neigh:
             neigh[j].append((i, b))
+    return tuple(tuple(neigh[i]) for i in passive)
+
+
+def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200):
+    """Zero-injection angles for buses whose DER is offline (1-D Newton per
+    bus, Gauss-Seidel sweeps); MicrogridError if the injections stay above
+    tol after max_sweeps sweeps, as when a load exceeds what its lines carry."""
+    if not passive:
+        return deltas
+    buses = tuple(zip(passive, [float(bus_loads[i]) for i in passive],
+                      _passive_neighbours(lines, tuple(passive))))
+    d = deltas.tolist()
     for _ in range(max_sweeps):
         worst = 0.0
-        for i in passive:
-            f = bus_loads[i]
+        for i, f, neigh in buses:
             fp = 0.0
-            for j, b in neigh[i]:
-                f += b * math.sin(deltas[i] - deltas[j])
-                fp += b * math.cos(deltas[i] - deltas[j])
+            for j, b in neigh:
+                f += b * math.sin(d[i] - d[j])
+                fp += b * math.cos(d[i] - d[j])
             worst = max(worst, abs(f))
             if abs(fp) > 1e-9:
-                deltas[i] -= f / fp
+                d[i] -= f / fp
         if worst < tol:
-            return deltas
+            return np.array(d)
     raise MicrogridError(f"passive buses {passive} did not settle: injection "
                          f"residual {worst:.3g} kW after {max_sweeps} sweeps")
 
@@ -208,8 +215,8 @@ def ac_step(
     droops = np.array([d.droop for d in ders])
     nominal = network.omega_nominal
 
-    deltas = _solve_passive_buses(plant.deltas, network.lines, network.bus_loads,
-                                  np.flatnonzero(~online).tolist())
+    passive = [] if online.all() else np.flatnonzero(~online).tolist()
+    deltas = _solve_passive_buses(plant.deltas, network.lines, network.bus_loads, passive)
     power = ac_power_flow(deltas, network.lines, network.bus_loads)
     pinners_full = network.k * droops * power
 

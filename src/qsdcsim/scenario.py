@@ -234,9 +234,13 @@ def _physics_checks(doc: dict) -> None:
         th = doc["eve"]["theta"]
         if th["kind"] == "uniform" and not (0.0 <= th["lo"] < th["hi"] <= math.pi):
             fail("$.eve.theta", "uniform bounds must satisfy 0 <= lo < hi <= pi")
-        vals = th.get("values") if th["kind"] == "fixed" else None
-        if isinstance(vals, list) and len(vals) > 1:
-            fail("$.eve.theta.values", f"{len(vals)} values; the stream has one fixed theta")
+        if th["kind"] == "fixed":
+            vals = th.get("values", math.pi / 2)
+            vals = vals if isinstance(vals, list) else [vals]
+            if len(vals) > 1:
+                fail("$.eve.theta.values", f"{len(vals)} values; the stream has one fixed theta")
+            if not (0.0 <= vals[0] <= math.pi):
+                fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
 
     rate = doc.get("rate", {})
     if kind == "rate":

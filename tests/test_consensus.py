@@ -22,6 +22,7 @@ from qsdcsim.consensus import (
     write_csv_rows,
 )
 from qsdcsim.engine import CapacityError, local_bloch
+from qsdcsim.measurement import _STREAM_TAG, stream_rng
 from qsdcsim.netgraph import build_graph
 from qsdcsim.scenario import parse_scenario
 
@@ -217,6 +218,7 @@ def test_step_sampled_mode_deterministic():
 
 
 def test_step_draws_one_stream_per_step_and_basis(monkeypatch):
+    consensus._theta_block.cache_clear()  # a cached block would need no stream
     calls = []
 
     def counted(*key):
@@ -233,6 +235,41 @@ def test_step_draws_one_stream_per_step_and_basis(monkeypatch):
     sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8)
     qsdc_step(state, g, sampled, np.full(6, 0.9), online=[True, False] * 3)
     assert len(calls) <= 3
+
+
+def test_theta_blocks_match_fresh_draws():
+    # each row is (seed, step // THETA_BLOCK, theta tag)'s block row
+    # step % THETA_BLOCK, whatever order the steps come in and whatever the
+    # cache holds
+    theta, b = ThetaConfig.uniform(0.3, 2.8), consensus.THETA_BLOCK
+    steps = (5000, 3, 1024, 1023, 5000)
+    consensus._theta_block.cache_clear()
+    rows = [theta.draw(6, step, 7).copy() for step in steps]
+    for step, row in zip(steps, rows):
+        consensus._theta_block.cache_clear()
+        assert np.array_equal(row, theta.draw(6, step, 7))
+        block = stream_rng(6, step // b, _STREAM_TAG["theta"]).uniform(0.3, 2.8, (b, 7))
+        assert np.array_equal(row, block[step % b])
+
+
+def test_theta_rows_are_read_only():
+    theta = ThetaConfig.uniform(0.3, 2.8)
+    row = theta.draw(6, 10, 4)
+    want = row.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    assert np.array_equal(theta.draw(6, 10, 4), want)
+
+
+def test_pinner_clamp_keeps_np_clip_bits():
+    # -0.0 stays -0.0 and nan stays nan, as np.clip leaves them; a nan
+    # pinner counts as clamped, an offline node is not named
+    pinners = np.array([-0.0, np.nan, 2.0, -1.0, 0.7, 0.0])
+    online = np.array([True, True, True, False, True, True])
+    warnings = []
+    clamped = consensus._clamp_pinners(pinners, online, warnings)
+    assert clamped.tobytes() == np.clip(pinners, 0.0, PI / 2).tobytes()
+    assert warnings == ["pinners clamped to [0, pi/2] at nodes [1, 2]"]
 
 
 def test_sampled_estimate_ignores_isolated_node_going_offline():

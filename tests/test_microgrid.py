@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsdcsim import consensus, microgrid
 from qsdcsim.consensus import (
     MixingEvent,
     ProtocolConfig,
@@ -22,6 +23,7 @@ from qsdcsim.microgrid import (
     Event,
     MicrogridError,
     PartitionError,
+    _solve_passive_buses,
     ac_power_flow,
     ac_step,
     dc_solve,
@@ -124,6 +126,65 @@ def test_passive_buses_inject_nothing_after_ac_step():
     _, out = ac_step(plant, ders, net, comm, phase_cfg())
     assert np.max(np.abs(out["power"][[1, 3]])) <= 1e-9
     assert abs(out["power"].sum() - net.bus_loads.sum()) <= 1e-9
+
+
+def dict_rebuild_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200):
+    """The solve before its neighbour lists were cached: a dict rebuilt on
+    every call and sweeps over numpy scalars."""
+    deltas = deltas.copy()
+    neigh = {i: [] for i in passive}
+    for i, j, b in lines:
+        if i in neigh:
+            neigh[i].append((j, b))
+        if j in neigh:
+            neigh[j].append((i, b))
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for i in passive:
+            f = bus_loads[i]
+            fp = 0.0
+            for j, b in neigh[i]:
+                f += b * math.sin(deltas[i] - deltas[j])
+                fp += b * math.cos(deltas[i] - deltas[j])
+            worst = max(worst, abs(f))
+            if abs(fp) > 1e-9:
+                deltas[i] -= f / fp
+        if worst < tol:
+            return deltas
+    raise AssertionError("the reference solve did not settle")
+
+
+def test_passive_buses_match_dict_rebuild_loop():
+    rng = np.random.default_rng(33)
+    n = 15
+    for _ in range(30):
+        edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+        while len(edges) < 2 * n:
+            i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+            edges.add((i, j))
+        lines = tuple((i, j, float(rng.uniform(50.0, 400.0))) for i, j in sorted(edges))
+        loads = rng.uniform(0.0, 30.0, n)
+        passive = sorted(rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist())
+        deltas = rng.uniform(-0.2, 0.2, n)
+        for _ in range(3):  # then warm starts near the last solution
+            got = _solve_passive_buses(deltas, lines, loads, passive)
+            want = dict_rebuild_passive_buses(deltas, lines, loads, passive)
+            assert got.tobytes() == want.tobytes()
+            deltas = got + rng.normal(0.0, 0.01, n)
+
+
+def test_pnp_run_builds_each_online_set_once():
+    sc = parse_scenario(SCENARIOS / "ac15_pnp.json")
+    ders, net = sc.ac_plant()
+    events = [Event(time=0.5, kind="unplug", payload={"node": 7}),
+              Event(time=1.0, kind="plug", payload={"node": 7}),
+              Event(time=1.5, kind="unplug", payload={"node": 7})]
+    consensus._online_core.cache_clear()
+    microgrid._passive_neighbours.cache_clear()
+    run_plant("ac", ders, net, sc.graph(), sc.protocol(), horizon=2.0, events=events)
+    assert consensus._online_core.cache_info().misses == 2  # all online; 7 offline
+    assert microgrid._passive_neighbours.cache_info().misses == 1  # bus 7 passive
+    assert microgrid._passive_neighbours.cache_info().hits == 99  # 100 passive steps
 
 
 def test_passive_bus_overload_is_a_runtime_error():

@@ -350,6 +350,18 @@ def test_cli_options_a_subcommand_ignores_are_usage_errors(tmp_path, capsys, com
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, scenario", [
+    ("consensus", "consensus3"), ("ac", "ac15"), ("dc", "dc9"), ("eve", "eve_pi6"),
+])
+def test_cli_shots_with_exact_is_a_usage_error(tmp_path, capsys, command, scenario):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"),
+              "--shots", "400", "--exact", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --exact: not allowed with argument --shots" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def edited_scenario(tmp_path, scenario, edit):
     doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     edit(doc)
@@ -370,6 +382,14 @@ def edited_scenario(tmp_path, scenario, edit):
                  lambda d: d["eve"].update(theta={"kind": "fixed", "values": [0.3, 2.0]}),
                  [], "$.eve.theta.values: 2 values; the stream has one fixed theta",
                  id="eve-theta-list"),
+    pytest.param("eve", "eve_pi6",
+                 lambda d: d["eve"].update(theta={"kind": "fixed", "values": 5.0}),
+                 [], "$.eve.theta.values: fixed theta 5.0 outside [0, pi]",
+                 id="eve-theta-above-pi"),
+    pytest.param("eve", "eve_pi6",
+                 lambda d: d["eve"].update(theta={"kind": "fixed", "values": [-0.1]}),
+                 [], "$.eve.theta.values: fixed theta -0.1 outside [0, pi]",
+                 id="eve-theta-negative"),
     pytest.param("consensus", "consensus3",
                  lambda d: d["consensus"].update(initial_phi=[2.0, 0.1, -1.0]), [],
                  "$.consensus.initial_phi: initial_phi 2.0 outside [0, pi/2]",
