@@ -60,11 +60,10 @@ from .microgrid import (
 )
 from .netgraph import (
     CommGraph,
-    SpectralReport,
     build_graph,
     incidence_matrix,
     is_connected,
     lambda_min_sym,
     laplacian,
 )
-from .scenario import Scenario, parse_scenario, scenario_from_dict, serialize_scenario
+from .scenario import Scenario, parse_scenario, scenario_from_dict

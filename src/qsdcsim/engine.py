@@ -52,7 +52,6 @@ MAX_DENSE_QUBITS = 10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 
 class EngineError(Exception):
@@ -411,23 +410,9 @@ def partial_trace_single(rho: DensityMatrix, i: int) -> DensityMatrix:
     n = rho.qubit_count
     if not (0 <= i < n):
         raise IndexError(f"node {i} out of range for {n} qubits")
-    t = rho.matrix.reshape((2,) * (2 * n))
-    # Trace out every factor except i: contract row index k with column
-    # index n+k for all k != i.
-    keep_row, keep_col = i, n + i
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    idx = [""] * (2 * n)
-    pos = 0
-    for k in range(n):
-        if k == i:
-            continue
-        idx[k] = letters[pos]
-        idx[n + k] = letters[pos]
-        pos += 1
-    idx[keep_row] = letters[pos]
-    idx[keep_col] = letters[pos + 1]
-    spec = "".join(idx) + "->" + letters[pos] + letters[pos + 1]
-    red = np.einsum(spec, t)
+    # rows and columns split as (qubits before i, qubit i, qubits after i)
+    factor = (2**i, 2, 2 ** (n - i - 1))
+    red = np.einsum("aibajb->ij", rho.matrix.reshape(factor + factor))
     return DensityMatrix(matrix=red, qubit_count=1)
 
 

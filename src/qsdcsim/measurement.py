@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,10 +78,6 @@ class CountHistogram:
     @property
     def shots(self) -> int:
         return self.zeros + self.ones
-
-    def frequencies(self) -> tuple[Fraction, Fraction]:
-        """(p0, p1) as exact rationals; they sum to 1 exactly."""
-        return Fraction(self.zeros, self.shots), Fraction(self.ones, self.shots)
 
     @property
     def p0(self) -> float:

@@ -94,11 +94,6 @@ class DcDer:
         if self.droop_m <= 0.0 or self.line_r <= 0.0 or self.rated_current <= 0.0:
             raise ValueError("droop_m, line_r and rated_current must be positive")
 
-    @property
-    def droop_accuracy_ratio(self) -> float:
-        """m_i / R_i; sharing accuracy needs this to be large."""
-        return self.droop_m / self.line_r
-
 
 @dataclass
 class DcNetwork:

@@ -8,7 +8,7 @@ dozen nodes at most); the spectra come from numpy's symmetric eigensolvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,6 @@ class CommGraph:
     node_count: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
-
-    def weight_of(self, i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        for e, w in zip(self.edges, self.weights):
-            if e == key:
-                return w
-        return 0.0
 
     def subgraph(self, keep: set[int]) -> "CommGraph":
         """Induced subgraph on `keep`, nodes relabeled 0..len(keep)-1."""
@@ -142,21 +135,3 @@ def lambda_min_sym(m: np.ndarray) -> float:
         raise ValueError("matrix is not symmetric within 1e-9")
     return float(np.linalg.eigvalsh(m)[0])
 
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Laplacian plus its full spectrum for a graph."""
-
-    laplacian: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False, default=None)
-
-    @classmethod
-    def of_graph(cls, g: CommGraph) -> "SpectralReport":
-        lap = laplacian(g)
-        vals, vecs = np.linalg.eigh(lap)
-        return cls(laplacian=lap, eigenvalues=vals, eigenvectors=vecs)
-
-    @property
-    def fiedler_value(self) -> float:
-        return float(self.eigenvalues[1]) if len(self.eigenvalues) > 1 else 0.0

@@ -15,9 +15,6 @@ from .consensus import MixingEvent, ProtocolConfig, ThetaConfig
 from .microgrid import AcDer, AcNetwork, DcDer, DcNetwork, Event
 from .netgraph import CommGraph, GraphValidationError, build_graph
 
-SCHEMA_VERSION = 1
-
-
 class ScenarioError(ValueError):
     """Schema or physics violation in a scenario file."""
 
@@ -49,7 +46,6 @@ class Scenario:
     kind: str
     raw: dict
     name: str = ""
-    path: str = ""
 
     @property
     def horizon(self) -> float:
@@ -120,7 +116,7 @@ class Scenario:
         net = AcNetwork(
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
             bus_loads=loads,
-            omega_nominal=sec.get("omega_nominal", 60.0),
+            omega_nominal=sec["omega_nominal"],
             k=sec.get("k", 0.0),
         )
         net.apply_default_k(ders)
@@ -133,10 +129,9 @@ class Scenario:
                   rated_current=d["rated_current"])
             for d in sec["ders"]
         ]
-        r_load = sec.get("r_load", "inf")
         net = DcNetwork(
-            v_nominal=sec.get("v_nominal", 48.0),
-            r_load=math.inf if r_load == "inf" else float(r_load),
+            v_nominal=sec["v_nominal"],
+            r_load=math.inf if sec["r_load"] == "inf" else float(sec["r_load"]),
             c=sec.get("c", 0.0),
         )
         net.apply_default_c(ders)
@@ -177,9 +172,6 @@ def _physics_checks(doc: dict) -> None:
     def fail(path: str, msg: str, hint: str = ""):
         raise ScenarioError(f"{path}: {msg}" + (f" ({hint})" if hint else ""))
 
-    if kind in ("consensus", "ac", "dc") and not horizon:
-        fail("$.horizon", "a positive horizon is required")
-
     theta = doc["protocol"]["theta"]
     if theta["kind"] == "uniform" and not (0.0 < theta["lo"] < theta["hi"] < math.pi):
         fail("$.protocol.theta", f"uniform bounds ({theta['lo']}, {theta['hi']}) "
@@ -193,11 +185,11 @@ def _physics_checks(doc: dict) -> None:
     if kind == "consensus":
         n = doc["graph"]["nodes"]
         sec = doc["consensus"]
-        if len(sec["initial_phi"]) != n:
-            fail("$.consensus.initial_phi",
-                 f"{len(sec['initial_phi'])} phases for {n} nodes")
-        for key in ("initial_phi", "pinner"):
+        for key, noun in (("initial_phi", "phases"), ("pinner", "pinners")):
             vals = sec[key] if isinstance(sec[key], list) else [sec[key]]
+            # one pinner may serve every node; the phases are per node
+            if len(vals) != n and (key == "initial_phi" or len(vals) > 1):
+                fail(f"$.consensus.{key}", f"{len(vals)} {noun} for {n} nodes")
             for p in vals:
                 if not (0.0 <= p <= math.pi / 2):
                     fail(f"$.consensus.{key}", f"{key} {p} outside [0, pi/2]")
@@ -307,13 +299,9 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     doc = validate_scenario(doc)
     name = doc.get("name") or path.rsplit("/", 1)[-1].removesuffix(".json")
-    return Scenario(kind=doc["kind"], raw=doc, name=name, path=path)
+    return Scenario(kind=doc["kind"], raw=doc, name=name)
 
 
 def scenario_from_dict(doc: dict, name: str = "inline") -> Scenario:
     doc = validate_scenario(doc)
     return Scenario(kind=doc["kind"], raw=doc, name=doc.get("name") or name)
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    return json.dumps(sc.raw, indent=2, sort_keys=True)

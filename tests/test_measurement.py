@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,14 +32,6 @@ def estimate_from_counts(cx, cy):
 
 
 # -- histograms --------------------------------------------------------------
-
-
-def test_histogram_frequencies_exact():
-    h = CountHistogram(zeros=621, ones=379)
-    p0, p1 = h.frequencies()
-    assert p0 + p1 == Fraction(1)
-    assert p0 == Fraction(621, 1000)
-    assert h.shots == 1000
 
 
 def test_histogram_validation():

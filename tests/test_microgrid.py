@@ -480,11 +480,6 @@ def test_dc_partition_detected():
                   events=events)
 
 
-def test_dc_droop_accuracy_ratio_reported():
-    der = DcDer(droop_m=1.0, line_r=0.002, rated_current=6.0)
-    assert der.droop_accuracy_ratio == pytest.approx(500.0)
-
-
 def test_dc_default_scaling_rule():
     ders, _, _ = dc3()
     assert default_dc_scaling(ders) == pytest.approx(0.8 * (PI / 2) / (1.25 * 6.0))

@@ -14,7 +14,6 @@ from qsdcsim.scenario import (
     ScenarioError,
     parse_scenario,
     scenario_from_dict,
-    serialize_scenario,
 )
 
 PI = math.pi
@@ -137,10 +136,10 @@ def test_parse_mixing_window_must_fit_horizon():
 
 def test_roundtrip_identity():
     sc = parse_scenario(SCENARIOS / "ac15.json")
-    text = serialize_scenario(sc)
+    text = json.dumps(sc.raw, indent=2, sort_keys=True)
     sc2 = scenario_from_dict(json.loads(text))
     assert sc2.raw == sc.raw
-    assert serialize_scenario(sc2) == text
+    assert json.dumps(sc2.raw, indent=2, sort_keys=True) == text
 
 
 # -- summaries ---------------------------------------------------------------
@@ -394,6 +393,19 @@ def edited_scenario(tmp_path, scenario, edit):
                  lambda d: d["consensus"].update(initial_phi=[2.0, 0.1, -1.0]), [],
                  "$.consensus.initial_phi: initial_phi 2.0 outside [0, pi/2]",
                  id="initial-phi-range"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["consensus"].update(initial_phi=[0.1, 0.2]), [],
+                 "$.consensus.initial_phi: 2 phases for 3 nodes", id="initial-phi-count"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["consensus"].update(pinner=[0.5, 0.6]), [],
+                 "$.consensus.pinner: 2 pinners for 3 nodes", id="pinner-count"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["protocol"].update(theta={"kind": "uniform", "hi": 1.0}), [],
+                 "$.protocol.theta: 'lo' is a required property",
+                 id="protocol-theta-uniform-no-lo"),
+    pytest.param("eve", "eve_pi6",
+                 lambda d: d["eve"].update(theta={"kind": "uniform", "lo": 0.0}), [],
+                 "$.eve.theta: 'hi' is a required property", id="eve-theta-uniform-no-hi"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):
