@@ -33,9 +33,10 @@ node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the flow is one matrix on v = [w; z]:
-v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  `_online_core`
-caches -blockdiag(L, L), read-only, per graph and online set; a step adds
-the gains to its first n diagonal entries.  `full` and `bloch` share one
+v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  A run builds
+one `StepPlan` per online set, holding the read-only core -blockdiag(L, L)
+of `_online_core`; a step copies it into the plan's buffer A and adds the
+gains to its first n diagonal entries.  `full` and `bloch` share one
 integrator, `engine._rk4` (Horner-form RK4), on rho and on v; it commutes
 with the linear map from rho to local Bloch vectors, so the two agree to
 rounding.  The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are
@@ -308,6 +309,21 @@ def _online_core(graph: CommGraph, online: bytes) -> tuple[CommGraph, np.ndarray
     return graph, core
 
 
+class StepPlan:
+    """What the steps over `graph` with the bool mask `online` (None: all
+    online) share: the pruned graph and core of `_online_core`, and the
+    buffers A and v0 of the bloch flow, which each step overwrites."""
+
+    def __init__(self, graph: CommGraph, online=None):
+        n = graph.node_count
+        online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
+        if online.shape != (n,):
+            raise ValueError(f"need {n} online flags, got shape {online.shape}")
+        self.online, self.all_online = online, bool(online.all())
+        self.graph, self.core = _online_core(graph, online.tobytes())
+        self.a, self.v0 = np.empty((2 * n, 2 * n), dtype=complex), np.empty(2 * n, dtype=complex)
+
+
 def qsdc_step(
     state: ProtocolState,
     graph: CommGraph,
@@ -315,6 +331,7 @@ def qsdc_step(
     pinners,
     events=(),
     online=None,
+    plan: StepPlan | None = None,
 ) -> ProtocolState:
     """One full protocol iteration; deterministic given config.seed.
 
@@ -323,13 +340,12 @@ def qsdc_step(
     its phase comes back unchanged.  Thetas and shots are drawn for all
     nodes, and mixing events use physical node indices.  An online node
     below S_FLOOR, or whose sampled <X> and <Y> are both zero, keeps its
-    phase and gets a warning.
+    phase and gets a warning.  A run passes its `StepPlan(graph, online)`
+    as `plan`, which then replaces `online`.
     """
     n = graph.node_count
-    online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
-    if online.shape != (n,):
-        raise ValueError(f"need {n} online flags, got shape {online.shape}")
-    graph, core = _online_core(graph, online.tobytes())
+    plan = StepPlan(graph, online) if plan is None else plan
+    online = plan.online
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
     phis = np.asarray(state.phis, dtype=float).clip(0.0, math.pi / 2)
@@ -341,7 +357,7 @@ def qsdc_step(
         rho = engine.product_state(
             [PureQubitSpec(theta=float(th), phi=float(ph)) for th, ph in zip(thetas, phis)]
         )
-        jumps = engine.build_jump_set(graph, alphas)
+        jumps = engine.build_jump_set(plan.graph, alphas)
         rho = engine.evolve(rho, jumps, config.dt, config.substeps)
         for ev in events:
             if ev.active(t_now, config.dt):
@@ -355,9 +371,9 @@ def qsdc_step(
             xs[i], ys[i], zs[i] = b.x, b.y, b.z
         final_rho = rho
     else:  # bloch and phase: v' = A v on v = [w; z], w = x + i*y
-        a = core.copy()
+        a, v0 = plan.a, plan.v0
+        np.copyto(a, plan.core)
         a.ravel()[:n * (2 * n + 1):2 * n + 1] += np.exp(1j * alphas) - 1.0  # w's diagonal
-        v0 = np.empty(2 * n, dtype=complex)
         np.multiply(np.sin(thetas), np.exp(1j * phis), out=v0[:n])
         v0[n:] = np.cos(thetas)
         out = _rk4(v0, a.dot, config.dt, config.substeps).reshape(2, n)
@@ -368,19 +384,25 @@ def qsdc_step(
 
     s_after = np.hypot(xs, ys)
     sx, sy = _measure_node(xs, ys, config, state.step)
-    aborted = online & ((s_after < S_FLOOR) | ((sx == 0.0) & (sy == 0.0)))
-    if aborted.any():
+    aborted = s_after < S_FLOOR  # exact mode: sx, sy both zero means s_after == 0
+    if not config.exact:
+        aborted |= (sx == 0.0) & (sy == 0.0)
+    whole = plan.all_online and not aborted.any()  # every node estimates: no masks
+    if not whole:
+        aborted &= online
         for i in np.flatnonzero(aborted).tolist():
             warnings.append(
                 f"node {i}: coherence {s_after[i]:.2e} below {S_FLOOR}; step aborted for this node"
                 if s_after[i] < S_FLOOR
                 else f"node {i}: degenerate coherence; step aborted for this node"
             )
-    estimated = online & ~aborted
-    est = (qdc_from_expectation(sx[estimated]) if config.mode == "qdc_legacy"
-           else phase_from_expectations(sx[estimated], sy[estimated]))
-    new_phis = np.where(online, phis, state.phis)
-    new_phis[estimated] = est.clip(0.0, math.pi / 2)
+        estimated = online & ~aborted
+        sx, sy = sx[estimated], sy[estimated]
+    est = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
+           else phase_from_expectations(sx, sy)).clip(0.0, math.pi / 2)
+    new_phis = est if whole else np.where(online, phis, state.phis)
+    if not whole:
+        new_phis[estimated] = est
 
     return ProtocolState(
         phis=new_phis,
@@ -487,8 +509,9 @@ def run_consensus(
     phis[0] = state.phis
     pinners[0] = pt
     all_warnings: list = []
+    plan = StepPlan(graph)  # one segment: every node online throughout
     for k in range(steps):
-        state = qsdc_step(state, graph, config, pt, events)
+        state = qsdc_step(state, graph, config, pt, events, plan=plan)
         if state.warnings:
             all_warnings.extend(f"t={k * config.dt:.6g}: {w}" for w in state.warnings)
         phis[k + 1] = state.phis

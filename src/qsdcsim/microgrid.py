@@ -14,8 +14,9 @@ alternative is unstable for m_i >> R_i, which is exactly the regime the
 droop accuracy condition requires).
 
 An offline DER keeps its index: each step runs `qsdc_step` on the full
-communication graph with the DERs' online flags, which isolates the DER and
-holds its phase.  It carries no current (DC); its bus is passive (AC).
+communication graph with the `StepPlan` of the DERs' online flags that its
+`PlantSegment` holds, which isolates the DER and holds its phase.  It
+carries no current (DC); its bus is passive (AC).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ProtocolConfig, ProtocolState, lyapunov_rows, qsdc_step, write_csv_rows
+from .consensus import (ProtocolConfig, ProtocolState, StepPlan, lyapunov_rows, qsdc_step,
+                        write_csv_rows)
 from .netgraph import CommGraph, incidence_matrix, is_connected
 
 
@@ -132,24 +134,21 @@ class Event:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
-@functools.lru_cache(maxsize=64)
 def _line_operators(lines: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only incidence matrix B (+1 at i, -1 at j of line (i, j, b)) and
-    strengths b of a `lines` tuple over n buses."""
+    """Incidence matrix B (+1 at i, -1 at j of line (i, j, b)) and strengths
+    b of a `lines` tuple over n buses."""
     inc = incidence_matrix(CommGraph(n, tuple((i, j) for i, j, _b in lines), ()))
-    strength = np.array([b for _i, _j, b in lines], dtype=float)
-    inc.setflags(write=False)
-    strength.setflags(write=False)
-    return inc, strength
+    return inc, np.array([b for _i, _j, b in lines], dtype=float)
 
 
-def ac_power_flow(deltas, lines, bus_loads) -> np.ndarray:
+def ac_power_flow(deltas, lines, bus_loads, operators=None) -> np.ndarray:
     """Injections P = P_L + B (b * sin(B^T delta)), i.e.
-    P_i = P_L,i + sum_j b_ij sin(delta_i - delta_j).
+    P_i = P_L,i + sum_j b_ij sin(delta_i - delta_j), with `operators` the
+    `_line_operators` of `lines` (None: build them).
 
     The sine terms cancel pairwise, so sum(P) = sum(P_L) identically.
     """
-    inc, strength = _line_operators(lines, len(bus_loads))
+    inc, strength = _line_operators(lines, len(bus_loads)) if operators is None else operators
     return np.asarray(bus_loads, dtype=float) + inc @ (strength * np.sin(inc.T @ deltas))
 
 
@@ -165,14 +164,21 @@ def _passive_neighbours(lines: tuple, passive: tuple) -> tuple:
     return tuple(tuple(neigh[i]) for i in passive)
 
 
-def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200):
+def _passive_table(lines, bus_loads, passive) -> tuple:
+    """(bus, load as a float, `_passive_neighbours`) of each bus in `passive`."""
+    return tuple(zip(passive, [float(bus_loads[i]) for i in passive],
+                     _passive_neighbours(lines, tuple(passive)))) if passive else ()
+
+
+def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200,
+                         buses=None):
     """Zero-injection angles for buses whose DER is offline (1-D Newton per
-    bus, Gauss-Seidel sweeps); MicrogridError if the injections stay above
-    tol after max_sweeps sweeps, as when a load exceeds what its lines carry."""
+    bus, Gauss-Seidel sweeps) with `buses` their `_passive_table` (None:
+    build it); MicrogridError if the injections stay above tol after
+    max_sweeps sweeps, as when a load exceeds what its lines carry."""
     if not passive:
         return deltas
-    buses = tuple(zip(passive, [float(bus_loads[i]) for i in passive],
-                      _passive_neighbours(lines, tuple(passive))))
+    buses = _passive_table(lines, bus_loads, passive) if buses is None else buses
     d = deltas.tolist()
     for _ in range(max_sweeps):
         worst = 0.0
@@ -190,6 +196,35 @@ def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweep
                          f"residual {worst:.3g} kW after {max_sweeps} sweeps")
 
 
+def _record(kind: str, rows: int, n: int) -> dict:
+    """Unfilled output arrays of `rows` steps: name -> (rows, width)."""
+    names = ("omega", "power") if kind == "ac" else ("vbus", "current", "vref")
+    return {name: np.empty((rows, 1 if name == "vbus" else n))
+            for name in names + ("phi", "pinner", "online")}
+
+
+class PlantSegment:
+    """What the steps up to the next event read: the `StepPlan` of the DERs'
+    online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i,
+    and copies of the network arrays (AC: float bus loads, line operators,
+    passive buses and their `_passive_table`; DC: R_i + m_i and the online
+    DERs' indices)."""
+
+    def __init__(self, kind: str, ders, network, comm: CommGraph):
+        online = np.array([d.online for d in ders])
+        self.plan = StepPlan(comm, online)
+        self.droops = np.array([d.droop if kind == "ac" else d.droop_m for d in ders])
+        self.gains = (network.k if kind == "ac" else network.c) * self.droops
+        if kind == "ac":
+            self.loads = np.array(network.bus_loads, dtype=float)
+            self.operators = _line_operators(network.lines, len(self.loads))
+            self.passive = np.flatnonzero(~online).tolist()
+            self.buses = _passive_table(network.lines, self.loads, self.passive)
+        else:
+            self.r_series = np.array([d.line_r for d in ders]) + self.droops
+            self.online_idx = np.flatnonzero(online)
+
+
 @dataclass
 class AcPlantState:
     deltas: np.ndarray
@@ -203,32 +238,33 @@ def ac_step(
     comm: CommGraph,
     config: ProtocolConfig,
     mixing=(),
-) -> tuple[AcPlantState, dict]:
+    segment: PlantSegment | None = None,
+    record: dict | None = None, row: int = 0,
+) -> tuple[AcPlantState, dict | None]:
     """One co-simulation step of dt: power flow, consensus update with
-    pinners k*n_i*P_i, droop frequencies, angle integration."""
-    online = np.array([d.online for d in ders])
-    droops = np.array([d.droop for d in ders])
+    pinners k*n_i*P_i, droop frequencies, angle integration.  A run passes
+    its `segment` and writes the outputs into row `row` of its `_record`;
+    without a record they come back as a dict."""
+    seg = PlantSegment("ac", ders, network, comm) if segment is None else segment
+    rec = _record("ac", 1, len(ders)) if record is None else record
     nominal = network.omega_nominal
 
-    passive = [] if online.all() else np.flatnonzero(~online).tolist()
-    deltas = _solve_passive_buses(plant.deltas, network.lines, network.bus_loads, passive)
-    power = ac_power_flow(deltas, network.lines, network.bus_loads)
-    pinners_full = network.k * droops * power
+    deltas = _solve_passive_buses(plant.deltas, network.lines, seg.loads, seg.passive,
+                                  buses=seg.buses)
+    power = ac_power_flow(deltas, network.lines, seg.loads, seg.operators)
+    rec["pinner"][row] = pinners = seg.gains * power
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing, online=online)
+    protocol = qsdc_step(plant.protocol, comm, config, pinners, mixing, plan=seg.plan)
 
-    omega = np.where(online, nominal - droops * power + protocol.phis / network.k, nominal)
-    deltas = deltas + np.where(online, config.dt * 2.0 * math.pi * (omega - nominal), 0.0)
+    omega = nominal - seg.droops * power + protocol.phis / network.k
+    if not seg.plan.all_online:
+        omega = np.where(seg.plan.online, omega, nominal)
+    deltas = deltas + config.dt * 2.0 * math.pi * (omega - nominal)
 
-    new_plant = AcPlantState(deltas=deltas, protocol=protocol)
-    outputs = {
-        "omega": omega,
-        "power": power,
-        "phi": protocol.phis,
-        "pinner": pinners_full,
-        "online": online.astype(float),
-    }
-    return new_plant, outputs
+    rec["omega"][row], rec["power"][row], rec["phi"][row] = omega, power, protocol.phis
+    rec["online"][row] = seg.plan.online
+    return (AcPlantState(deltas=deltas, protocol=protocol),
+            None if record is not None else {name: arr[0] for name, arr in rec.items()})
 
 
 def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]:
@@ -262,31 +298,28 @@ def dc_step(
     comm: CommGraph,
     config: ProtocolConfig,
     mixing=(),
-) -> tuple[DcPlantState, dict]:
+    segment: PlantSegment | None = None,
+    record: dict | None = None, row: int = 0,
+) -> tuple[DcPlantState, dict | None]:
     """One co-simulation step: consensus with pinners c*m_i*I_i, then the
-    droop-closed bus solve with the updated phases."""
-    online = np.array([d.online for d in ders])
-    droop_m = np.array([d.droop_m for d in ders])
-    pinners_full = network.c * droop_m * plant.currents
+    droop-closed bus solve with the updated phases; the rest as in `ac_step`."""
+    seg = PlantSegment("dc", ders, network, comm) if segment is None else segment
+    rec = _record("dc", 1, len(ders)) if record is None else record
+    rec["pinner"][row] = pinners = seg.gains * plant.currents
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners_full, mixing, online=online)
+    protocol = qsdc_step(plant.protocol, comm, config, pinners, mixing, plan=seg.plan)
     phis = protocol.phis
 
     v_src = network.v_nominal + phis / network.c
-    r_series = np.array([d.line_r for d in ders]) + droop_m
-    vb, currents = dc_solve(v_src, r_series, network.r_load, np.flatnonzero(online))
-    v_refs = np.where(online, v_src - droop_m * currents, network.v_nominal)
+    vb, currents = dc_solve(v_src, seg.r_series, network.r_load, seg.online_idx)
+    v_refs = v_src - seg.droops * currents
+    if not seg.plan.all_online:
+        v_refs = np.where(seg.plan.online, v_refs, network.v_nominal)
 
-    new_plant = DcPlantState(protocol=protocol, currents=currents)
-    outputs = {
-        "vbus": np.array([vb]),
-        "current": currents,
-        "vref": v_refs,
-        "phi": phis,
-        "pinner": pinners_full,
-        "online": online.astype(float),
-    }
-    return new_plant, outputs
+    rec["vbus"][row], rec["current"][row], rec["vref"][row] = vb, currents, v_refs
+    rec["phi"][row], rec["online"][row] = phis, seg.plan.online
+    return (DcPlantState(protocol=protocol, currents=currents),
+            None if record is not None else {name: arr[0] for name, arr in rec.items()})
 
 
 @dataclass
@@ -387,23 +420,22 @@ def run_plant(
     else:
         plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
 
-    data: dict[str, np.ndarray] = {}
+    data = _record(kind, steps, n)
     applied: list = []
     warnings: list = []
 
-    for kstep in range(steps):
-        for ev in by_step.get(kstep, ()):
+    starts = sorted({0, *by_step} - {steps})  # event steps split the horizon
+    for start, stop in zip(starts, starts[1:] + [steps]):
+        for ev in by_step.get(start, ()):
             applied.append(f"t={ev.time:g} {_apply_event(ev, ders, network, kind)}")
             if ev.kind in ("plug", "unplug"):
                 _check_comm_connected(comm, ders, f"after {ev.kind} at t={ev.time:g}")
-        plant, out = step(plant, ders, network, comm, config, mixing)
-        if plant.protocol.warnings:
-            warnings.extend(f"t={kstep * config.dt:.6g}: {w}"
-                            for w in plant.protocol.warnings)
-        if not data:
-            data = {name: np.empty((steps, len(arr))) for name, arr in out.items()}
-        for name, arr in out.items():
-            data[name][kstep] = arr
+        segment = PlantSegment(kind, ders, network, comm)
+        for kstep in range(start, stop):
+            plant, _ = step(plant, ders, network, comm, config, mixing, segment, data, kstep)
+            if plant.protocol.warnings:
+                warnings.extend(f"t={kstep * config.dt:.6g}: {w}"
+                                for w in plant.protocol.warnings)
 
     data = {name: arr[:, 0] if arr.shape[1] == 1 else arr for name, arr in data.items()}
     return TimeSeries(times=np.arange(1, steps + 1) * config.dt, data=data, kind=kind,

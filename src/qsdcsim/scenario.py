@@ -176,8 +176,12 @@ def _physics_checks(doc: dict) -> None:
     if theta["kind"] == "uniform" and not (0.0 < theta["lo"] < theta["hi"] < math.pi):
         fail("$.protocol.theta", f"uniform bounds ({theta['lo']}, {theta['hi']}) "
              "must satisfy 0 < lo < hi < pi")
-    values = theta.get("values") if theta["kind"] == "fixed" else None
-    if kind in ("consensus", "ac", "dc") and isinstance(values, list) and len(values) > 1:
+    values = theta.get("values", math.pi / 2) if theta["kind"] == "fixed" else []
+    values = values if isinstance(values, list) else [values]
+    for v in values:
+        if not (0.0 < v < math.pi):
+            fail("$.protocol.theta.values", f"fixed theta {v} outside (0, pi)")
+    if kind in ("consensus", "ac", "dc") and len(values) > 1:
         n = doc["graph"]["nodes"] if kind == "consensus" else len(doc[kind]["ders"])
         if len(values) != n:
             fail("$.protocol.theta.values", f"{len(values)} values for {n} nodes")

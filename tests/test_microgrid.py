@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 from pathlib import Path
@@ -184,7 +185,7 @@ def test_pnp_run_builds_each_online_set_once():
     run_plant("ac", ders, net, sc.graph(), sc.protocol(), horizon=2.0, events=events)
     assert consensus._online_core.cache_info().misses == 2  # all online; 7 offline
     assert microgrid._passive_neighbours.cache_info().misses == 1  # bus 7 passive
-    assert microgrid._passive_neighbours.cache_info().hits == 99  # 100 passive steps
+    assert microgrid._passive_neighbours.cache_info().hits == 1  # 2 passive segments
 
 
 def test_passive_bus_overload_is_a_runtime_error():
@@ -469,6 +470,49 @@ def test_run_plant_leaves_its_inputs_alone():
     assert len(set(csvs)) == 1  # not csvs[0] == csvs[1]: a diff of two CSVs takes minutes
     assert (ders, net) == sc.dc_plant()
     assert ts.meta["c"] == net.c > 0.0
+
+
+def chained_steps(kind, ders, net, comm, cfg, horizon, events):
+    """run_plant's record, stepped by hand through the one-step API."""
+    ders, net = copy.deepcopy((ders, net))
+    n = len(ders)
+    protocol = ProtocolState(phis=np.zeros(n))
+    if kind == "ac":
+        net.apply_default_k(ders)
+        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
+    else:
+        net.apply_default_c(ders)
+        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
+    rows = []
+    for k in range(int(round(horizon / cfg.dt))):
+        for ev in events:
+            if int(round(ev.time / cfg.dt)) == k:
+                microgrid._apply_event(ev, ders, net, kind)
+        plant, out = step(plant, ders, net, comm, cfg)
+        rows.append(out)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize("kind", ["ac", "dc"])
+def test_run_plant_matches_chained_steps(kind):
+    # a stale per-segment constant (online flags, droops, loads, r_load)
+    # would make the segmented run drift from the one-step API
+    cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=8)
+    if kind == "ac":
+        ders, net, comm = ac3()
+        events = [Event(time=0.1, kind="unplug", payload={"node": 2}),
+                  Event(time=0.2, kind="plug", payload={"node": 2}),
+                  Event(time=0.3, kind="step_load", payload={"node": 1, "delta_kw": 8.0}),
+                  Event(time=0.4, kind="droop_change", payload={"node": 0, "droop": 4e-3})]
+    else:
+        ders, net, comm = dc3()
+        events = [Event(time=0.1, kind="unplug", payload={"node": 1}),
+                  Event(time=0.3, kind="step_load", payload={"r_load": 40.0})]
+    ts = run_plant(kind, ders, net, comm, cfg, horizon=0.5, events=events)
+    want = chained_steps(kind, ders, net, comm, cfg, 0.5, events)
+    assert list(ts.data) == list(want)
+    for name, arr in want.items():  # vbus: (T,) against (T, 1), the same bytes
+        assert ts.data[name].tobytes() == arr.tobytes(), name
 
 
 def test_dc_partition_detected():

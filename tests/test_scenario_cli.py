@@ -406,6 +406,15 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("eve", "eve_pi6",
                  lambda d: d["eve"].update(theta={"kind": "uniform", "lo": 0.0}), [],
                  "$.eve.theta: 'hi' is a required property", id="eve-theta-uniform-no-hi"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["protocol"].update(theta={"kind": "fixed",
+                                                       "values": [0.5, 0.6, 4.0]}), [],
+                 "$.protocol.theta.values: fixed theta 4.0 outside (0, pi)",
+                 id="protocol-theta-fixed-above-pi"),
+    pytest.param("ac", "ac15",
+                 lambda d: d["protocol"].update(theta={"kind": "fixed", "values": 0.0}), [],
+                 "$.protocol.theta.values: fixed theta 0.0 outside (0, pi)",
+                 id="protocol-theta-fixed-zero"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):

@@ -1,17 +1,23 @@
-"""Every layer the benchmark traces must still exist under its traced name.
+"""Every layer the benchmark traces must still exist under its traced name
+and be reached where the benchmark expects it.
 
 `perfbench/tracer.py` finds each function by the name its caller looks up
 and reports a missing one as absent, which the benchmark would read as a
-layer with 0 calls.  This test fails instead when a rename or a removal
-drops a traced name.
+layer with 0 calls.  These tests fail instead when a rename or a removal
+drops a traced name, or when a plant step stops calling a per-step layer
+through the name the tracer wraps.
 """
 
 import importlib.util
 from pathlib import Path
 
 import qsdcsim.cli  # noqa: F401  (loads every layer module)
+from qsdcsim import microgrid
+from qsdcsim.scenario import parse_scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SCENARIOS = ROOT / "scenarios"
 
 
 def load_tracer():
@@ -28,3 +34,22 @@ def test_every_traced_layer_is_present():
         assert t.absent == []
     finally:
         t.uninstall()
+
+
+def test_every_per_step_plant_layer_runs_once_per_step():
+    sc = parse_scenario(SCENARIOS / "ac15_pnp.json")
+    ders, net = sc.ac_plant()
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        microgrid.run_plant("ac", ders, net, sc.graph(), sc.protocol(), horizon=2.0,
+                            events=[microgrid.Event(time=1.0, kind="unplug",
+                                                    payload={"node": 7})])
+    finally:
+        t.uninstall()
+    calls = {name: layer["calls"] for name, layer in t.layers().items()}
+    per_step = ["consensus.qsdc_step", "microgrid.ac_step", "consensus._rk4",
+                "consensus.ThetaConfig.draw", "consensus._measure_node",
+                "microgrid.ac_power_flow", "microgrid._solve_passive_buses"]
+    assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 200)
+    assert calls["netgraph.CommGraph.subgraph"] >= 1
