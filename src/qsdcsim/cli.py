@@ -121,8 +121,8 @@ def _sharing_spread_pct(sharing: np.ndarray, online: np.ndarray) -> float:
 
 def _summarize_timeseries(ts: TimeSeries) -> dict:
     win = _final_window(len(ts.times))
-    all_online = ts.data["online"] > 0.5
-    online = all_online[win]
+    online_rows = ts.data["online"] > 0.5
+    online = online_rows[win]
     out = {
         "kind": ts.kind,
         "backend": ts.meta.get("backend"),
@@ -135,7 +135,7 @@ def _summarize_timeseries(ts: TimeSeries) -> dict:
     if ts.kind == "ac":
         omega = ts.data["omega"]
         nominal = ts.meta["omega_nominal"]
-        err = np.max(np.abs(omega - nominal), axis=1, where=all_online, initial=0.0)
+        err = np.max(np.abs(omega - nominal), axis=1, where=online_rows, initial=0.0)
         sharing = ts.data["pinner"] / ts.meta["k"]  # recovers n_i * P_i
         out.update({
             "settling_time_s": settling_time(ts.times, err, 1e-3),

@@ -4,7 +4,7 @@ plus the convergence-rate bound and Lyapunov monitoring.
 One protocol step: draw fresh theta per node, prepare the product state from
 (theta_i, phi_i), set each rotation-Z angle to pinner_i - phi_i, evolve the
 master equation for dt, apply any active mixing event, measure, and feed the
-estimate back as the next phi_i.
+twin-qubit estimate atan2(<Y>, <X>) back as the next phi_i.
 
 Backends:
   full  - dense density matrix driven by the jump operators, applied as a
@@ -34,13 +34,14 @@ node's draws depend on another node's state.
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the flow is one matrix on v = [w; z]:
 v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  A run builds
-one `StepPlan` per online set, holding the read-only core -blockdiag(L, L)
-of `_online_core`; a step copies it into the plan's buffer A and adds the
-gains to its first n diagonal entries.  `full` and `bloch` share one
-integrator, `engine._rk4` (Horner-form RK4), on rho and on v; it commutes
-with the linear map from rho to local Bloch vectors, so the two agree to
-rounding.  The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are
-the reference equations; they coincide with the flow at the step start.
+one `StepPlan` per segment (`run_plant`: per event segment), holding the
+read-only core -blockdiag(L, L) of the graph without the offline nodes'
+edges; a step copies it into the plan's buffer A and adds the gains to its
+first n diagonal entries.  `full` and `bloch` share one integrator,
+`engine._rk4` (Horner-form RK4), on rho and on v; it commutes with the
+linear map from rho to local Bloch vectors, so the two agree to rounding.
+The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are the
+reference equations; they coincide with the flow at the step start.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .engine import PureQubitSpec, _rk4
 from .measurement import (
     _STREAM_TAG,
     _sample_zeros,
-    phase_from_expectations,
     qdc_from_expectation,
     stream_rng,
 )
@@ -296,22 +296,10 @@ def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
     return f
 
 
-@functools.lru_cache(maxsize=64)
-def _online_core(graph: CommGraph, online: bytes) -> tuple[CommGraph, np.ndarray]:
-    """`graph` without the edges of nodes offline in the bool mask `online`,
-    and -blockdiag(L, L) of it: the read-only linear core before the gains."""
-    mask = np.frombuffer(online, dtype=bool)
-    kept = [k for k, (i, j) in enumerate(graph.edges) if mask[i] and mask[j]]
-    graph = CommGraph(graph.node_count, tuple(graph.edges[k] for k in kept),
-                      tuple(graph.weights[k] for k in kept))
-    core = -np.kron(np.eye(2), laplacian(graph)).astype(complex)
-    core.setflags(write=False)
-    return graph, core
-
-
 class StepPlan:
     """What the steps over `graph` with the bool mask `online` (None: all
-    online) share: the pruned graph and core of `_online_core`, and the
+    online) share: the offline nodes' indices, `graph` without their edges,
+    its read-only linear core -blockdiag(L, L) before the gains, and the
     buffers A and v0 of the bloch flow, which each step overwrites."""
 
     def __init__(self, graph: CommGraph, online=None):
@@ -319,8 +307,12 @@ class StepPlan:
         online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
         if online.shape != (n,):
             raise ValueError(f"need {n} online flags, got shape {online.shape}")
-        self.online, self.all_online = online, bool(online.all())
-        self.graph, self.core = _online_core(graph, online.tobytes())
+        self.online, self.offline = online, np.flatnonzero(~online)
+        kept = [k for k, (i, j) in enumerate(graph.edges) if online[i] and online[j]]
+        self.graph = CommGraph(n, tuple(graph.edges[k] for k in kept),
+                               tuple(graph.weights[k] for k in kept))
+        self.core = -np.kron(np.eye(2), laplacian(self.graph)).astype(complex)
+        self.core.setflags(write=False)
         self.a, self.v0 = np.empty((2 * n, 2 * n), dtype=complex), np.empty(2 * n, dtype=complex)
 
 
@@ -348,7 +340,8 @@ def qsdc_step(
     online = plan.online
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
-    phis = np.asarray(state.phis, dtype=float).clip(0.0, math.pi / 2)
+    prev = np.asarray(state.phis, dtype=float)
+    phis = prev.clip(0.0, math.pi / 2)
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
@@ -384,11 +377,12 @@ def qsdc_step(
 
     s_after = np.hypot(xs, ys)
     sx, sy = _measure_node(xs, ys, config, state.step)
+    new_phis = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
+                else np.arctan2(sy, sx)).clip(0.0, math.pi / 2)
     aborted = s_after < S_FLOOR  # exact mode: sx, sy both zero means s_after == 0
     if not config.exact:
         aborted |= (sx == 0.0) & (sy == 0.0)
-    whole = plan.all_online and not aborted.any()  # every node estimates: no masks
-    if not whole:
+    if aborted.any():
         aborted &= online
         for i in np.flatnonzero(aborted).tolist():
             warnings.append(
@@ -396,13 +390,8 @@ def qsdc_step(
                 if s_after[i] < S_FLOOR
                 else f"node {i}: degenerate coherence; step aborted for this node"
             )
-        estimated = online & ~aborted
-        sx, sy = sx[estimated], sy[estimated]
-    est = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
-           else phase_from_expectations(sx, sy)).clip(0.0, math.pi / 2)
-    new_phis = est if whole else np.where(online, phis, state.phis)
-    if not whole:
-        new_phis[estimated] = est
+        new_phis[aborted] = phis[aborted]
+    new_phis[plan.offline] = prev[plan.offline]
 
     return ProtocolState(
         phis=new_phis,

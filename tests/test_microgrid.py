@@ -24,6 +24,7 @@ from qsdcsim.microgrid import (
     Event,
     MicrogridError,
     PartitionError,
+    _passive_table,
     _solve_passive_buses,
     ac_power_flow,
     ac_step,
@@ -168,24 +169,30 @@ def test_passive_buses_match_dict_rebuild_loop():
         passive = sorted(rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist())
         deltas = rng.uniform(-0.2, 0.2, n)
         for _ in range(3):  # then warm starts near the last solution
-            got = _solve_passive_buses(deltas, lines, loads, passive)
+            got = _solve_passive_buses(deltas, _passive_table(lines, loads, passive))
             want = dict_rebuild_passive_buses(deltas, lines, loads, passive)
             assert got.tobytes() == want.tobytes()
             deltas = got + rng.normal(0.0, 0.01, n)
 
 
-def test_pnp_run_builds_each_online_set_once():
+def test_pnp_run_builds_constants_once_per_segment(monkeypatch):
     sc = parse_scenario(SCENARIOS / "ac15_pnp.json")
     ders, net = sc.ac_plant()
     events = [Event(time=0.5, kind="unplug", payload={"node": 7}),
               Event(time=1.0, kind="plug", payload={"node": 7}),
               Event(time=1.5, kind="unplug", payload={"node": 7})]
-    consensus._online_core.cache_clear()
-    microgrid._passive_neighbours.cache_clear()
+    calls = {"laplacian": 0, "_passive_table": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(consensus, "laplacian", counted(consensus.laplacian))
+    monkeypatch.setattr(microgrid, "_passive_table", counted(microgrid._passive_table))
     run_plant("ac", ders, net, sc.graph(), sc.protocol(), horizon=2.0, events=events)
-    assert consensus._online_core.cache_info().misses == 2  # all online; 7 offline
-    assert microgrid._passive_neighbours.cache_info().misses == 1  # bus 7 passive
-    assert microgrid._passive_neighbours.cache_info().hits == 1  # 2 passive segments
+    assert calls == {"laplacian": 4, "_passive_table": 4}  # 4 segments of 50 steps
 
 
 def test_passive_bus_overload_is_a_runtime_error():
