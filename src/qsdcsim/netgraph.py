@@ -14,7 +14,12 @@ import numpy as np
 
 
 class GraphValidationError(ValueError):
-    """Raised when a graph description violates a structural constraint."""
+    """Raised when a graph description violates a structural constraint;
+    `field` names the input at fault: "nodes", "edges" or "weights"."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ def build_graph(n: int, edges, weights=None) -> CommGraph:
     duplicates, out-of-range indices, or non-positive weights.
     """
     if n <= 0:
-        raise GraphValidationError(f"node count must be positive, got {n}")
+        raise GraphValidationError(f"node count must be positive, got {n}", "nodes")
     edges = [tuple(e) for e in edges]
     if weights is None:
         weights = [1.0] * len(edges)
@@ -58,20 +63,20 @@ def build_graph(n: int, edges, weights=None) -> CommGraph:
         weights = [float(w) for w in weights]
         if len(weights) != len(edges):
             raise GraphValidationError(
-                f"got {len(weights)} weights for {len(edges)} edges"
-            )
+                f"got {len(weights)} weights for {len(edges)} edges", "weights")
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for (i, j), w in zip(edges, weights):
         if i == j:
-            raise GraphValidationError(f"self-loop at node {i}")
+            raise GraphValidationError(f"self-loop at node {i}", "edges")
         if not (0 <= i < n and 0 <= j < n):
-            raise GraphValidationError(f"edge ({i},{j}) out of range for n={n}")
+            raise GraphValidationError(f"edge ({i},{j}) out of range for n={n}", "edges")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise GraphValidationError(f"duplicate edge ({i},{j})")
+            raise GraphValidationError(f"duplicate edge ({i},{j})", "edges")
         if w <= 0.0:
-            raise GraphValidationError(f"non-positive weight {w} on edge ({i},{j})")
+            raise GraphValidationError(f"non-positive weight {w} on edge ({i},{j})",
+                                       "weights")
         seen.add(key)
         norm.append(key)
     return CommGraph(node_count=n, edges=tuple(norm), weights=tuple(weights))

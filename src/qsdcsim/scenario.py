@@ -1,15 +1,25 @@
 """Scenario-file ingestion: JSON schema validation, defaults, physics checks
 and construction of the runtime objects a run needs.
+
+`schemas/scenario.schema.json` is the one declarative source of the file
+format.  `_errors` interprets the subset of JSON Schema 2020-12 (Core and
+Validation) that the file uses: `$ref` (local `#/...` pointers only),
+`allOf`, `oneOf`, `if`/`then`, `const`, `enum`, `type`, `properties`,
+`required`, `additionalProperties: false`, `items` (a schema or `false`),
+`prefixItems`, `minItems`, `maxItems`, `minimum`, `exclusiveMinimum` and
+`maximum`; `$schema`, `$id`, `title` and `$defs` are annotations.  As in
+2020-12, a bool is neither a `number` nor an `integer`, an integer-valued
+float such as 3.0 is an `integer`, and `const: 1` does not match `true`.
+The validator only reads the document; `_apply_defaults` normalizes it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
+from typing import NamedTuple
 
 from .consensus import MixingEvent, ProtocolConfig, ThetaConfig
 from .microgrid import AcDer, AcNetwork, DcDer, DcNetwork, Event
@@ -25,7 +35,6 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
-_VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
 
 _PROTOCOL_DEFAULTS = {
     "dt": 0.01,
@@ -63,7 +72,7 @@ class Scenario:
         theta = p.pop("theta")
         exact = p.pop("exact", True)
         if p.get("shots") is None and not exact:
-            raise ScenarioError("protocol: exact=false requires shots")
+            raise ScenarioError("$.protocol.exact: exact=false requires shots")
         kwargs = dict(p)
         if theta["kind"] == "fixed":
             vals = theta.get("values", math.pi / 2)
@@ -84,7 +93,7 @@ class Scenario:
             return build_graph(g["nodes"], [tuple(e) for e in g["edges"]],
                                g.get("weights"))
         except GraphValidationError as exc:
-            raise ScenarioError(f"graph: {exc}") from exc
+            raise ScenarioError(f"$.graph.{exc.field}: {exc}") from exc
 
     def mixing_events(self) -> list[MixingEvent]:
         section = self.raw.get(self.kind, {})
@@ -94,7 +103,7 @@ class Scenario:
                 out.append(MixingEvent(nodes=tuple(ev["nodes"]), t_start=ev["t_start"],
                                        t_end=ev["t_end"], p=ev["p"]))
             except ValueError as exc:
-                raise ScenarioError(f"{self.kind}.mixing[{i}]: {exc}") from exc
+                raise ScenarioError(f"$.{self.kind}.mixing[{i}]: {exc}") from exc
         return out
 
     def plant_events(self) -> list[Event]:
@@ -138,8 +147,28 @@ class Scenario:
         return ders, net
 
 
+def _integers(schema: dict, inst):
+    """`inst` with every integer-valued float at an `integer` position of
+    `schema` made an int, so that 3.0 nodes or 2.0 substeps run as 3 and 2;
+    lists and dicts are changed in place."""
+    schema = _resolve(schema["$ref"]) if "$ref" in schema else schema
+    if isinstance(inst, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in inst:
+                inst[key] = _integers(sub, inst[key])
+    elif isinstance(inst, list):
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(inst):
+            sub = prefix[i] if i < len(prefix) else schema.get("items", False)
+            if sub is not False:
+                inst[i] = _integers(sub, item)
+    elif isinstance(inst, float) and inst.is_integer() and "integer" in _type_names(schema):
+        return int(inst)
+    return inst
+
+
 def _apply_defaults(doc: dict) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy, normalizes tuples
+    doc = _integers(_SCHEMA, json.loads(json.dumps(doc)))  # deep copy, normalizes tuples
     proto = dict(_PROTOCOL_DEFAULTS)
     proto.update(doc.get("protocol", {}))
     if proto.get("shots") is not None:
@@ -279,13 +308,207 @@ def _check_mixing(sec: dict, n: int, horizon: float, prefix: str) -> None:
                 raise ScenarioError(f"{path}.nodes: {node} out of range")
 
 
+# -- schema validation ------------------------------------------------------
+
+
+class _Error(NamedTuple):
+    path: tuple          # from the instance the error list was made for
+    keyword: str
+    matches_type: bool   # the instance has a type its (sub)schema allows
+    message: str
+    context: tuple = ()  # the branch errors of a failed oneOf
+
+    def rank(self) -> tuple:
+        """max() prefers a shallow error, then the later of two siblings, then
+        any keyword over oneOf, then one whose instance has a type its schema
+        rejects."""
+        return (-len(self.path), self.path, self.keyword != "oneOf", not self.matches_type)
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+
+
+def _is_type(inst, name: str) -> bool:
+    if name in ("number", "integer"):
+        if isinstance(inst, bool) or not isinstance(inst, (int, float)):
+            return False
+        return name == "number" or isinstance(inst, int) or inst.is_integer()
+    return isinstance(inst, _TYPES[name])
+
+
+def _type_names(schema: dict) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def _matches_type(schema: dict, inst) -> bool:
+    return any(_is_type(inst, t) for t in _type_names(schema))
+
+
+def _equal(a, b) -> bool:
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
+
+
+def _resolve(ref: str) -> dict:
+    node = _SCHEMA
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def _errors(schema: dict, inst, path: tuple = ()):
+    """Every error of `inst` under `schema`, keyword by keyword in schema
+    order.  A keyword check yields its own errors as messages and passes on
+    those of its subschemas."""
+    for kw, val in schema.items():
+        if kw in _KEYWORDS:
+            for err in _KEYWORDS[kw](val, inst, schema, path):
+                yield err if isinstance(err, _Error) else _Error(
+                    path, kw, _matches_type(schema, inst), err)
+
+
+def _subschemas(subs, inst, schema, path):
+    for sub in subs:
+        yield from _errors(sub, inst, path)
+
+
+def _one_of(subs, inst, schema, path):
+    found = [tuple(_errors(sub, inst)) for sub in subs]
+    valid = [sub for sub, errs in zip(subs, found) if not errs]
+    if not valid:
+        yield _Error(path, "oneOf", _matches_type(schema, inst),
+                     f"{inst!r} is not valid under any of the given schemas", sum(found, ()))
+    elif len(valid) > 1:
+        yield f"{inst!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+
+
+def _if(cond, inst, schema, path):
+    if "then" in schema and next(_errors(cond, inst, path), None) is None:
+        yield from _errors(schema["then"], inst, path)
+
+
+def _type(types, inst, schema, path):
+    if not _matches_type(schema, inst):
+        yield f"{inst!r} is not of type {', '.join(map(repr, _type_names(schema)))}"
+
+
+def _properties(props, inst, schema, path):
+    if isinstance(inst, dict):
+        for key, sub in props.items():
+            if key in inst:
+                yield from _errors(sub, inst[key], path + (key,))
+
+
+def _required(keys, inst, schema, path):
+    if isinstance(inst, dict):
+        yield from (f"{key!r} is a required property" for key in keys if key not in inst)
+
+
+def _additional_properties(allowed, inst, schema, path):
+    if isinstance(inst, dict) and allowed is False:
+        extra = sorted((k for k in inst if k not in schema.get("properties", {})), key=str)
+        if extra:
+            yield (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                   f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+
+
+def _prefix_items(subs, inst, schema, path):
+    if isinstance(inst, list):
+        for i, (item, sub) in enumerate(zip(inst, subs)):
+            yield from _errors(sub, item, path + (i,))
+
+
+def _items(sub, inst, schema, path):
+    start = len(schema.get("prefixItems", ()))
+    if not isinstance(inst, list) or len(inst) <= start:
+        return
+    if sub is False:
+        extra = len(inst) - start
+        rest = inst[start] if extra == 1 else inst[start:]
+        yield (f"Expected at most {start} item{'' if start == 1 else 's'} "
+               f"but found {extra} extra: {rest!r}")
+    else:
+        for i in range(start, len(inst)):
+            yield from _errors(sub, inst[i], path + (i,))
+
+
+def _const(val, inst, schema, path):
+    if not _equal(inst, val):
+        yield f"{val!r} was expected"
+
+
+def _enum(vals, inst, schema, path):
+    if not any(_equal(inst, v) for v in vals):
+        yield f"{inst!r} is not one of {vals!r}"
+
+
+def _min_items(n, inst, schema, path):
+    if isinstance(inst, list) and len(inst) < n:
+        yield f"{inst!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+def _max_items(n, inst, schema, path):
+    if isinstance(inst, list) and len(inst) > n:
+        yield f"{inst!r} is too long"
+
+
+def _bound(fails, words):
+    """A check that yields `inst words bound` for a number that fails it."""
+    def check(bound, inst, schema, path):
+        if _is_type(inst, "number") and fails(inst, bound):
+            yield f"{inst!r} {words} {bound!r}"
+    return check
+
+
+_KEYWORDS = {
+    "$ref": lambda ref, inst, schema, path: _errors(_resolve(ref), inst, path),
+    "allOf": _subschemas,
+    "oneOf": _one_of,
+    "if": _if,
+    "const": _const,
+    "enum": _enum,
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "prefixItems": _prefix_items,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minimum": _bound(lambda x, b: x < b, "is less than the minimum of"),
+    "exclusiveMinimum": _bound(lambda x, b: x <= b, "is less than or equal to the minimum of"),
+    "maximum": _bound(lambda x, b: x > b, "is greater than the maximum of"),
+}
+
+
+def _best_error(doc: dict) -> _Error | None:
+    """The most relevant schema error of `doc`, with its path from the root.
+
+    That is the best by rank, descending into a failed oneOf's branch errors
+    unless the two best of them tie: the reference validator's `best_match`.
+    """
+    best = max(_errors(_SCHEMA, doc), key=_Error.rank, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        first, *second = sorted(best.context, key=_Error.rank)[:2]
+        if second and first.rank() == second[0].rank():
+            break
+        best, path = first, path + first.path
+    return best._replace(path=path)
+
+
+def _json_path(path: tuple) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 def validate_scenario(doc: dict) -> dict:
     """Schema-validate, apply defaults, run physics checks; returns the
-    normalized document."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ScenarioError(f"{err.json_path}: {err.message}")
+    normalized document and leaves `doc` as it was."""
+    error = _best_error(doc)
+    if error is not None:
+        raise ScenarioError(f"{_json_path(error.path)}: {error.message}")
     doc = _apply_defaults(doc)
     _physics_checks(doc)
     return doc

@@ -415,6 +415,17 @@ def edited_scenario(tmp_path, scenario, edit):
                  lambda d: d["protocol"].update(theta={"kind": "fixed", "values": 0.0}), [],
                  "$.protocol.theta.values: fixed theta 0.0 outside (0, pi)",
                  id="protocol-theta-fixed-zero"),
+    pytest.param("consensus", "consensus3", lambda d: d["graph"].update(weights=[1.0]), [],
+                 "$.graph.weights: got 1 weights for 3 edges", id="graph-weights-count"),
+    pytest.param("consensus", "consensus3", lambda d: d["graph"]["edges"].append([0, 5]), [],
+                 "$.graph.edges: edge (0,5) out of range for n=3", id="graph-edge-range"),
+    pytest.param("consensus", "consensus3", lambda d: d["graph"]["edges"].insert(0, [0, 0]),
+                 [], "$.graph.edges: self-loop at node 0", id="graph-self-loop"),
+    pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(exact=False), [],
+                 "$.protocol.exact: exact=false requires shots", id="protocol-exact-no-shots"),
+    pytest.param("consensus", "consensus3_mixed",
+                 lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
+                 "$.consensus.mixing[0]: event window is reversed", id="mixing-reversed"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):
@@ -422,6 +433,26 @@ def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, sce
     code, _, err = run_cli([command, "--scenario", str(path), *args], tmp_path, capsys)
     assert code == 1
     assert err.strip() == f"validation error: {message}"
+
+
+@pytest.mark.parametrize("command, scenario, edit", [
+    pytest.param("consensus", "consensus3", lambda d, x: d["graph"].update(nodes=x(3)),
+                 id="graph-nodes"),
+    pytest.param("consensus", "consensus3", lambda d, x: d["protocol"].update(substeps=x(2)),
+                 id="protocol-substeps"),
+    pytest.param("eve", "eve_pi6", lambda d, x: d["eve"].update(steps=x(300)), id="eve-steps"),
+])
+def test_cli_integer_valued_floats_run_as_integers(tmp_path, capsys, command, scenario, edit):
+    # JSON Schema counts 3.0 as an integer, so the run must take it as 3
+    outputs = []
+    for form in (int, float):
+        (tmp_path / form.__name__).mkdir()
+        path = edited_scenario(tmp_path / form.__name__, scenario, lambda d: edit(d, form))
+        out_dir = tmp_path / f"{form.__name__}_out"
+        code, _, err = run_cli([command, "--scenario", str(path)], out_dir, capsys)
+        assert code == 0, err
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_eve_single_fixed_theta_list_runs(tmp_path, capsys):
