@@ -167,7 +167,7 @@ def _out_dir(args) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -242,9 +242,13 @@ def cmd_plant(args, sc: Scenario) -> int:
     return 0
 
 
+def _angle(v) -> str:
+    return "null" if v is None else f"{v:.4f}"
+
+
 def cmd_eve(args, sc: Scenario) -> int:
     sec = sc.raw["eve"]
-    seed = args.seed if args.seed is not None else sc.raw["protocol"]["seed"]
+    seed = sc.protocol(seed=args.seed).seed
     shots = args.shots if args.shots is not None else sec["shots_per_step"]
     if shots < 1:
         raise ScenarioError(f"--shots: {shots} shots per step, need at least 1")
@@ -273,8 +277,8 @@ def cmd_eve(args, sc: Scenario) -> int:
         _write_json(path, payload)
         files.append(str(path))
     print(
-        f"eve {sc.name}: naive_phi={report.naive_phi:.4f} "
-        f"informed_phi={report.informed_phi:.4f} phi_true={sec['phi']:.4f} "
+        f"eve {sc.name}: naive_phi={_angle(report.naive_phi)} "
+        f"informed_phi={_angle(report.informed_phi)} phi_true={sec['phi']:.4f} "
         f"entropy_bits={{{', '.join(f'{b}: {e:.3f}' for b, e in sorted(report.entropy_bits.items()))}}} "
         f"-> {', '.join(files) or 'no files'}"
     )

@@ -23,10 +23,11 @@ Backends:
 Nodes keep their labels when some go offline (`qsdc_step`'s `online`
 flags): an offline node loses its edges, so both backends see it isolated.
 
-Random streams are keyed per step, not per node (`measurement.stream_rng`):
-with shots one stream per basis draws all n counts of a step, entry i for
-physical node i.  Thetas come in blocks of THETA_BLOCK steps: the stream
-(seed, step // THETA_BLOCK, theta tag) draws a (THETA_BLOCK, n) block and
+Random streams are keyed per step, not per node (`measurement.stream_rng`
+lists the keys): with shots the stream (seed, shots tag, step) draws the X
+and Y counts of all n nodes in one (2, n) binomial draw, entry i for physical
+node i.  Thetas come in blocks of THETA_BLOCK steps: the stream
+(seed, theta tag, step // THETA_BLOCK) draws a (THETA_BLOCK, n) block and
 step reads its row step % THETA_BLOCK, so the thetas stay a pure function of
 (seed, step, n, lo, hi).  Offline and aborted nodes draw and discard, so no
 node's draws depend on another node's state.
@@ -58,6 +59,7 @@ from .measurement import (
     _STREAM_TAG,
     _sample_zeros,
     qdc_from_expectation,
+    rekeyed_rng,
     stream_rng,
 )
 from .netgraph import (
@@ -86,7 +88,7 @@ class ThetaConfig:
 
     kind "uniform": fresh draw per node per step from (lo, hi); step reads
     row step % THETA_BLOCK of the block that the stream
-    (seed, step // THETA_BLOCK, theta tag) draws, as a read-only view;
+    (seed, theta tag, step // THETA_BLOCK) draws, as a read-only view;
     kind "fixed": constant, either one scalar for all nodes or one value per
     node (used to reproduce pinned example runs deterministically).
     """
@@ -134,7 +136,7 @@ class ThetaConfig:
 @functools.lru_cache(maxsize=2)
 def _theta_block(seed: int, block: int, n: int, lo: float, hi: float) -> np.ndarray:
     """Read-only thetas of steps block*THETA_BLOCK onwards, one row per step."""
-    rows = stream_rng(seed, block, _STREAM_TAG["theta"]).uniform(lo, hi, (THETA_BLOCK, n))
+    rows = stream_rng(seed, _STREAM_TAG["theta"], block).uniform(lo, hi, (THETA_BLOCK, n))
     rows.setflags(write=False)
     return rows
 
@@ -271,20 +273,18 @@ def phase_rhs(phi, s, pinners, graph: CommGraph) -> np.ndarray:
 def _measure_node(xs: np.ndarray, ys: np.ndarray, config: ProtocolConfig, step: int):
     """Measured <X> and <Y> of all n nodes.
 
-    Exact mode returns (xs, ys).  With shots, each basis draws config.shots
-    shots on every node in one binomial draw from the stream (seed, step,
-    basis tag).  qdc_legacy measures X only and reads <Y> as nan.
+    Exact mode returns (xs, ys).  With shots, one binomial draw from the
+    stream (seed, shots tag, step) takes config.shots shots in X (row 0) and
+    in Y (row 1) on every node.  qdc_legacy measures X only, a (1, n) draw,
+    and reads <Y> as nan.
     """
     if config.exact:
         return xs, ys
-
-    def measure(e, basis):
-        rng = stream_rng(config.seed, step, _STREAM_TAG[basis])
-        return 2.0 * _sample_zeros(rng, config.shots, e) / config.shots - 1.0
-
-    if config.mode == "qdc_legacy":
-        return measure(xs, "X"), np.full(len(xs), np.nan)
-    return measure(xs, "X"), measure(ys, "Y")
+    legacy = config.mode == "qdc_legacy"
+    rng = rekeyed_rng(config.seed, _STREAM_TAG["shots"], step)
+    e = _sample_zeros(rng, config.shots, xs[None] if legacy else np.stack((xs, ys)))
+    e = 2.0 * e / config.shots - 1.0
+    return e[0], (np.full(len(xs), np.nan) if legacy else e[1])
 
 
 def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:

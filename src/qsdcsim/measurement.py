@@ -8,13 +8,17 @@ p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
 S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` applies the
 actual 2x2 circuit; the tests check the closed form against it.
 
-Everything measures arrays: one random stream per step and basis draws the
-counts of all nodes (or of all intercepted steps) at once, and a node that
-is offline or aborted draws and discards, never shifting another's draws.
+Everything measures arrays: one binomial draw takes the counts of all nodes
+in every measured basis of a protocol step, or of all intercepted steps in
+one basis, and a node that is offline or aborted draws and discards, never
+shifting another's draws.  Every random stream is a Philox counter-based
+generator (Salmon et al., SC'11) whose key and counter `stream_rng` lists,
+so each is a pure function of (seed, tag, step).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,9 +27,9 @@ import numpy as np
 from .engine import BlochVector
 
 BASES = ("X", "Y", "Z")
-# The last key of every random stream: one table, so that no two callers
-# share a stream by accident (see `stream_rng` for the full keys).
-_STREAM_TAG = {"X": 0, "Y": 1, "Z": 2, "theta": 3, "eve_theta": 4}
+# The second key word of every random stream: one table, so that no two
+# callers share a stream by accident (see `stream_rng` for the full keys).
+_STREAM_TAG = {"X": 0, "Y": 1, "Z": 2, "theta": 3, "eve_theta": 4, "shots": 5}
 # The bases an interceptor measures at step t: entry t mod length.
 _EVE_SCHEDULE = {"cycle": ("X", "Y", "Z"), "xy": ("X", "Y"), "all": ("XYZ",),
                  "x": ("X",), "y": ("Y",), "z": ("Z",)}
@@ -42,22 +46,58 @@ class InvalidStateError(MeasurementError):
     """Bloch component outside [-1, 1] beyond tolerance."""
 
 
-def stream_rng(seed: int, *tags: int) -> np.random.Generator:
-    """Independent, order-insensitive random stream keyed by integer tags.
+def _philox_words(seed: int, tag: int, step: int):
+    """Key (seed mod 2^64, tag) and counter (0, step, 0, 0) of a stream.
 
-    Streams are keyed per step (thetas: per block of B steps) and basis,
-    never per node: one Generator draws the values of all nodes (or all
-    intercepted steps) at once, entry i for node i.  The keys in use, with
-    T = `_STREAM_TAG` and B = `consensus.THETA_BLOCK`:
+    numpy's Philox adds 1 to counter word 0 every 4 outputs, so a step in
+    word 0 would make step k+1's stream step k's shifted by 4 draws; in word
+    1 the streams of two steps lie 2^64 blocks apart."""
+    return (np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64),
+            np.array([0, step, 0, 0], dtype=np.uint64))
 
-      (seed, step // B, T["theta"])  protocol thetas of all n nodes for B
+
+def stream_rng(seed: int, tag: int, step: int = 0) -> np.random.Generator:
+    """Independent, order-insensitive random stream: the Philox generator
+    with key (seed, tag) and counter (0, step, 0, 0).
+
+    Streams are keyed per step (thetas: per block of B steps), never per
+    node: one Generator draws the values of all nodes (or all intercepted
+    steps) at once, entry i for node i.  The keys in use, as (seed, tag,
+    step), with T = `_STREAM_TAG` and B = `consensus.THETA_BLOCK`:
+
+      (seed, T["theta"], step // B)  protocol thetas of all n nodes for B
                                      steps, one row per step (row step % B);
-      (seed, step, T[basis])         protocol shots in basis X or Y, all n nodes;
-      (seed, T["eve_theta"])         polar angles of the `qsdcsim eve` stream;
-      (seed, T[basis])               the interceptor's shots in one basis over
+      (seed, T["shots"], step)       protocol shots of one step: one draw of
+                                     shape (2, n), row 0 in X and row 1 in Y
+                                     (qdc_legacy: (1, n), X only), made by
+                                     the generator `rekeyed_rng` returns;
+      (seed, T["eve_theta"], 0)      polar angles of the `qsdcsim eve` stream;
+      (seed, T[basis], 0)            the interceptor's shots in one basis over
                                      all its steps, and `sample_basis` given an int.
     """
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(t) for t in tags]])
+    key, counter = _philox_words(seed, tag, step)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)  # buffer_pos 4: nothing buffered
+
+
+@functools.cache
+def _reused_generator() -> np.random.Generator:
+    # built on first use: numpy.random stays out of the import
+    return stream_rng(0, 0)
+
+
+def rekeyed_rng(seed: int, tag: int, step: int = 0) -> np.random.Generator:
+    """One reused Generator, set to draw exactly what a fresh
+    `stream_rng(seed, tag, step)` draws; the next call re-keys it again."""
+    rng = _reused_generator()
+    key, counter = _philox_words(seed, tag, step)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -164,9 +204,11 @@ class EveReport:
 
     histograms: dict = field(default_factory=dict)  # basis -> CountHistogram
     exact_p0: dict = field(default_factory=dict)    # basis -> averaged exact p0
-    naive_phi: float = float("nan")
-    informed_phi: float = float("nan")
-    avg_bloch: BlochVector = None
+    # None where an input basis was never measured (informed_phi: or where
+    # the X and Y estimates are both 0, so atan2 has no angle)
+    naive_phi: float | None = None
+    informed_phi: float | None = None
+    avg_bloch: tuple = (None, None, None)  # mean (x, y, z); None: not measured
     entropy_bits: dict = field(default_factory=dict)
     shots_total: int = 0
 
@@ -179,7 +221,7 @@ class EveReport:
             "bases": bases,
             "naive_phi": self.naive_phi,
             "informed_phi": self.informed_phi,
-            "avg_bloch": [self.avg_bloch.x, self.avg_bloch.y, self.avg_bloch.z],
+            "avg_bloch": list(self.avg_bloch),
             "entropy_bits": {b: self.entropy_bits[b] for b in sorted(self.entropy_bits)},
             "shots_total": self.shots_total,
         }
@@ -208,7 +250,8 @@ def eve_intercept(
     once from the stream (seed, basis tag) and pools them.  The naive
     estimate applies arccos to the pooled X expectation, the informed one
     takes atan2 of pooled X and Y estimates.  In exact mode the infinite-shot
-    expectations are averaged over the same steps instead of sampling.
+    expectations are averaged over the same steps instead of sampling.  An
+    estimate or mean whose basis the policy never measures is None.
     """
     comps = _clamped(np.reshape(stream, (-1, len(BASES))))
     if not len(comps):
@@ -219,7 +262,8 @@ def eve_intercept(
     mask = schedule[np.arange(len(comps)) % len(schedule)]  # (steps, basis)
 
     measured = mask.sum(axis=0).tolist()
-    means = (np.where(mask, comps, 0.0).sum(axis=0) / np.maximum(measured, 1)).tolist()
+    means = [total / count if count else None
+             for total, count in zip(np.where(mask, comps, 0.0).sum(axis=0).tolist(), measured)]
     hist: dict[str, CountHistogram] = {}
     if not exact:
         for k, basis in enumerate(BASES):
@@ -229,8 +273,8 @@ def eve_intercept(
                 hist[basis] = CountHistogram(zeros, measured[k] * shots_per_step - zeros)
     ex, ey = (hist[basis].p0 - hist[basis].p1 if basis in hist else means[k]
               for k, basis in enumerate("XY"))
-    naive = math.acos(max(-1.0, min(1.0, ex)))
-    informed = math.atan2(ey, ex) if (ex, ey) != (0.0, 0.0) else float("nan")
+    naive = None if ex is None else math.acos(max(-1.0, min(1.0, ex)))
+    informed = None if None in (ex, ey) or ex == ey == 0.0 else math.atan2(ey, ex)
 
     exact_p0 = {basis: 0.5 * (1.0 + means[k]) for k, basis in enumerate(BASES) if measured[k]}
     entropy = {
@@ -242,7 +286,7 @@ def eve_intercept(
         exact_p0=exact_p0,
         naive_phi=naive,
         informed_phi=informed,
-        avg_bloch=BlochVector(*means),
+        avg_bloch=tuple(means),
         entropy_bits=entropy,
         shots_total=sum(h.shots for h in hist.values()),
     )

@@ -66,6 +66,7 @@ class Scenario:
         p = dict(self.raw.get("protocol", {}))
         for key, val in overrides.items():
             if val is not None:
+                _check_option(key, val)
                 p[key] = val
         if overrides.get("exact"):
             p["shots"] = None
@@ -80,10 +81,7 @@ class Scenario:
             kwargs["theta"] = ThetaConfig.fixed(*vals)
         else:
             kwargs["theta"] = ThetaConfig.uniform(theta["lo"], theta["hi"])
-        try:
-            return ProtocolConfig(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"protocol: {exc}") from exc
+        return ProtocolConfig(**kwargs)  # the schema and physics checks cover each field
 
     def graph(self) -> CommGraph:
         if "graph" not in self.raw:
@@ -168,7 +166,8 @@ def _integers(schema: dict, inst):
 
 
 def _apply_defaults(doc: dict) -> dict:
-    doc = _integers(_SCHEMA, json.loads(json.dumps(doc)))  # deep copy, normalizes tuples
+    # a deep copy; the schema admits no tuples, so the round trip changes nothing else
+    doc = _integers(_SCHEMA, json.loads(json.dumps(doc)))
     proto = dict(_PROTOCOL_DEFAULTS)
     proto.update(doc.get("protocol", {}))
     if proto.get("shots") is not None:
@@ -497,6 +496,15 @@ def _best_error(doc: dict) -> _Error | None:
             break
         best, path = first, path + first.path
     return best._replace(path=path)
+
+
+def _check_option(key: str, value) -> None:
+    """Hold the command-line option --key to the schema of protocol.key,
+    which its value replaces, and name the option in the error."""
+    sub = _resolve("#/$defs/protocol")["properties"][key]
+    error = max(_errors(sub, value), key=_Error.rank, default=None)
+    if error is not None:
+        raise ScenarioError(f"--{key}: {error.message}")
 
 
 def _json_path(path: tuple) -> str:

@@ -218,28 +218,62 @@ def test_step_sampled_mode_deterministic():
     assert np.array_equal(a.phis, b.phis)
 
 
-def test_step_draws_one_stream_per_step_and_basis(monkeypatch):
+def counting(monkeypatch, name, calls, record):
+    """Wrap consensus.<name> so that each call appends record(*args) to calls."""
+    real = getattr(consensus, name)
+
+    def counted(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(consensus, name, counted)
+
+
+def test_step_draws_one_theta_stream_and_one_shot_draw(monkeypatch):
     consensus._theta_block.cache_clear()  # a cached block would need no stream
-    calls = []
-
-    def counted(*key):
-        calls.append(key)
-        return np.random.default_rng(list(key))
-
-    monkeypatch.setattr(consensus, "stream_rng", counted)
+    streams, draws = [], []
+    counting(monkeypatch, "stream_rng", streams, lambda *key: key)
+    counting(monkeypatch, "_sample_zeros", draws, lambda rng, shots, e: np.shape(e))
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     state = ProtocolState(phis=np.full(6, 0.4), step=3)
     uniform = ThetaConfig.uniform(0.5, 2.5)
     qsdc_step(state, g, exact_cfg("phase", theta=uniform), np.full(6, 0.9))
-    assert len(calls) == 1
-    calls.clear()
-    sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8)
-    qsdc_step(state, g, sampled, np.full(6, 0.9), online=[True, False] * 3)
-    assert len(calls) <= 3
+    assert (streams, draws) == ([(0, _STREAM_TAG["theta"], 0)], [])
+    for mode, shape in (("qsdc", (2, 6)), ("qdc_legacy", (1, 6))):
+        streams.clear()
+        draws.clear()
+        sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8,
+                                 mode=mode)
+        qsdc_step(state, g, sampled, np.full(6, 0.9), online=[True, False] * 3)
+        # qdc_legacy fixes theta, so it draws no theta block
+        assert streams == ([(8, _STREAM_TAG["theta"], 0)] if mode == "qsdc" else [])
+        assert draws == [shape]  # every basis and node, offline ones too
+
+
+def test_sampled_run_draws_once_per_step(monkeypatch):
+    draws = []
+    counting(monkeypatch, "_sample_zeros", draws, lambda rng, shots, e: np.shape(e))
+    cfg = ProtocolConfig(dt=0.01, substeps=2, shots=32, seed=3, backend="bloch")
+    run_consensus(PAPER_INIT, PI / 3, TRIANGLE, cfg, horizon=0.5)
+    assert draws == [(2, 3)] * 50
+
+
+def test_shot_draws_are_a_pure_function_of_seed_and_step():
+    # (seed, shots tag, step)'s fresh stream, whatever was measured before
+    xs, ys = np.linspace(-0.9, 0.9, 5), np.linspace(0.8, -0.2, 5)
+    cfg = {seed: ProtocolConfig(shots=100, seed=seed) for seed in (4, 5)}
+    keys = [(4, 7), (5, 7), (4, 8), (4, 7), (5, 2**33)]
+    got = [consensus._measure_node(xs, ys, cfg[seed], step) for seed, step in keys]
+    for (seed, step), (sx, sy) in zip(keys, got):
+        zeros = stream_rng(seed, _STREAM_TAG["shots"], step).binomial(
+            100, 0.5 * (1.0 + np.stack((xs, ys))))
+        assert np.array_equal(np.stack((sx, sy)), zeros / 50.0 - 1.0)
+    assert np.array_equal(np.stack(got[0]), np.stack(got[3]))
+    assert not np.array_equal(np.stack(got[0]), np.stack(got[2]))
 
 
 def test_theta_blocks_match_fresh_draws():
-    # each row is (seed, step // THETA_BLOCK, theta tag)'s block row
+    # each row is (seed, theta tag, step // THETA_BLOCK)'s block row
     # step % THETA_BLOCK, whatever order the steps come in and whatever the
     # cache holds
     theta, b = ThetaConfig.uniform(0.3, 2.8), consensus.THETA_BLOCK
@@ -249,7 +283,7 @@ def test_theta_blocks_match_fresh_draws():
     for step, row in zip(steps, rows):
         consensus._theta_block.cache_clear()
         assert np.array_equal(row, theta.draw(6, step, 7))
-        block = stream_rng(6, step // b, _STREAM_TAG["theta"]).uniform(0.3, 2.8, (b, 7))
+        block = stream_rng(6, _STREAM_TAG["theta"], step // b).uniform(0.3, 2.8, (b, 7))
         assert np.array_equal(row, block[step % b])
 
 

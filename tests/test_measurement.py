@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 from qsdcsim import measurement
 from qsdcsim.engine import BlochVector
 from qsdcsim.measurement import (
+    _STREAM_TAG,
     CountHistogram,
     InvalidStateError,
     binary_entropy_bits,
@@ -14,6 +16,7 @@ from qsdcsim.measurement import (
     eve_intercept,
     exact_probability,
     qdc_from_expectation,
+    rekeyed_rng,
     sample_basis,
     stream_rng,
     _gate_level_p0,
@@ -87,9 +90,44 @@ def test_gate_level_path_matches_closed_form():
 
 
 def test_sampling_deterministic_per_stream():
-    h1 = sample_basis(equator(0.3), "X", 100, stream_rng(42, 1, 2, 0))
-    h2 = sample_basis(equator(0.3), "X", 100, stream_rng(42, 1, 2, 0))
+    h1 = sample_basis(equator(0.3), "X", 100, stream_rng(42, _STREAM_TAG["shots"], 2))
+    h2 = sample_basis(equator(0.3), "X", 100, stream_rng(42, _STREAM_TAG["shots"], 2))
     assert h1.zeros == h2.zeros
+
+
+# -- stream keys ---------------------------------------------------------------
+
+
+def test_rekeyed_generator_draws_what_a_fresh_stream_draws():
+    # whatever the reused generator drew before (a half-used Philox block, a
+    # pending 32-bit half), re-keying makes it the fresh stream's equal
+    keys = [(42, 5, 7), (42, 5, 8), (42, 4, 7), (-1, 5, 7), (2**64 - 1, 0, 0),
+            (3, 2, 2**40), (42, 5, 7)]
+    for seed, tag, step in keys:
+        rng = rekeyed_rng(seed, tag, step)
+        fresh = stream_rng(seed, tag, step)
+        assert rng.bit_generator.state["state"]["key"].tolist() == [seed % 2**64, tag]
+        assert rng.bit_generator.state["state"]["counter"].tolist() == [0, step, 0, 0]
+        assert np.array_equal(rng.binomial(64, np.linspace(0.1, 0.9, 30).reshape(2, 15)),
+                              fresh.binomial(64, np.linspace(0.1, 0.9, 30).reshape(2, 15)))
+        assert np.array_equal(rng.random(5), fresh.random(5))
+        assert rng.integers(0, 2**31, 3, dtype=np.uint32).tolist() == \
+            fresh.integers(0, 2**31, 3, dtype=np.uint32).tolist()
+    assert rekeyed_rng(1, 2, 3) is rekeyed_rng(4, 5, 6)  # one generator, re-keyed
+
+
+@pytest.mark.parametrize("step", [0, 1, 1023])
+def test_step_streams_are_not_shifted_copies(step):
+    # numpy's Philox adds 1 to counter word 0 every 4 outputs: with the step
+    # there, step k+1's stream would be step k's without its first 4 outputs
+    def raw(counter):
+        bits = np.random.Philox(key=[9, _STREAM_TAG["shots"]], counter=counter)
+        return bits.random_raw(12)
+
+    assert np.array_equal(raw([step + 1, 0, 0, 0])[:8], raw([step, 0, 0, 0])[4:])
+    now = stream_rng(9, _STREAM_TAG["shots"], step).bit_generator.random_raw(4000)
+    later = stream_rng(9, _STREAM_TAG["shots"], step + 1).bit_generator.random_raw(4000)
+    assert not np.isin(later[:4], now).any()
 
 
 # -- twin estimator ----------------------------------------------------------
@@ -230,6 +268,24 @@ def test_eve_entropy_bounds_and_json():
                       "entropy_bits", "shots_total"}
     assert set(d["bases"]) == {"X", "Y", "Z"}
     assert len(d["avg_bloch"]) == 3
+
+
+@pytest.mark.parametrize("policy, null_fields", [
+    ("x", {"informed_phi", "avg_bloch[1]", "avg_bloch[2]"}),
+    ("y", {"naive_phi", "informed_phi", "avg_bloch[0]", "avg_bloch[2]"}),
+    ("z", {"naive_phi", "informed_phi", "avg_bloch[0]", "avg_bloch[1]"}),
+    ("xy", {"avg_bloch[2]"}),
+])
+@pytest.mark.parametrize("exact", [False, True])
+def test_eve_unmeasured_estimates_are_null(policy, null_fields, exact):
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300))
+    d = eve_intercept(stream, bases_policy=policy, shots_per_step=5, seed=7,
+                      exact=exact).to_json_dict()
+    fields = {"naive_phi": d["naive_phi"], "informed_phi": d["informed_phi"],
+              **{f"avg_bloch[{k}]": v for k, v in enumerate(d["avg_bloch"])}}
+    assert {name for name, v in fields.items() if v is None} == null_fields
+    assert all(math.isfinite(v) for v in fields.values() if v is not None)
+    json.dumps(d, allow_nan=False)
 
 
 def test_eve_deterministic_given_seed():

@@ -20,6 +20,10 @@ PI = math.pi
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def minimal_consensus_doc(**extra):
     doc = {
         "schema_version": 1,
@@ -292,7 +296,8 @@ def test_cli_eve_report(tmp_path, capsys):
         ["eve", "--scenario", str(SCENARIOS / "eve_pi6.json"), "--seed", "7"],
         tmp_path, capsys)
     assert code == 0
-    payload = json.loads((tmp_path / "eve_pi6_eve.json").read_text())
+    payload = json.loads((tmp_path / "eve_pi6_eve.json").read_text(),
+                         parse_constant=reject_constant)
     assert set(payload["bases"]) == {"X", "Y", "Z"}
     assert abs(payload["naive_phi"] - PI / 6) >= 0.3
     assert payload["entropy_bits"]["Z"] >= 0.99
@@ -426,6 +431,12 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
                  "$.consensus.mixing[0]: event window is reversed", id="mixing-reversed"),
+    pytest.param("consensus", "consensus3", lambda d: None, ["--dt", "0.5"],
+                 "--dt: 0.5 is greater than the maximum of 0.1", id="option-dt"),
+    pytest.param("dc", "dc9", lambda d: None, ["--backend", "phase", "--shots", "0"],
+                 "--shots: 0 is less than the minimum of 1", id="option-shots"),
+    pytest.param("eve", "eve_pi6", lambda d: None, ["--seed", "-1"],
+                 "--seed: -1 is less than the minimum of 0", id="option-seed"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):

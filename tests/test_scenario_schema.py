@@ -205,12 +205,16 @@ def test_two_field_mutations_match_reference(reference, scenario):
 
 
 def test_cli_import_loads_no_schema_library():
+    # set-up (importing the CLI, parsing every bundled scenario) loads neither
+    # a schema library nor numpy.random, which only a run that draws needs
     code = (
         "import sys, qsdcsim.cli\n"
         "from qsdcsim.scenario import parse_scenario\n"
-        f"parse_scenario({str(SCENARIOS / 'eve_pi6.json')!r})\n"
-        "roots = {'jsonschema', 'referencing', 'attrs', 'attr', 'rpds'}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in roots))\n"
+        f"for path in {sorted(map(str, SCENARIOS.glob('*.json')))!r}:\n"
+        "    parse_scenario(path)\n"
+        "roots = {'jsonschema', 'referencing', 'attrs', 'attr', 'rpds', 'numpy.random'}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if {m.split('.')[0], '.'.join(m.split('.')[:2])} & roots))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
