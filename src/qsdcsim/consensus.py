@@ -8,9 +8,10 @@ twin-qubit estimate atan2(<Y>, <X>) back as the next phi_i.
 
 Backends:
   full  - dense density matrix driven by the jump operators, applied as a
-          phase mask (rotation-Z) and axis swaps (swap) with no 2^n x 2^n
-          operator; `engine.rz_jump`, `swap_jump`, `pauli_on` and
-          `lindblad_rhs` keep the explicit-matrix form as its oracle;
+          phase mask (rotation-Z) and a flat gather per edge (swap, 8 * 4^n
+          bytes of index per edge) with no 2^n x 2^n operator; `engine.rz_jump`,
+          `swap_jump`, `pauli_on` and `lindblad_rhs` keep the explicit-matrix
+          form as its oracle;
   bloch - the per-node local expectations.  Rotation-Z and swap conjugation
           map local Pauli observables to local Pauli observables, so with
           w_i = x_i + i*y_i they obey the closed linear flow

@@ -15,14 +15,16 @@ conjugations are index operations on rho, so the production path builds no
       rho[a, b].  All pins fold into one phase mask per step,
       M = sum_i outer(e_i, conj(e_i)) - W_total with e_i = exp(i alpha_i bit_i)
       and W_total the summed pin and edge weights;
-  swap on edge (i, j): rho[p][:, p] with p the bit exchange, i.e. rho with
-      tensor axes i <-> j and n+i <-> n+j transposed.
+  swap on edge (i, j): rho[p][:, p] with p the bit exchange (`_swap_perm`),
+      one gather of the flattened rho through the flat index p[a] 2^n + p[b].
 
 So the RHS is M * rho + sum_e w_e swap_e(rho) (`IndexJumpSet`), at
-O((n+m) 4^n) per evaluation instead of O((n+m) 8^n).  The local depolarizing
-channel is a partial trace and replace.  `rz_jump`, `swap_jump`, `pauli_on`
-and `lindblad_rhs` (the full anticommutator form on explicit matrices) are the
-oracle the tests cross-check the index form against.
+O((n+m) 4^n) per evaluation instead of O((n+m) 8^n), with 8 * 4^n bytes of
+flat index per edge (32 KiB at n = 6, 8 MiB at the 10-qubit cap) held by the
+step's jump set.  The local depolarizing channel is a partial trace and
+replace.  `rz_jump`, `swap_jump`, `pauli_on` and `lindblad_rhs` (the full
+anticommutator form on explicit matrices) are the oracle the tests
+cross-check the index form against.
 
 `_rk4` is the package's one integrator: `evolve` runs it on rho, the
 `bloch`/`phase` core of `consensus` on v' = A v with A the 2n x 2n matrix
@@ -156,13 +158,16 @@ class DensityMatrix:
 
     def check(self, eigen_tol: float | None = None) -> None:
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > self.HERMITICITY_TOL:
+        m_dag = m.conj().T
+        if np.max(np.abs(m - m_dag)) > self.HERMITICITY_TOL:
             raise StateValidationError("state is not Hermitian within 1e-9")
-        if abs(np.trace(m).real - 1.0) > self.TRACE_TOL or abs(np.trace(m).imag) > self.TRACE_TOL:
-            raise StateValidationError(f"trace {np.trace(m)} is not 1 within 1e-9")
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > self.TRACE_TOL or abs(trace.imag) > self.TRACE_TOL:
+            raise StateValidationError(f"trace {trace} is not 1 within 1e-9")
         # lambda_min(H) > -tol exactly when H + tol*I has a Cholesky factor
         tol = self.EIGEN_TOL if eigen_tol is None else eigen_tol
-        shifted = 0.5 * (m + m.conj().T) + tol * np.eye(len(m))
+        shifted = 0.5 * (m + m_dag)
+        shifted.flat[::len(m) + 1] += tol
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -182,7 +187,7 @@ def product_state(specs) -> DensityMatrix:
         )
     psi = specs[0].ket()
     for spec in specs[1:]:
-        psi = np.kron(psi, spec.ket())
+        psi = np.multiply.outer(psi, spec.ket()).ravel()
     rho = np.outer(psi, psi.conj())
     return DensityMatrix(matrix=rho, qubit_count=n)
 
@@ -216,22 +221,7 @@ def swap_jump(i: int, j: int, n: int) -> np.ndarray:
         raise IndexError("swap requires two distinct nodes")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"swap ({i},{j}) out of range for {n} qubits")
-    dim = 2**n
-    perm = np.zeros(dim, dtype=np.intp)
-    # Bit k of the basis index corresponds to node k counted from the left
-    # (most significant side), matching the Kronecker convention above.
-    shift_i = n - 1 - i
-    shift_j = n - 1 - j
-    for idx in range(dim):
-        bi = (idx >> shift_i) & 1
-        bj = (idx >> shift_j) & 1
-        out = idx & ~(1 << shift_i) & ~(1 << shift_j)
-        out |= bj << shift_i
-        out |= bi << shift_j
-        perm[idx] = out
-    m = np.zeros((dim, dim), dtype=complex)
-    m[perm, np.arange(dim)] = 1.0
-    return m
+    return np.eye(2**n, dtype=complex)[:, _swap_perm(i, j, n)]
 
 
 @dataclass
@@ -275,26 +265,26 @@ def _node_bits(n: int) -> np.ndarray:
     return bits
 
 
-# Transposing rho.reshape(_swap_shape(i, j, n)) by these axes exchanges
-# factors i and j of both the row and the column index.
-_SWAP_AXES = (0, 3, 2, 1, 4, 5, 8, 7, 6, 9)
-
-
 @functools.lru_cache(maxsize=None)
-def _swap_shape(i: int, j: int, n: int) -> tuple[int, ...]:
-    """View of a 2^n x 2^n matrix whose axes 1, 3 (6, 8) are factors i < j of
-    the row (column) index; the other axes merge the factors between them."""
-    factor = (2**i, 2, 2 ** (j - i - 1), 2, 2 ** (n - j - 1))
-    return factor + factor
+def _swap_perm(i: int, j: int, n: int) -> np.ndarray:
+    """perm[a]: basis index a with the bits of nodes i and j exchanged, an
+    involution (node 0 is the most significant bit)."""
+    a = np.arange(2**n)
+    shift_i, shift_j = n - 1 - i, n - 1 - j
+    differ = ((a >> shift_i) ^ (a >> shift_j)) & 1
+    perm = a ^ (differ << shift_i) ^ (differ << shift_j)
+    perm.flags.writeable = False
+    return perm
 
 
 class IndexJumpSet:
     """The protocol's jumps in index form: a rotation-Z pin of angle alpha_i
     and weight 1 on every node, a swap of weight w_e on every edge.
 
-    `rhs` applies them as one phase mask and in-place axis swaps.  `all_ops`
-    builds the explicit (rz_jump / swap_jump, weight) pairs on first use, for
-    the oracle `lindblad_rhs`.
+    `rhs` applies them as one phase mask and, per edge, one gather of the
+    flattened rho through a flat index (8 * 4^n bytes, built on first use and
+    held by the set).  `all_ops` builds the explicit (rz_jump / swap_jump,
+    weight) pairs on first use, for the oracle `lindblad_rhs`.
     """
 
     def __init__(self, n: int, pin_angles, edges, weights):
@@ -325,19 +315,20 @@ class IndexJumpSet:
 
     @functools.cached_property
     def _swap_groups(self) -> list:
-        """Swap shapes grouped by edge weight, so rho is scaled once per weight."""
+        """Flat swap indices grouped by edge weight, so rho is scaled once per weight."""
         groups: dict[float, list] = {}
         for (i, j), w in zip(self.edges, self.weights):
-            groups.setdefault(w, []).append(_swap_shape(min(i, j), max(i, j), self.n))
+            p = _swap_perm(i, j, self.n)
+            groups.setdefault(w, []).append((p[:, np.newaxis] * len(p) + p).ravel())
         return list(groups.items())
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self._mask * rho
-        for w, shapes in self._swap_groups:
+        flat = out.reshape(-1)  # a view: out is C-ordered, as the mask is
+        for w, indices in self._swap_groups:
             scaled = rho if w == 1.0 else w * rho
-            for shape in shapes:
-                view = out.reshape(shape)
-                np.add(view, scaled.reshape(shape).transpose(_SWAP_AXES), out=view)
+            for index in indices:
+                flat += scaled.take(index)
         return out
 
 

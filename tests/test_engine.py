@@ -16,6 +16,7 @@ from qsdcsim.engine import (
     PureQubitSpec,
     StateValidationError,
     _rk4,
+    _swap_perm,
     bloch_of,
     build_jump_set,
     depolarize_local,
@@ -87,6 +88,18 @@ def test_product_state_partial_trace_oracle():
         assert abs(b.z) < 1e-12
 
 
+def test_product_state_matches_kron_chain_bitwise():
+    rng = np.random.default_rng(14)
+    for n in range(1, 7):
+        for _ in range(3):
+            specs = [PureQubitSpec(theta=rng.uniform(0.1, math.pi - 0.1),
+                                   phi=rng.uniform(0.0, math.pi / 2)) for _ in range(n)]
+            psi = specs[0].ket()
+            for spec in specs[1:]:
+                psi = np.kron(psi, spec.ket())
+            assert np.array_equal(product_state(specs).matrix, np.outer(psi, psi.conj()))
+
+
 def test_product_state_capacity():
     specs = [PureQubitSpec(theta=1.0, phi=0.1)] * (MAX_DENSE_QUBITS + 1)
     with pytest.raises(CapacityError, match="bloch"):
@@ -124,6 +137,19 @@ def test_swap_is_symmetric_involution():
     c = swap_jump(1, 2, 3)
     assert np.max(np.abs(c - c.T)) == 0.0
     assert np.max(np.abs(c @ c - np.eye(8))) == 0.0
+
+
+def test_swap_perm_exchanges_two_bits_and_is_an_involution():
+    for n in range(2, 7):
+        for i in range(n):
+            for j in range(i + 1, n):
+                p = _swap_perm(i, j, n)
+                assert np.array_equal(p, _swap_perm(j, i, n))
+                assert np.array_equal(p[p], np.arange(2**n))
+                for a in range(2**n):
+                    bits = list(format(a, f"0{n}b"))  # node 0 is the leftmost bit
+                    bits[i], bits[j] = bits[j], bits[i]
+                    assert p[a] == int("".join(bits), 2)
 
 
 def test_swap_index_errors():
@@ -491,6 +517,25 @@ def test_index_form_matches_explicit_oracle():
             fast = evolve(rho, index, 0.05, 2)
             slow = evolve(rho, explicit, 0.05, 2)
             assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
+
+
+def test_index_rhs_is_mask_plus_weighted_swaps_bitwise():
+    rng = np.random.default_rng(15)
+    for n in range(2, 7):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # repeated and distinct weights, 1.0 among them, interleaved in edge order
+        weights = rng.choice([0.5, 1.0, 2.0, 0.75], len(edges))
+        g = build_graph(n, edges, weights)
+        jumps = build_jump_set(g, rng.uniform(-1.5, 1.5, n))
+        rho = entangled_state(rng, n).matrix
+        expected = jumps._mask * rho
+        # rhs adds the swaps grouped by weight, in order of first appearance
+        for w in dict.fromkeys(g.weights):
+            for (i, j), we in zip(g.edges, g.weights):
+                if we == w:
+                    p = _swap_perm(i, j, n)
+                    expected = expected + w * rho[p][:, p]
+        assert np.array_equal(jumps.rhs(rho), expected)
 
 
 # -- the shared RK4 stepper --------------------------------------------------
