@@ -38,8 +38,9 @@ the measured phase), so the flow is one matrix on v = [w; z]:
 v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  A run builds
 one `StepPlan` per segment (`run_plant`: per event segment), holding the
 read-only core -blockdiag(L, L) of the graph without the offline nodes'
-edges; a step copies it into the plan's buffer A and adds the gains to its
-first n diagonal entries.  `full` and `bloch` share one integrator,
+edges, and the buffer A, filled with the core once: the off-diagonal entries
+never change within a plan, and a step writes only w's diagonal, the core's
+plus the gains.  `full` and `bloch` share one integrator,
 `engine._rk4` (Horner-form RK4), on rho and on v; it commutes with the
 linear map from rho to local Bloch vectors, so the two agree to rounding.
 The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are the
@@ -271,21 +272,24 @@ def phase_rhs(phi, s, pinners, graph: CommGraph) -> np.ndarray:
     return dphi
 
 
-def _measure_node(xs: np.ndarray, ys: np.ndarray, config: ProtocolConfig, step: int):
-    """Measured <X> and <Y> of all n nodes.
+def _measure_node(w: np.ndarray, config: ProtocolConfig, step: int):
+    """Measured <X> and <Y> of all n nodes, from w = <X> + i*<Y>.
 
-    Exact mode returns (xs, ys).  With shots, one binomial draw from the
-    stream (seed, shots tag, step) takes config.shots shots in X (row 0) and
-    in Y (row 1) on every node.  qdc_legacy measures X only, a (1, n) draw,
+    Exact mode returns (w.real, w.imag).  With shots, one binomial draw from
+    the stream (seed, shots tag, step) takes config.shots shots in X (row 0)
+    and in Y (row 1) on every node; the rows are a strided (2, n) view of
+    w's own memory, not a copy.  qdc_legacy measures X only, a (1, n) draw,
     and reads <Y> as nan.
     """
     if config.exact:
-        return xs, ys
+        return w.real, w.imag
     legacy = config.mode == "qdc_legacy"
     rng = rekeyed_rng(config.seed, _STREAM_TAG["shots"], step)
-    e = _sample_zeros(rng, config.shots, xs[None] if legacy else np.stack((xs, ys)))
-    e = 2.0 * e / config.shots - 1.0
-    return e[0], (np.full(len(xs), np.nan) if legacy else e[1])
+    xy = w[:, None].view(float).T  # [:, None]: w itself may be strided
+    e = 2.0 * _sample_zeros(rng, config.shots, xy[:1] if legacy else xy)
+    e /= config.shots  # in place, the roundings of 2.0 * zeros / shots - 1.0
+    e -= 1.0
+    return e[0], (np.full(len(w), np.nan) if legacy else e[1])
 
 
 def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
@@ -301,7 +305,9 @@ class StepPlan:
     """What the steps over `graph` with the bool mask `online` (None: all
     online) share: the offline nodes' indices, `graph` without their edges,
     its read-only linear core -blockdiag(L, L) before the gains, and the
-    buffers A and v0 of the bloch flow, which each step overwrites."""
+    buffers A and v0 of the bloch flow.  A starts as the core; a step
+    overwrites v0 and `diag`, the view of w's diagonal in A, from
+    `core_diag`, the core's copy of it."""
 
     def __init__(self, graph: CommGraph, online=None):
         n = graph.node_count
@@ -314,7 +320,9 @@ class StepPlan:
                                tuple(graph.weights[k] for k in kept))
         self.core = -np.kron(np.eye(2), laplacian(self.graph)).astype(complex)
         self.core.setflags(write=False)
-        self.a, self.v0 = np.empty((2 * n, 2 * n), dtype=complex), np.empty(2 * n, dtype=complex)
+        self.a, self.v0 = self.core.copy(), np.empty(2 * n, dtype=complex)
+        self.diag = self.a.ravel()[:n * (2 * n + 1):2 * n + 1]
+        self.core_diag = self.diag.copy()
 
 
 def qsdc_step(
@@ -357,27 +365,24 @@ def qsdc_step(
             if ev.active(t_now, config.dt):
                 for i in ev.nodes:
                     rho = engine.depolarize_local(rho, i, ev.p)
-        xs = np.empty(n)
-        ys = np.empty(n)
-        zs = np.empty(n)
+        w, zs = np.empty(n, dtype=complex), np.empty(n)
         for i in range(n):
             b = engine.local_bloch(rho, i)
-            xs[i], ys[i], zs[i] = b.x, b.y, b.z
+            w[i], zs[i] = complex(b.x, b.y), b.z
         final_rho = rho
     else:  # bloch and phase: v' = A v on v = [w; z], w = x + i*y
-        a, v0 = plan.a, plan.v0
-        np.copyto(a, plan.core)
-        a.ravel()[:n * (2 * n + 1):2 * n + 1] += np.exp(1j * alphas) - 1.0  # w's diagonal
+        v0 = plan.v0
+        np.add(plan.core_diag, np.exp(1j * alphas) - 1.0, out=plan.diag)
         np.multiply(np.sin(thetas), np.exp(1j * phis), out=v0[:n])
         v0[n:] = np.cos(thetas)
-        out = _rk4(v0, a.dot, config.dt, config.substeps).reshape(2, n)
+        out = _rk4(v0, plan.a.dot, config.dt, config.substeps).reshape(2, n)
         if events:
             out *= _mixing_factors(n, events, t_now, config.dt)
-        xs, ys, zs = out[0].real, out[0].imag, out[1].real
+        w, zs = out[0], out[1].real
         final_rho = None
 
-    s_after = np.hypot(xs, ys)
-    sx, sy = _measure_node(xs, ys, config, state.step)
+    s_after = np.hypot(w.real, w.imag)
+    sx, sy = _measure_node(w, config, state.step)
     new_phis = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
                 else np.arctan2(sy, sx)).clip(0.0, math.pi / 2)
     aborted = s_after < S_FLOOR  # exact mode: sx, sy both zero means s_after == 0

@@ -79,24 +79,26 @@ def stream_rng(seed: int, tag: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)  # buffer_pos 4: nothing buffered
-
-
 @functools.cache
-def _reused_generator() -> np.random.Generator:
-    # built on first use: numpy.random stays out of the import
-    return stream_rng(0, 0)
+def _reused_generator():
+    """The Generator that `rekeyed_rng` re-keys, and the state dict it sets:
+    built on first use, so numpy.random stays out of the import."""
+    rng = stream_rng(0, 0)
+    return rng, rng.bit_generator.state  # buffer_pos 4: nothing buffered
 
 
 def rekeyed_rng(seed: int, tag: int, step: int = 0) -> np.random.Generator:
     """One reused Generator, set to draw exactly what a fresh
-    `stream_rng(seed, tag, step)` draws; the next call re-keys it again."""
-    rng = _reused_generator()
-    key, counter = _philox_words(seed, tag, step)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": counter, "key": key},
-        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    `stream_rng(seed, tag, step)` draws; the next call re-keys it again.
+
+    Each call writes the key (seed mod 2^64, tag) and counter word 1 (step)
+    of `_philox_words`' layout into the one kept state dict and assigns it;
+    Philox's state setter copies the values, and the dict's other counter
+    words and empty buffer never change."""
+    rng, state = _reused_generator()
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    key[0], key[1], counter[1] = int(seed) & 0xFFFFFFFFFFFFFFFF, tag, step
+    rng.bit_generator.state = state
     return rng
 
 
@@ -137,10 +139,12 @@ def _clamped(e) -> np.ndarray:
     """Bloch components clamped to [-1, 1]; one beyond it by more than 1e-9
     is not a state."""
     e = np.asarray(e, dtype=float)
-    bad = np.abs(e) > 1.0 + 1e-9
-    if bad.any():
-        raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
-    return np.clip(e, -1.0, 1.0)
+    c = e.clip(-1.0, 1.0)
+    if (c != e).any():  # some |e| > 1, or a nan, which passes through
+        bad = np.abs(e) > 1.0 + 1e-9
+        if bad.any():
+            raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
+    return c
 
 
 def exact_probability(bloch: BlochVector, basis: str) -> float:

@@ -263,13 +263,34 @@ def test_shot_draws_are_a_pure_function_of_seed_and_step():
     xs, ys = np.linspace(-0.9, 0.9, 5), np.linspace(0.8, -0.2, 5)
     cfg = {seed: ProtocolConfig(shots=100, seed=seed) for seed in (4, 5)}
     keys = [(4, 7), (5, 7), (4, 8), (4, 7), (5, 2**33)]
-    got = [consensus._measure_node(xs, ys, cfg[seed], step) for seed, step in keys]
+    got = [consensus._measure_node(xs + 1j * ys, cfg[seed], step) for seed, step in keys]
     for (seed, step), (sx, sy) in zip(keys, got):
         zeros = stream_rng(seed, _STREAM_TAG["shots"], step).binomial(
             100, 0.5 * (1.0 + np.stack((xs, ys))))
         assert np.array_equal(np.stack((sx, sy)), zeros / 50.0 - 1.0)
     assert np.array_equal(np.stack(got[0]), np.stack(got[3]))
     assert not np.array_equal(np.stack(got[0]), np.stack(got[2]))
+
+
+@pytest.mark.parametrize("mode", ["qsdc", "qdc_legacy"])
+def test_measure_node_samples_strided_w_like_a_stacked_copy(mode):
+    # the (2, n) rows are a view of w's own memory; they must draw bitwise
+    # what the stacked copy of (x, y) draws, however w is laid out
+    xs = np.array([-1.0, -0.6, 0.0, 0.35, 1.0, 0.9])
+    ys = np.array([0.2, -1.0, 0.5, -0.0, 0.0, 1.0])
+    buf = np.zeros((3, 6), dtype=complex)
+    buf[:, 1] = xs[:3] + 1j * ys[:3]
+    for w in (xs + 1j * ys, buf[:, 1], (xs + 1j * ys)[::-2], np.stack((xs + 1j * ys, xs))[0]):
+        cfg = ProtocolConfig(shots=50, seed=6, mode=mode)
+        sx, sy = consensus._measure_node(w, cfg, 11)
+        e = np.stack((w.real, w.imag))[:1 if mode == "qdc_legacy" else 2]
+        zeros = stream_rng(6, _STREAM_TAG["shots"], 11).binomial(50, 0.5 * (1.0 + np.clip(e, -1, 1)))
+        want = 2.0 * zeros / 50 - 1.0
+        assert sx.tobytes() == want[0].tobytes()
+        if mode == "qsdc":
+            assert sy.tobytes() == want[1].tobytes()
+        else:
+            assert np.isnan(sy).all() and sy.shape == sx.shape
 
 
 def test_theta_blocks_match_fresh_draws():
@@ -370,6 +391,30 @@ def test_step_plan_prunes_offline_edges():
         core[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         core += 1.0
+
+
+def test_step_plan_reuse_matches_fresh_plans_bitwise():
+    # a step writes only w's diagonal of the plan's A: every other entry
+    # stays the core's, and ten steps through one plan equal ten that each
+    # build their own
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], weights=[1, 2, 1, 0.5, 1, 3])
+    online = np.arange(5) != 2
+    events = (MixingEvent((1, 4), 0.02, 0.05, 0.1),)
+    keep = ~np.eye(10, dtype=bool)
+    keep[5:, 5:] = True
+    for shots in (None, 64):
+        cfg = ProtocolConfig(dt=0.01, substeps=3, shots=shots, backend="bloch", seed=4,
+                             theta=ThetaConfig.uniform(0.4, 2.7))
+        plan = consensus.StepPlan(g, online)
+        shared = fresh = ProtocolState(phis=np.array([0.1, 1.2, 0.7, 0.3, 1.5]))
+        for k in range(10):
+            pinners = np.linspace(0.2, 1.3, 5) + 0.05 * k
+            shared = qsdc_step(shared, g, cfg, pinners, events, plan=plan)
+            fresh = qsdc_step(fresh, g, cfg, pinners, events, online=online)
+            assert plan.a[keep].tobytes() == plan.core[keep].tobytes()
+            for got, want in ((shared.phis, fresh.phis), (shared.s, fresh.s),
+                              (shared.zs, fresh.zs)):
+                assert got.tobytes() == want.tobytes()
 
 
 # -- backend equivalence -----------------------------------------------------

@@ -116,6 +116,38 @@ def test_rekeyed_generator_draws_what_a_fresh_stream_draws():
     assert rekeyed_rng(1, 2, 3) is rekeyed_rng(4, 5, 6)  # one generator, re-keyed
 
 
+def test_rekey_in_place_leaks_no_state_between_streams():
+    # the one state dict is rewritten in place on every call: a pending
+    # 32-bit half, or writes into the state arrays a caller read back, must
+    # not carry over into the next key
+    p = np.linspace(0.1, 0.9, 30).reshape(2, 15)
+    for seed, tag, step in [(42, 5, 7), (43, 4, 2**40), (42, 5, 7)]:
+        rng = rekeyed_rng(seed, tag, step)
+        fresh = stream_rng(seed, tag, step)
+        assert np.array_equal(rng.binomial(64, p), fresh.binomial(64, p))
+        assert rng.integers(0, 2**31, dtype=np.uint32) == fresh.integers(0, 2**31, dtype=np.uint32)
+        read = rng.bit_generator.state
+        assert read["has_uint32"] == 1  # the other half stays pending
+        for words in (read["state"]["key"], read["state"]["counter"], read["buffer"]):
+            words[:] = 99
+
+
+def test_clamped_is_np_clip_and_raises_exactly_beyond_tolerance():
+    # one clip pass; the tolerance test runs only when the clip moved
+    # something, with the same verdicts: -0.0 and nan pass through
+    edge = [1.0, -1.0, 1 + 5e-10, -(1 + 5e-10), 1 + 2e-9, -(1 + 2e-9), -0.0, math.nan]
+    for value in edge:
+        e = np.array([0.25, value, -0.5, 0.75])
+        grid = np.zeros((4, 6))
+        grid[:, 3] = e
+        for view in (e, grid[:, 3], np.stack((e, e[::-1])).T, e[::-2]):
+            if (np.abs(view) > 1 + 1e-9).any():
+                with pytest.raises(InvalidStateError, match="lies outside"):
+                    measurement._clamped(view)
+            else:
+                assert measurement._clamped(view).tobytes() == np.clip(view, -1.0, 1.0).tobytes()
+
+
 @pytest.mark.parametrize("step", [0, 1, 1023])
 def test_step_streams_are_not_shifted_copies(step):
     # numpy's Philox adds 1 to counter word 0 every 4 outputs: with the step

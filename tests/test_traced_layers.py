@@ -12,7 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import qsdcsim.cli  # noqa: F401  (loads every layer module)
-from qsdcsim import microgrid
+from qsdcsim import consensus, measurement, microgrid
+from qsdcsim.netgraph import build_graph
 from qsdcsim.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +54,25 @@ def test_every_per_step_plant_layer_runs_once_per_step():
                 "microgrid.ac_power_flow", "microgrid._solve_passive_buses"]
     assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 200)
     assert calls["netgraph.CommGraph.subgraph"] >= 1
+
+
+def test_every_per_step_sampled_layer_runs_once_per_step(monkeypatch):
+    # the sampled consensus loop: one theta stream per block of
+    # THETA_BLOCK steps (16 here, so 50 steps make 4 blocks)
+    measurement.rekeyed_rng(0, 0)  # builds the reused generator outside the trace
+    monkeypatch.setattr(consensus, "THETA_BLOCK", 16)
+    consensus._theta_block.cache_clear()
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    cfg = consensus.ProtocolConfig(dt=0.01, shots=64, backend="bloch", seed=2)
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        consensus.run_consensus([0.2, 0.9, 1.3], 0.6, triangle, cfg, horizon=0.5)
+    finally:
+        t.uninstall()
+        consensus._theta_block.cache_clear()  # drop the 16-row blocks
+    calls = {name: layer["calls"] for name, layer in t.layers().items()}
+    per_step = ["consensus.qsdc_step", "consensus._rk4", "consensus._measure_node",
+                "consensus.ThetaConfig.draw"]
+    assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 50)
+    assert calls["measurement.stream_rng"] == 4
