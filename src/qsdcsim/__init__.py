@@ -5,65 +5,31 @@ equation with swap and rotation-Z jump operators, extracts phase-consensus
 signals via shot-based measurement, closes the loop around AC-frequency and
 DC-voltage plant models, and quantifies what an interceptor can learn from
 the exchanged qubits.
+
+`import qsdcsim` runs no submodule and re-exports no name: names are
+imported from their submodule (`from qsdcsim.consensus import
+run_consensus`).  It registers every submodule but `cli` as a lazy module
+(`importlib.util.LazyLoader`): `qsdcsim.microgrid` and `from . import
+microgrid` give the module object at once, and its code runs on the first
+attribute read or `import qsdcsim.microgrid`.  So a command runs only the
+modules it uses, while every module is in `sys.modules` from the start, where
+a tool that wraps the package's functions (`perfbench/tracer.py`) finds it.
+`cli` is imported as usual, so that `python -m qsdcsim.cli` runs it once.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .consensus import (
-    MixingEvent,
-    ProtocolConfig,
-    ProtocolState,
-    ThetaConfig,
-    Trajectory,
-    bloch_rhs,
-    convergence_rate,
-    lyapunov,
-    phase_rhs,
-    qsdc_step,
-    run_consensus,
-)
-from .engine import (
-    BlochVector,
-    DensityMatrix,
-    IndexJumpSet,
-    JumpSet,
-    PureQubitSpec,
-    bloch_of,
-    build_jump_set,
-    depolarize_local,
-    evolve,
-    lindblad_rhs,
-    partial_trace_single,
-    product_state,
-    rz_jump,
-    swap_jump,
-)
-from .measurement import (
-    CountHistogram,
-    EveReport,
-    eve_intercept,
-    exact_probability,
-    sample_basis,
-)
-from .microgrid import (
-    AcDer,
-    AcNetwork,
-    DcDer,
-    DcNetwork,
-    Event,
-    TimeSeries,
-    ac_power_flow,
-    ac_step,
-    dc_solve,
-    dc_step,
-    run_plant,
-)
-from .netgraph import (
-    CommGraph,
-    build_graph,
-    incidence_matrix,
-    is_connected,
-    lambda_min_sym,
-    laplacian,
-)
-from .scenario import Scenario, parse_scenario, scenario_from_dict
+
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+consensus, engine, measurement, microgrid, netgraph, scenario = map(
+    _lazy, ("consensus", "engine", "measurement", "microgrid", "netgraph", "scenario"))

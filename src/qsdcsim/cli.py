@@ -8,9 +8,16 @@ also takes --shots or --exact, and --seed; rate bounds the convergence rate
 over the graph of any scenario that has one and also takes --epsilon.
 Identical scenario + seed produce byte-identical CSV/JSON outputs.
 
+Each command runs only the modules it uses; `consensus`, `engine` and
+`microgrid` are lazy modules (see the package docstring) until then.  Every
+command runs `cli`, `scenario`, `netgraph` and `measurement`, and eve nothing
+else.  consensus and rate add `consensus` and the `engine` it imports; ac and
+dc add `microgrid` on top of those.
+
 Exit codes: 0 success; 1 validation error, the input is at fault
 (ScenarioError, GraphValidationError, RateRegionError); 2 runtime error
-(EngineError, MicrogridError or any other ValueError) or argparse usage error.
+(EngineError, MicrogridError, MeasurementError or any other ValueError) or
+argparse usage error.
 """
 
 from __future__ import annotations
@@ -24,19 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .consensus import (
-    BACKENDS,
-    RateRegionError,
-    Trajectory,
-    convergence_rate,
-    run_consensus,
-)
-from .engine import EngineError
-from .measurement import _STREAM_TAG, constant_phase_stream, eve_intercept, stream_rng
-from .microgrid import MicrogridError, TimeSeries, run_plant
+from . import __version__, consensus, engine, microgrid
+from .measurement import (_STREAM_TAG, MeasurementError, constant_phase_stream, eve_intercept,
+                          stream_rng)
 from .netgraph import GraphValidationError
-from .scenario import Scenario, ScenarioError, parse_scenario
+from .scenario import BACKENDS, Scenario, ScenarioError, parse_scenario
 
 _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
 
@@ -78,9 +77,10 @@ def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
 
 def summarize(result) -> dict:
     """Summary statistics of a Trajectory or a plant TimeSeries."""
-    if isinstance(result, Trajectory):
+    # Trajectory first: a consensus run never runs `microgrid`
+    if isinstance(result, consensus.Trajectory):
         return _summarize_trajectory(result)
-    if isinstance(result, TimeSeries):
+    if isinstance(result, microgrid.TimeSeries):
         return _summarize_timeseries(result)
     raise TypeError(f"cannot summarize {type(result).__name__}")
 
@@ -91,7 +91,7 @@ def _final_window(length: int) -> slice:
     return slice(int(math.floor(length * 0.9)), length)
 
 
-def _summarize_trajectory(traj: Trajectory) -> dict:
+def _summarize_trajectory(traj: consensus.Trajectory) -> dict:
     zeta = np.max(np.abs(traj.phis - traj.pinners), axis=1)
     win = _final_window(len(traj.times))
     return {
@@ -119,7 +119,7 @@ def _sharing_spread_pct(sharing: np.ndarray, online: np.ndarray) -> float:
     return float(100.0 * np.max(rel))
 
 
-def _summarize_timeseries(ts: TimeSeries) -> dict:
+def _summarize_timeseries(ts: microgrid.TimeSeries) -> dict:
     win = _final_window(len(ts.times))
     online_rows = ts.data["online"] > 0.5
     online = online_rows[win]
@@ -202,7 +202,7 @@ def _protocol_overrides(args) -> dict:
 def cmd_consensus(args, sc: Scenario) -> int:
     config = sc.protocol(**_protocol_overrides(args))
     sec = sc.raw["consensus"]
-    traj = run_consensus(
+    traj = consensus.run_consensus(
         init_phis=sec["initial_phi"],
         pinner_signal=sec["pinner"],
         graph=sc.graph(),
@@ -224,7 +224,7 @@ def cmd_consensus(args, sc: Scenario) -> int:
 def cmd_plant(args, sc: Scenario) -> int:
     config = sc.protocol(**_protocol_overrides(args))
     ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
-    ts = run_plant(
+    ts = microgrid.run_plant(
         sc.kind, ders, network, sc.graph(), config,
         horizon=sc.horizon,
         events=sc.plant_events(),
@@ -248,7 +248,7 @@ def _angle(v) -> str:
 
 def cmd_eve(args, sc: Scenario) -> int:
     sec = sc.raw["eve"]
-    seed = sc.protocol(seed=args.seed).seed
+    seed = sc.protocol_options(seed=args.seed)["seed"]
     shots = args.shots if args.shots is not None else sec["shots_per_step"]
     if shots < 1:
         raise ScenarioError(f"--shots: {shots} shots per step, need at least 1")
@@ -292,7 +292,7 @@ def cmd_rate(args, sc: Scenario) -> int:
     if epsilon is None:
         raise ScenarioError("rate needs --epsilon or a rate.epsilon field")
     weights = rate_sec.get("weights")
-    mu = convergence_rate(graph, float(epsilon), weights)
+    mu = consensus.convergence_rate(graph, float(epsilon), weights)
     print(f"mu = {mu:.4f} (epsilon = {float(epsilon):.6g}, n = {graph.node_count})")
     if args.format in ("json", "both"):
         out = _out_dir(args)
@@ -341,16 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # an except clause reads its classes only once the command has raised, so
+    # a run that succeeds runs none of the modules that define them
     try:
         sc = parse_scenario(args.scenario)
         if args.command != "rate" and sc.kind != args.command:
             raise ScenarioError(
                 f"{args.scenario} is a {sc.kind!r} scenario, expected {args.command}")
         return args.func(args, sc)
-    except (ScenarioError, GraphValidationError, RateRegionError) as exc:
+    except (ScenarioError, GraphValidationError, consensus.RateRegionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, EngineError, MicrogridError) as exc:
+    except (ValueError, engine.EngineError, microgrid.MicrogridError, MeasurementError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

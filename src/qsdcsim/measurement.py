@@ -21,10 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import BlochVector
+if TYPE_CHECKING:
+    from .engine import BlochVector
 
 BASES = ("X", "Y", "Z")
 # The second key word of every random stream: one table, so that no two

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
-from .consensus import MixingEvent, ProtocolConfig, ThetaConfig
-from .microgrid import AcDer, AcNetwork, DcDer, DcNetwork, Event
+from . import consensus, microgrid  # lazy: only the builders that need them run them
 from .netgraph import CommGraph, GraphValidationError, build_graph
+
 
 class ScenarioError(ValueError):
     """Schema or physics violation in a scenario file."""
@@ -35,6 +35,7 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
+BACKENDS = tuple(_SCHEMA["$defs"]["protocol"]["properties"]["backend"]["enum"])
 
 _PROTOCOL_DEFAULTS = {
     "dt": 0.01,
@@ -62,7 +63,9 @@ class Scenario:
 
     # -- builders ---------------------------------------------------------
 
-    def protocol(self, **overrides) -> ProtocolConfig:
+    def protocol_options(self, **overrides) -> dict:
+        """The protocol section with the command-line options that are not
+        None put in place of its fields, each checked against the schema."""
         p = dict(self.raw.get("protocol", {}))
         for key, val in overrides.items():
             if val is not None:
@@ -70,18 +73,22 @@ class Scenario:
                 p[key] = val
         if overrides.get("exact"):
             p["shots"] = None
-        theta = p.pop("theta")
-        exact = p.pop("exact", True)
-        if p.get("shots") is None and not exact:
+        if p.get("shots") is None and not p.get("exact", True):
             raise ScenarioError("$.protocol.exact: exact=false requires shots")
-        kwargs = dict(p)
+        return p
+
+    def protocol(self, **overrides) -> consensus.ProtocolConfig:
+        kwargs = self.protocol_options(**overrides)
+        theta = kwargs.pop("theta")
+        kwargs.pop("exact", None)
         if theta["kind"] == "fixed":
             vals = theta.get("values", math.pi / 2)
             vals = (vals,) if isinstance(vals, (int, float)) else tuple(vals)
-            kwargs["theta"] = ThetaConfig.fixed(*vals)
+            kwargs["theta"] = consensus.ThetaConfig.fixed(*vals)
         else:
-            kwargs["theta"] = ThetaConfig.uniform(theta["lo"], theta["hi"])
-        return ProtocolConfig(**kwargs)  # the schema and physics checks cover each field
+            kwargs["theta"] = consensus.ThetaConfig.uniform(theta["lo"], theta["hi"])
+        # the schema and physics checks cover each field
+        return consensus.ProtocolConfig(**kwargs)
 
     def graph(self) -> CommGraph:
         if "graph" not in self.raw:
@@ -93,34 +100,37 @@ class Scenario:
         except GraphValidationError as exc:
             raise ScenarioError(f"$.graph.{exc.field}: {exc}") from exc
 
-    def mixing_events(self) -> list[MixingEvent]:
+    def mixing_events(self) -> list[consensus.MixingEvent]:
         section = self.raw.get(self.kind, {})
         out = []
         for i, ev in enumerate(section.get("mixing", [])):
             try:
-                out.append(MixingEvent(nodes=tuple(ev["nodes"]), t_start=ev["t_start"],
-                                       t_end=ev["t_end"], p=ev["p"]))
+                out.append(consensus.MixingEvent(nodes=tuple(ev["nodes"]),
+                                                 t_start=ev["t_start"], t_end=ev["t_end"],
+                                                 p=ev["p"]))
             except ValueError as exc:
                 raise ScenarioError(f"$.{self.kind}.mixing[{i}]: {exc}") from exc
         return out
 
-    def plant_events(self) -> list[Event]:
+    def plant_events(self) -> list[microgrid.Event]:
         section = self.raw.get(self.kind, {})
         out = []
         for i, ev in enumerate(section.get("events", [])):
             payload = {k: v for k, v in ev.items() if k not in ("time", "kind")}
             if "r_load" in payload and payload["r_load"] == "inf":
                 payload["r_load"] = math.inf
-            out.append(Event(time=float(ev["time"]), kind=ev["kind"], payload=payload))
+            out.append(microgrid.Event(time=float(ev["time"]), kind=ev["kind"],
+                                       payload=payload))
         return out
 
-    def ac_plant(self) -> tuple[list[AcDer], AcNetwork]:
+    def ac_plant(self) -> tuple[list[microgrid.AcDer], microgrid.AcNetwork]:
         import numpy as np
 
         sec = self.raw["ac"]
-        ders = [AcDer(droop=d["droop"], rated_kw=d["rated_kw"]) for d in sec["ders"]]
+        ders = [microgrid.AcDer(droop=d["droop"], rated_kw=d["rated_kw"])
+                for d in sec["ders"]]
         loads = np.array([d.get("bus_load_kw", 0.0) for d in sec["ders"]])
-        net = AcNetwork(
+        net = microgrid.AcNetwork(
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
             bus_loads=loads,
             omega_nominal=sec["omega_nominal"],
@@ -129,14 +139,14 @@ class Scenario:
         net.apply_default_k(ders)
         return ders, net
 
-    def dc_plant(self) -> tuple[list[DcDer], DcNetwork]:
+    def dc_plant(self) -> tuple[list[microgrid.DcDer], microgrid.DcNetwork]:
         sec = self.raw["dc"]
         ders = [
-            DcDer(droop_m=d["droop_m"], line_r=d["line_r"],
-                  rated_current=d["rated_current"])
+            microgrid.DcDer(droop_m=d["droop_m"], line_r=d["line_r"],
+                            rated_current=d["rated_current"])
             for d in sec["ders"]
         ]
-        net = DcNetwork(
+        net = microgrid.DcNetwork(
             v_nominal=sec["v_nominal"],
             r_load=math.inf if sec["r_load"] == "inf" else float(sec["r_load"]),
             c=sec.get("c", 0.0),

@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsdcsim import cli
 from qsdcsim.cli import fitted_decay_rate, main, settling_time, summarize
-from qsdcsim.consensus import Trajectory, convergence_rate, run_consensus
-from qsdcsim.microgrid import TimeSeries
+from qsdcsim.consensus import RateRegionError, Trajectory, convergence_rate, run_consensus
+from qsdcsim.engine import CapacityError
+from qsdcsim.measurement import InvalidStateError
+from qsdcsim.microgrid import PartitionError, TimeSeries
+from qsdcsim.netgraph import GraphValidationError
 from qsdcsim.scenario import (
     ScenarioError,
     parse_scenario,
@@ -428,6 +432,9 @@ def edited_scenario(tmp_path, scenario, edit):
                  [], "$.graph.edges: self-loop at node 0", id="graph-self-loop"),
     pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(exact=False), [],
                  "$.protocol.exact: exact=false requires shots", id="protocol-exact-no-shots"),
+    pytest.param("eve", "eve_pi6", lambda d: d.setdefault("protocol", {}).update(exact=False),
+                 [], "$.protocol.exact: exact=false requires shots",
+                 id="eve-protocol-exact-no-shots"),
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
                  "$.consensus.mixing[0]: event window is reversed", id="mixing-reversed"),
@@ -529,6 +536,26 @@ def test_cli_passive_bus_overload_exit_code(tmp_path, capsys):
     assert code == 2
     assert err.startswith("runtime error: passive buses [2] did not settle")
     assert not (tmp_path / "overload_timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ScenarioError("bad input"), 1, "validation error"),
+    (GraphValidationError("bad input", "edges"), 1, "validation error"),
+    (RateRegionError("bad input"), 1, "validation error"),
+    (CapacityError("bad input"), 2, "runtime error"),
+    (PartitionError("bad input"), 2, "runtime error"),
+    (InvalidStateError("bad input"), 2, "runtime error"),
+    (ValueError("bad input"), 2, "runtime error"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_cli_maps_each_error_class_to_its_exit_code(tmp_path, capsys, monkeypatch, error,
+                                                   code, prefix):
+    def fail(args, sc):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_rate", fail)
+    got, _, err = run_cli(["rate", "--scenario", str(SCENARIOS / "consensus3.json")],
+                          tmp_path, capsys)
+    assert (got, err) == (code, f"{prefix}: bad input\n")
 
 
 def test_cli_env_overrides_out(tmp_path, capsys, monkeypatch):
