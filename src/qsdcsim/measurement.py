@@ -237,8 +237,12 @@ def constant_phase_stream(phi: float, thetas, r: float = 1.0) -> np.ndarray:
     """Bloch components (x, y, z), one row per step, of a qubit with fixed
     phase and varying theta, as seen by an interceptor on one channel."""
     thetas = np.asarray(thetas, dtype=float)
-    s = r * np.sin(thetas)
-    return np.column_stack([s * math.cos(phi), s * math.sin(phi), r * np.cos(thetas)])
+    x, y, z = (out := np.empty((thetas.size, len(BASES)))).T
+    np.multiply(np.sin(thetas, out=x), r, out=x)  # r sin(theta)
+    np.multiply(x, math.sin(phi), out=y)
+    x *= math.cos(phi)
+    np.multiply(np.cos(thetas, out=z), r, out=z)
+    return out
 
 
 def eve_intercept(
@@ -257,32 +261,32 @@ def eve_intercept(
     estimate applies arccos to the pooled X expectation, the informed one
     takes atan2 of pooled X and Y estimates.  In exact mode the infinite-shot
     expectations are averaged over the same steps instead of sampling.  An
-    estimate or mean whose basis the policy never measures is None.
+    estimate or mean whose basis the policy never measures is None.  Each
+    policy names a basis in at most one slot, so its steps are one strided
+    view; a mean sums its view left to right from +0.0 (`np.cumsum`): the
+    pinned bundled outputs carry that rounding, and a pairwise `sum` moves it.
     """
-    comps = _clamped(np.reshape(stream, (-1, len(BASES))))
-    if not len(comps):
-        raise ValueError("stream must be nonempty")
+    comps = _clamped(stream)
+    if comps.ndim != 2 or comps.shape[1] != len(BASES) or not len(comps):
+        raise ValueError(f"stream must be a nonempty (steps, 3) stack, got shape {comps.shape}")
     if bases_policy not in _EVE_SCHEDULE:
         raise ValueError(f"unknown bases policy {bases_policy!r}")
-    schedule = np.array([[b in bases for b in BASES] for bases in _EVE_SCHEDULE[bases_policy]])
-    mask = schedule[np.arange(len(comps)) % len(schedule)]  # (steps, basis)
-
-    measured = mask.sum(axis=0).tolist()
-    means = [total / count if count else None
-             for total, count in zip(np.where(mask, comps, 0.0).sum(axis=0).tolist(), measured)]
+    if not exact and shots_per_step < 1:
+        raise ValueError(f"shots_per_step must be at least 1 to sample, got {shots_per_step}")
+    schedule = _EVE_SCHEDULE[bases_policy]
+    views = {basis: comps[slot::len(schedule), BASES.index(basis)]
+             for slot, bases in enumerate(schedule[:len(comps)]) for basis in bases}
+    means = {basis: float(np.cumsum(v)[-1] + 0.0) / len(v) for basis, v in views.items()}
     hist: dict[str, CountHistogram] = {}
     if not exact:
-        for k, basis in enumerate(BASES):
-            if measured[k]:
-                zeros = int(_sample_zeros(stream_rng(seed, _STREAM_TAG[basis]),
-                                          shots_per_step, comps[mask[:, k], k]).sum())
-                hist[basis] = CountHistogram(zeros, measured[k] * shots_per_step - zeros)
-    ex, ey = (hist[basis].p0 - hist[basis].p1 if basis in hist else means[k]
-              for k, basis in enumerate("XY"))
+        for b, v in views.items():
+            zeros = int(_sample_zeros(stream_rng(seed, _STREAM_TAG[b]), shots_per_step, v).sum())
+            hist[b] = CountHistogram(zeros, len(v) * shots_per_step - zeros)
+    ex, ey = (hist[b].p0 - hist[b].p1 if b in hist else means.get(b) for b in "XY")
     naive = None if ex is None else math.acos(max(-1.0, min(1.0, ex)))
     informed = None if None in (ex, ey) or ex == ey == 0.0 else math.atan2(ey, ex)
 
-    exact_p0 = {basis: 0.5 * (1.0 + means[k]) for k, basis in enumerate(BASES) if measured[k]}
+    exact_p0 = {basis: 0.5 * (1.0 + mean) for basis, mean in means.items()}
     entropy = {
         basis: binary_entropy_bits(hist[basis].p0 if basis in hist else p0)
         for basis, p0 in exact_p0.items()
@@ -292,7 +296,7 @@ def eve_intercept(
         exact_p0=exact_p0,
         naive_phi=naive,
         informed_phi=informed,
-        avg_bloch=tuple(means),
+        avg_bloch=tuple(means.get(basis) for basis in BASES),
         entropy_bits=entropy,
         shots_total=sum(h.shots for h in hist.values()),
     )

@@ -8,8 +8,11 @@ from scipy import stats
 from qsdcsim import measurement
 from qsdcsim.engine import BlochVector
 from qsdcsim.measurement import (
+    _EVE_SCHEDULE,
     _STREAM_TAG,
+    BASES,
     CountHistogram,
+    EveReport,
     InvalidStateError,
     binary_entropy_bits,
     constant_phase_stream,
@@ -19,7 +22,9 @@ from qsdcsim.measurement import (
     rekeyed_rng,
     sample_basis,
     stream_rng,
+    _clamped,
     _gate_level_p0,
+    _sample_zeros,
 )
 
 
@@ -351,6 +356,77 @@ def test_eve_basis_totals_follow_policy(monkeypatch, policy, measured):
 def test_eve_empty_stream_rejected():
     with pytest.raises(ValueError):
         eve_intercept([])
+
+
+def test_eve_transposed_stream_rejected():
+    # a (3, steps) stack is not (steps, 3) rows read in another order
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12))
+    with pytest.raises(ValueError, match="stream"):
+        eve_intercept(stream.T)
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_eve_sampling_needs_a_shot_per_step(shots):
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12))
+    with pytest.raises(ValueError, match="shots_per_step"):
+        eve_intercept(stream, shots_per_step=shots)
+    assert eve_intercept(stream, shots_per_step=shots, exact=True).shots_total == 0
+
+
+def test_eve_schedule_names_each_basis_in_at_most_one_slot():
+    # eve_intercept reads the steps of a basis as one strided view
+    for policy, schedule in _EVE_SCHEDULE.items():
+        named = [basis for bases in schedule for basis in bases]
+        assert len(named) == len(set(named)) and set(named) <= set(BASES), policy
+
+
+def masked_eve_report(stream, bases_policy, shots_per_step, seed, exact):
+    """The interception report through a (steps, basis) mask of the measured
+    bases: counts by `mask.sum(axis=0)`, totals by an axis-0 sum of
+    `np.where(mask, comps, 0.0)`, sampled components by boolean selection."""
+    comps = _clamped(np.reshape(stream, (-1, len(BASES))))
+    schedule = np.array([[b in bases for b in BASES] for bases in _EVE_SCHEDULE[bases_policy]])
+    mask = schedule[np.arange(len(comps)) % len(schedule)]
+    measured = mask.sum(axis=0).tolist()
+    means = [total / count if count else None
+             for total, count in zip(np.where(mask, comps, 0.0).sum(axis=0).tolist(), measured)]
+    hist = {}
+    if not exact:
+        for k, basis in enumerate(BASES):
+            if measured[k]:
+                zeros = int(_sample_zeros(stream_rng(seed, _STREAM_TAG[basis]),
+                                          shots_per_step, comps[mask[:, k], k]).sum())
+                hist[basis] = CountHistogram(zeros, measured[k] * shots_per_step - zeros)
+    ex, ey = (hist[basis].p0 - hist[basis].p1 if basis in hist else means[k]
+              for k, basis in enumerate("XY"))
+    exact_p0 = {basis: 0.5 * (1.0 + means[k]) for k, basis in enumerate(BASES) if measured[k]}
+    return EveReport(
+        histograms=hist,
+        exact_p0=exact_p0,
+        naive_phi=None if ex is None else math.acos(max(-1.0, min(1.0, ex))),
+        informed_phi=None if None in (ex, ey) or ex == ey == 0.0 else math.atan2(ey, ex),
+        avg_bloch=tuple(means),
+        entropy_bits={basis: binary_entropy_bits(hist[basis].p0 if basis in hist else p0)
+                      for basis, p0 in exact_p0.items()},
+        shots_total=sum(h.shots for h in hist.values()),
+    )
+
+
+@pytest.mark.parametrize("policy", sorted(_EVE_SCHEDULE))
+@pytest.mark.parametrize("exact", [False, True])
+def test_eve_matches_the_masked_reference_exactly(policy, exact):
+    # lengths below the longest period and not a multiple of it; the second
+    # stream's x components are all -0.0 (theta 0, phi pi)
+    for steps in (1, 2, 4, 7, 3001):
+        thetas = stream_rng(5, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, steps)
+        for stream in (constant_phase_stream(0.6, thetas, r=0.9),
+                       constant_phase_stream(math.pi, np.zeros(steps))):
+            got = eve_intercept(stream, policy, shots_per_step=3, seed=11, exact=exact)
+            want = masked_eve_report(stream, policy, 3, 11, exact)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.exact_p0 == want.exact_p0
+            # the text too: == does not tell -0.0 from 0.0
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def test_binary_entropy_edges():

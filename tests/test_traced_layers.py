@@ -4,8 +4,8 @@ and be reached where the benchmark expects it.
 `perfbench/tracer.py` finds each function by the name its caller looks up
 and reports a missing one as absent, which the benchmark would read as a
 layer with 0 calls.  These tests fail instead when a rename or a removal
-drops a traced name, or when a plant step stops calling a per-step layer
-through the name the tracer wraps.
+drops a traced name, or when a plant step, a sampled consensus step or an
+eve run stops calling a layer through the name the tracer wraps.
 """
 
 import importlib.util
@@ -76,3 +76,21 @@ def test_every_per_step_sampled_layer_runs_once_per_step(monkeypatch):
                 "consensus.ThetaConfig.draw"]
     assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 50)
     assert calls["measurement.stream_rng"] == 4
+
+
+def test_an_eve_run_calls_each_eve_layer(tmp_path, monkeypatch):
+    # eve_pi6 intercepts in the cycle policy: one theta stream plus one shot
+    # stream per measured basis
+    monkeypatch.delenv("QSDC_OUT_DIR", raising=False)
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        code = qsdcsim.cli.main(["eve", "--scenario", str(SCENARIOS / "eve_pi6.json"),
+                                 "--out", str(tmp_path)])
+    finally:
+        t.uninstall()
+    assert code == 0
+    calls = {name: layer["calls"] for name, layer in t.layers().items()}
+    expected = {"measurement.constant_phase_stream": 1, "measurement.eve_intercept": 1,
+                "measurement.stream_rng": 4, "measurement.sample_basis": 0}
+    assert {name: calls[name] for name in expected} == expected
