@@ -6,6 +6,8 @@ consensus, ac and dc run a scenario of their own kind and also take --backend,
 --shots or --exact (not both), --seed and --dt; eve runs an eve scenario and
 also takes --shots or --exact, and --seed; rate bounds the convergence rate
 over the graph of any scenario that has one and also takes --epsilon.
+consensus, ac and dc are one command, `cmd_run`: it writes the run's
+`consensus.Trajectory` as CSV and its `summarize` summary as JSON.
 Identical scenario + seed produce byte-identical CSV/JSON outputs.
 
 Each command runs only the modules it uses; `consensus`, `engine` and
@@ -75,83 +77,47 @@ def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
     return float(-slope)
 
 
-def summarize(result) -> dict:
-    """Summary statistics of a Trajectory or a plant TimeSeries."""
-    # Trajectory first: a consensus run never runs `microgrid`
-    if isinstance(result, consensus.Trajectory):
-        return _summarize_trajectory(result)
-    if isinstance(result, microgrid.TimeSeries):
-        return _summarize_timeseries(result)
-    raise TypeError(f"cannot summarize {type(result).__name__}")
-
-
-def _final_window(length: int) -> slice:
-    if length < 10:
+def summarize(record: consensus.Trajectory) -> dict:
+    """Summary statistics of a run record: kind, backend, mode, seed, dt and
+    the warning count, then the consensus, AC or DC block over the final
+    10% of the run."""
+    meta, times, data = record.meta, record.times, record.data
+    if len(times) < 10:
         raise ValueError("series too short for a steady-state window (need >= 10 samples)")
-    return slice(int(math.floor(length * 0.9)), length)
-
-
-def _summarize_trajectory(traj: consensus.Trajectory) -> dict:
-    zeta = np.max(np.abs(traj.phis - traj.pinners), axis=1)
-    win = _final_window(len(traj.times))
-    return {
-        "kind": "consensus",
-        "backend": traj.backend,
-        "mode": traj.mode,
-        "seed": traj.seed,
-        "dt": traj.dt,
-        "settling_time": settling_time(traj.times, zeta, 1e-2),
-        "steady_phi": [float(v) for v in traj.phis[win].mean(axis=0)],
-        "steady_max_abs_zeta": float(zeta[win].max()),
-        "fitted_decay_rate": fitted_decay_rate(traj.times, traj.lyapunov),
-        "warnings": len(traj.warnings),
-    }
-
-
-def _sharing_spread_pct(sharing: np.ndarray, online: np.ndarray) -> float:
-    """Worst relative spread (%) of the online DERs' shares over the window;
-    a row whose mean share is not above 1e-9 counts as 0."""
-    shares = np.where(online, sharing, np.nan)
+    win = slice(int(math.floor(len(times) * 0.9)), len(times))
+    out = {key: meta[key] for key in ("kind", "backend", "mode", "seed", "dt")}
+    out["warnings"] = len(record.warnings)
+    if meta["kind"] == "consensus":
+        zeta = np.max(np.abs(data["phi"] - data["pinner"]), axis=1)
+        out.update({
+            "settling_time": settling_time(times, zeta, 1e-2),
+            "steady_phi": [float(v) for v in data["phi"][win].mean(axis=0)],
+            "steady_max_abs_zeta": float(zeta[win].max()),
+            "fitted_decay_rate": fitted_decay_rate(times, record.lyapunov),
+        })
+        return out
+    online_rows = data["online"] > 0.5
+    if meta["kind"] == "ac":
+        omega = data["omega"]
+        err = np.max(np.abs(omega - meta["omega_nominal"]), axis=1, where=online_rows,
+                     initial=0.0)
+        out["settling_time_s"] = settling_time(times, err, 1e-3)
+        out["steady_freq_hz"] = float(np.mean(omega[win], axis=1, where=online_rows[win]).mean())
+        sharing = data["pinner"] / meta["k"]  # recovers n_i * P_i
+    else:
+        vbus = data["vbus"]
+        out["settling_time_s"] = settling_time(times, np.abs(vbus - meta["v_nominal"]), 1e-2)
+        out["steady_vbus_v"] = float(vbus[win].mean())
+        sharing = data["pinner"] / meta["c"]  # recovers m_i * I_i
+    # the worst relative spread (%) of the online DERs' shares over the
+    # window; a row whose mean share is not above 1e-9 counts as 0
+    shares = np.where(online_rows[win], sharing[win], np.nan)
     spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
     mean_share = np.nanmean(shares, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(mean_share > 1e-9, spread / mean_share, 0.0)
-    return float(100.0 * np.max(rel))
-
-
-def _summarize_timeseries(ts: microgrid.TimeSeries) -> dict:
-    win = _final_window(len(ts.times))
-    online_rows = ts.data["online"] > 0.5
-    online = online_rows[win]
-    out = {
-        "kind": ts.kind,
-        "backend": ts.meta.get("backend"),
-        "mode": ts.meta.get("mode"),
-        "seed": ts.meta.get("seed"),
-        "dt": ts.meta.get("dt"),
-        "events_applied": ts.events_applied,
-        "warnings": len(ts.warnings),
-    }
-    if ts.kind == "ac":
-        omega = ts.data["omega"]
-        nominal = ts.meta["omega_nominal"]
-        err = np.max(np.abs(omega - nominal), axis=1, where=online_rows, initial=0.0)
-        sharing = ts.data["pinner"] / ts.meta["k"]  # recovers n_i * P_i
-        out.update({
-            "settling_time_s": settling_time(ts.times, err, 1e-3),
-            "steady_freq_hz": float(np.mean(omega[win], axis=1, where=online).mean()),
-            "sharing_spread_pct": _sharing_spread_pct(sharing[win], online),
-        })
-    else:
-        vbus = ts.data["vbus"]
-        nominal = ts.meta["v_nominal"]
-        err = np.abs(vbus - nominal)
-        sharing = ts.data["pinner"] / ts.meta["c"]  # recovers m_i * I_i
-        out.update({
-            "settling_time_s": settling_time(ts.times, err, 1e-2),
-            "steady_vbus_v": float(vbus[win].mean()),
-            "sharing_spread_pct": _sharing_spread_pct(sharing[win], online),
-        })
+    out["sharing_spread_pct"] = float(100.0 * np.max(rel))
+    out["events_applied"] = record.events_applied
     return out
 
 
@@ -199,46 +165,30 @@ def _protocol_overrides(args) -> dict:
     }
 
 
-def cmd_consensus(args, sc: Scenario) -> int:
+def cmd_run(args, sc: Scenario) -> int:
+    """Run a consensus, ac or dc scenario; write its record and summary."""
     config = sc.protocol(**_protocol_overrides(args))
-    sec = sc.raw["consensus"]
-    traj = consensus.run_consensus(
-        init_phis=sec["initial_phi"],
-        pinner_signal=sec["pinner"],
-        graph=sc.graph(),
-        config=config,
-        horizon=sc.horizon,
-        events=sc.mixing_events(),
-    )
-    summary = summarize(traj)
-    files = _emit(args, f"{sc.name}_trajectory", traj, summary)
-    print(
-        f"consensus {sc.name}: backend={config.backend} mode={config.mode} "
-        f"settling={summary['settling_time']} "
-        f"steady_max_zeta={summary['steady_max_abs_zeta']:.3e} "
-        f"rate={summary['fitted_decay_rate']:.4f} -> {', '.join(files) or 'no files'}"
-    )
-    return 0
-
-
-def cmd_plant(args, sc: Scenario) -> int:
-    config = sc.protocol(**_protocol_overrides(args))
-    ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
-    ts = microgrid.run_plant(
-        sc.kind, ders, network, sc.graph(), config,
-        horizon=sc.horizon,
-        events=sc.plant_events(),
-        mixing=sc.mixing_events(),
-    )
-    summary = summarize(ts)
-    files = _emit(args, f"{sc.name}_timeseries", ts, summary)
-    headline = (f"steady_freq={summary['steady_freq_hz']:.4f} Hz" if sc.kind == "ac"
-                else f"steady_vbus={summary['steady_vbus_v']:.4f} V")
-    print(
-        f"{sc.kind} {sc.name}: mode={config.mode} {headline} "
-        f"spread={summary['sharing_spread_pct']:.3f}% "
-        f"settling={summary['settling_time_s']} -> {', '.join(files) or 'no files'}"
-    )
+    if sc.kind == "consensus":
+        sec = sc.raw["consensus"]
+        record = consensus.run_consensus(sec["initial_phi"], sec["pinner"], sc.graph(), config,
+                                         sc.horizon, sc.mixing_events())
+    else:
+        ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
+        record = microgrid.run_plant(sc.kind, ders, network, sc.graph(), config, sc.horizon,
+                                     sc.plant_events(), sc.mixing_events())
+    s = summarize(record)
+    stem = "trajectory" if sc.kind == "consensus" else "timeseries"
+    files = ", ".join(_emit(args, f"{sc.name}_{stem}", record, s)) or "no files"
+    if sc.kind == "consensus":
+        line = (f"backend={config.backend} mode={config.mode} settling={s['settling_time']} "
+                f"steady_max_zeta={s['steady_max_abs_zeta']:.3e} "
+                f"rate={s['fitted_decay_rate']:.4f}")
+    else:
+        headline = (f"steady_freq={s['steady_freq_hz']:.4f} Hz" if sc.kind == "ac"
+                    else f"steady_vbus={s['steady_vbus_v']:.4f} V")
+        line = (f"mode={config.mode} {headline} spread={s['sharing_spread_pct']:.3f}% "
+                f"settling={s['settling_time_s']}")
+    print(f"{sc.kind} {sc.name}: {line} -> {files}")
     return 0
 
 
@@ -322,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    for name, func in (("consensus", cmd_consensus), ("ac", cmd_plant), ("dc", cmd_plant),
-                       ("eve", cmd_eve)):
-        p = add(name, func, f"run a {name} scenario")
+    for name in ("consensus", "ac", "dc", "eve"):
+        p = add(name, cmd_eve if name == "eve" else cmd_run, f"run a {name} scenario")
         if name != "eve":
             p.add_argument("--backend", choices=BACKENDS)
             p.add_argument("--dt", type=float)

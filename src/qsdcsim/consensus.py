@@ -45,6 +45,9 @@ plus the gains.  `full` and `bloch` share one integrator,
 linear map from rho to local Bloch vectors, so the two agree to rounding.
 The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are the
 reference equations; they coincide with the flow at the step start.
+
+Every run, consensus or plant (`microgrid.run_plant`), is recorded in one
+`Trajectory`, whose V, meta and time-prefixed warnings `run_record` builds.
 """
 
 from __future__ import annotations
@@ -382,6 +385,13 @@ def qsdc_step(
         final_rho = None
 
     s_after = np.hypot(w.real, w.imag)
+    # the exact flow keeps s_i <= sin(theta_i) <= 1.  A list's max is the
+    # cheaper reduction at these sizes; "not <=" fails a nan that it returns,
+    # as after an overflow, which turns every connected node to nan
+    if not max(s_after.tolist()) <= 1.0 + 1e-9:
+        raise engine.IntegrationDivergedError(
+            f"step {state.step}: integration left the Bloch ball (coherence "
+            f"{s_after.max():.3g}); use more substeps")
     sx, sy = _measure_node(w, config, state.step)
     new_phis = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
                 else np.arctan2(sy, sx)).clip(0.0, math.pi / 2)
@@ -445,28 +455,35 @@ def convergence_rate(graph: CommGraph, epsilon: float, weights=None) -> float:
 
 @dataclass
 class Trajectory:
-    """Recorded consensus run: phase and pinner series plus V(t)."""
+    """The record of one run, consensus or plant.
+
+    `data` maps a series name to its (T,) or (T, n) rows: a consensus run
+    records "phi" and "pinner" (row 0 holds the initial phases at t = 0), a
+    plant run adds its plant signals and "online" (rows from t = dt).
+    `lyapunov` is V per row, `meta` holds kind, backend, mode, seed and dt
+    (a plant run adds omega_nominal, v_nominal, k and c), and `warnings`
+    and `events_applied` are prefixed with their time.
+    """
 
     times: np.ndarray
-    phis: np.ndarray      # shape (steps+1, n)
-    pinners: np.ndarray   # shape (steps+1, n)
-    lyapunov: np.ndarray  # V against the mean pinner, shape (steps+1,)
-    backend: str
-    mode: str
-    seed: int
-    dt: float
+    data: dict
+    lyapunov: np.ndarray
+    meta: dict
     warnings: list = field(default_factory=list)
+    events_applied: list = field(default_factory=list)
 
     @property
-    def node_count(self) -> int:
-        return self.phis.shape[1]
+    def phis(self) -> np.ndarray:
+        return self.data["phi"]
 
     def write_csv(self, fh) -> None:
-        n = self.node_count
-        cols = (["t"] + [f"phi_{i}" for i in range(n)]
-                + [f"pinner_{i}" for i in range(n)] + ["V"])
-        write_csv_rows(fh, cols, np.column_stack(
-            [self.times, self.phis, self.pinners, self.lyapunov]))
+        """Columns t, the series in name order (name_i per node), then V."""
+        cols, series = ["t"], [self.times]
+        for name in sorted(self.data):
+            arr = self.data[name]
+            cols += [name] if arr.ndim == 1 else [f"{name}_{i}" for i in range(arr.shape[1])]
+            series.append(arr)
+        write_csv_rows(fh, cols + ["V"], np.column_stack(series + [self.lyapunov]))
 
 
 def write_csv_rows(fh, cols, block: np.ndarray) -> None:
@@ -476,6 +493,30 @@ def write_csv_rows(fh, cols, block: np.ndarray) -> None:
     line = ",".join(["%.9g"] * block.shape[1]) + "\n"
     for row in block:
         fh.write(line % tuple(row.tolist()))
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """Steps of dt in `horizon`; ValueError if that is not at least one."""
+    steps = int(round(horizon / dt))
+    if steps < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step of {dt}")
+    return steps
+
+
+def run_record(kind: str, times, data: dict, config: ProtocolConfig, noted,
+               events_applied=(), **meta) -> Trajectory:
+    """The `Trajectory` of a run with series `data`: V over each row's
+    online nodes (every node when `data` has no "online"), the meta of
+    `config` plus `meta`, and the warnings of the (step, warnings) pairs
+    `noted`, each prefixed with its step's start time."""
+    online = data["online"] > 0.5 if "online" in data else np.ones(data["phi"].shape, dtype=bool)
+    return Trajectory(
+        times=times, data=data, lyapunov=lyapunov_rows(data["phi"], data["pinner"], online),
+        meta={"kind": kind, "backend": config.backend, "mode": config.mode,
+              "seed": config.seed, "dt": config.dt, **meta},
+        warnings=[f"t={k * config.dt:.6g}: {w}" for k, ws in noted for w in ws],
+        events_applied=list(events_applied),
+    )
 
 
 def run_consensus(
@@ -490,10 +531,8 @@ def run_consensus(
 
     pinner_signal is a scalar or a per-node array, held for the whole run.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     n = graph.node_count
-    steps = int(round(horizon / config.dt))
+    steps = step_count(horizon, config.dt)
     pt = np.broadcast_to(np.asarray(pinner_signal, dtype=float), (n,))
     state = ProtocolState(phis=np.asarray(init_phis, dtype=float).copy())
     if state.phis.shape != (n,):
@@ -503,18 +542,14 @@ def run_consensus(
     pinners = np.empty((steps + 1, n))
     phis[0] = state.phis
     pinners[0] = pt
-    all_warnings: list = []
+    noted: list = []
     plan = StepPlan(graph)  # one segment: every node online throughout
     for k in range(steps):
         state = qsdc_step(state, graph, config, pt, events, plan=plan)
         if state.warnings:
-            all_warnings.extend(f"t={k * config.dt:.6g}: {w}" for w in state.warnings)
+            noted.append((k, state.warnings))
         phis[k + 1] = state.phis
         pinners[k + 1] = state.pinners
 
-    return Trajectory(
-        times=np.arange(steps + 1) * config.dt, phis=phis, pinners=pinners,
-        lyapunov=lyapunov_rows(phis, pinners, np.ones((steps + 1, n), dtype=bool)),
-        backend=config.backend, mode=config.mode, seed=config.seed,
-        dt=config.dt, warnings=all_warnings,
-    )
+    return run_record("consensus", np.arange(steps + 1) * config.dt,
+                      {"phi": phis, "pinner": pinners}, config, noted)

@@ -17,6 +17,9 @@ An offline DER keeps its index: each step runs `qsdc_step` on the full
 communication graph with the `StepPlan` of the DERs' online flags that its
 `PlantSegment` holds, which isolates the DER and holds its phase.  It
 carries no current (DC); its bus is passive (AC).
+
+`run_plant` records a run in the same `consensus.Trajectory` as a consensus
+run, with the plant series beside "phi", "pinner" and "online".
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import (ProtocolConfig, ProtocolState, StepPlan, lyapunov_rows, qsdc_step,
-                        write_csv_rows)
+from .consensus import (ProtocolConfig, ProtocolState, StepPlan, Trajectory, qsdc_step,
+                        run_record, step_count)
 from .netgraph import CommGraph, incidence_matrix, is_connected
 
 
@@ -310,30 +313,6 @@ def dc_step(
             None if record is not None else {name: arr[0] for name, arr in rec.items()})
 
 
-@dataclass
-class TimeSeries:
-    """Recorded plant run: per-step signal arrays keyed by name."""
-
-    times: np.ndarray
-    data: dict            # name -> array of shape (T,) or (T, n)
-    kind: str             # "ac" or "dc"
-    events_applied: list = field(default_factory=list)
-    lyapunov: np.ndarray | None = None
-    warnings: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def write_csv(self, fh) -> None:
-        cols, series = ["t"], [self.times]
-        for name in sorted(self.data):
-            arr = self.data[name]
-            cols += [name] if arr.ndim == 1 else [f"{name}_{i}" for i in range(arr.shape[1])]
-            series.append(arr)
-        if self.lyapunov is not None:
-            cols.append("V")
-            series.append(self.lyapunov)
-        write_csv_rows(fh, cols, np.column_stack(series))
-
-
 def _check_comm_connected(comm: CommGraph, ders, when: str) -> None:
     online = {i for i, d in enumerate(ders) if d.online}
     if not online:
@@ -375,18 +354,17 @@ def run_plant(
     horizon: float,
     events=(),
     mixing=(),
-) -> TimeSeries:
+) -> Trajectory:
     """Fixed-step co-simulation of an AC or DC scenario.
 
     Plant and protocol share the same dt; events snap to the nearest step.
     The run works on copies of `ders` and `network`, so events and the
-    default k (AC) or c (DC) never reach the caller's objects; `meta` has
-    the k or c and the nominal frequency or voltage used.
+    default k (AC) or c (DC) never reach the caller's objects.  The record
+    holds one row per step from t = dt, the series of `_record` (vbus as
+    (T,)); its `meta` has the k or c and the nominal frequency or voltage.
     """
     n = len(ders)
-    steps = int(round(horizon / config.dt))
-    if steps < 1:
-        raise ValueError(f"horizon {horizon} is shorter than one step of {config.dt}")
+    steps = step_count(horizon, config.dt)
     ders, network = copy.deepcopy((ders, network))
     if kind == "ac":
         network.apply_default_k(ders)
@@ -410,7 +388,7 @@ def run_plant(
 
     data = _record(kind, steps, n)
     applied: list = []
-    warnings: list = []
+    noted: list = []
 
     starts = sorted({0, *by_step} - {steps})  # event steps split the horizon
     for start, stop in zip(starts, starts[1:] + [steps]):
@@ -422,15 +400,10 @@ def run_plant(
         for kstep in range(start, stop):
             plant, _ = step(plant, ders, network, comm, config, mixing, segment, data, kstep)
             if plant.protocol.warnings:
-                warnings.extend(f"t={kstep * config.dt:.6g}: {w}"
-                                for w in plant.protocol.warnings)
+                noted.append((kstep, plant.protocol.warnings))
 
-    data = {name: arr[:, 0] if arr.shape[1] == 1 else arr for name, arr in data.items()}
-    return TimeSeries(times=np.arange(1, steps + 1) * config.dt, data=data, kind=kind,
-                      events_applied=applied,
-                      lyapunov=lyapunov_rows(data["phi"], data["pinner"], data["online"] > 0.5),
-                      warnings=warnings,
-                      meta={"dt": config.dt, "seed": config.seed,
-                            "backend": config.backend, "mode": config.mode,
-                            **{key: getattr(network, key, None)
-                               for key in ("omega_nominal", "v_nominal", "k", "c")}})
+    if kind == "dc":
+        data["vbus"] = data["vbus"][:, 0]
+    return run_record(kind, np.arange(1, steps + 1) * config.dt, data, config, noted, applied,
+                      **{key: getattr(network, key, None)
+                         for key in ("omega_nominal", "v_nominal", "k", "c")})

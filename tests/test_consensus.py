@@ -22,7 +22,7 @@ from qsdcsim.consensus import (
     run_consensus,
     write_csv_rows,
 )
-from qsdcsim.engine import CapacityError, local_bloch
+from qsdcsim.engine import CapacityError, IntegrationDivergedError, local_bloch
 from qsdcsim.measurement import _STREAM_TAG, stream_rng
 from qsdcsim.netgraph import build_graph
 from qsdcsim.scenario import parse_scenario
@@ -656,6 +656,38 @@ def test_run_rejects_bad_args():
         run_consensus([0.1, 0.2], 0.5, build_graph(1, []), cfg, horizon=1.0)
 
 
+def test_run_rejects_horizon_below_one_step():
+    # run_plant's rule: a run records at least one step
+    with pytest.raises(ValueError, match="shorter than one step"):
+        run_consensus(PAPER_INIT, PI / 3, TRIANGLE, exact_cfg("phase"), horizon=0.004)
+
+
+@pytest.mark.parametrize("backend", ["bloch", "phase"])
+@pytest.mark.parametrize("weight", [10.0, 100.0, 1e100])
+def test_step_that_leaves_the_bloch_ball_fails(backend, weight):
+    # dt times the spectral radius of the flow lies outside RK4's stability
+    # region, so the coherences grow past 1, which the exact flow never does;
+    # at 1e100 the step overflows to nan
+    graph = build_graph(3, [(0, 1), (1, 2), (0, 2)], [weight] * 3)
+    cfg = exact_cfg(backend, theta=PAPER_THETA, dt=0.1, substeps=1)
+    state = ProtocolState(phis=np.array(PAPER_INIT))
+    with pytest.raises(IntegrationDivergedError, match="use more substeps"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(100):
+                state = qsdc_step(state, graph, cfg, PI / 3)
+
+
+def test_stiff_but_stable_step_runs():
+    # weight 5 at dt 0.1 stays inside the stability region: no false alarm
+    graph = build_graph(3, [(0, 1), (1, 2), (0, 2)], [5.0] * 3)
+    state = ProtocolState(phis=np.array(PAPER_INIT))
+    for _ in range(100):
+        state = qsdc_step(state, graph, exact_cfg("bloch", PAPER_THETA, dt=0.1, substeps=1),
+                          PI / 3)
+    assert np.max(state.s) <= 1.0
+    assert np.max(np.abs(state.phis - PI / 3)) <= 1e-4
+
+
 def test_trajectory_csv_shape(tmp_path):
     cfg = exact_cfg("phase", theta=ThetaConfig.fixed(PI / 2), seed=1)
     traj = run_consensus(PAPER_INIT, PI / 3, TRIANGLE, cfg, horizon=0.5)
@@ -724,5 +756,5 @@ def test_run_lyapunov_column_is_v_against_mean_pinner():
                          sc.protocol(backend="phase", shots=50), 0.5)
     assert len(traj.lyapunov) == len(traj.times) == 51
     for k in range(len(traj.times)):
-        v = lyapunov(traj.phis[k], traj.pinners[k].mean())
+        v = lyapunov(traj.phis[k], traj.data["pinner"][k].mean())
         assert abs(traj.lyapunov[k] - v) <= 1e-15 * max(1.0, v)

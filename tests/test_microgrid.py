@@ -213,6 +213,15 @@ def test_run_plant_rejects_horizon_below_one_step():
         run_plant("ac", ders, net, comm, phase_cfg(), horizon=0.004)
 
 
+def test_one_der_ac_plant_keeps_per_der_columns():
+    # a width-1 series other than vbus stays (T, 1), so V is formed per row
+    ders = [AcDer(droop=5e-3, rated_kw=40.0)]
+    net = AcNetwork(lines=(), bus_loads=np.array([20.0]))
+    ts = run_plant("ac", ders, net, build_graph(1, []), phase_cfg(), horizon=0.5)
+    assert ts.data["phi"].shape == ts.data["online"].shape == (50, 1)
+    assert ts.lyapunov.shape == (50,)
+
+
 def test_plant_csv_matches_per_value_writer():
     sc = parse_scenario(SCENARIOS / "ac15.json")
     ders, net = sc.ac_plant()

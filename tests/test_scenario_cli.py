@@ -12,7 +12,7 @@ from qsdcsim.cli import fitted_decay_rate, main, settling_time, summarize
 from qsdcsim.consensus import RateRegionError, Trajectory, convergence_rate, run_consensus
 from qsdcsim.engine import CapacityError
 from qsdcsim.measurement import InvalidStateError
-from qsdcsim.microgrid import PartitionError, TimeSeries
+from qsdcsim.microgrid import PartitionError
 from qsdcsim.netgraph import GraphValidationError
 from qsdcsim.scenario import (
     ScenarioError,
@@ -165,10 +165,9 @@ def test_summarize_constant_trajectory():
     n = 40
     traj = Trajectory(
         times=np.linspace(0.0, 1.0, n),
-        phis=np.full((n, 2), 0.7),
-        pinners=np.full((n, 2), 0.7),
+        data={"phi": np.full((n, 2), 0.7), "pinner": np.full((n, 2), 0.7)},
         lyapunov=np.zeros(n),
-        backend="phase", mode="qsdc", seed=0, dt=0.01,
+        meta={"kind": "consensus", "backend": "phase", "mode": "qsdc", "seed": 0, "dt": 0.01},
     )
     s = summarize(traj)
     assert s["settling_time"] == 0.0
@@ -179,10 +178,9 @@ def test_summarize_constant_trajectory():
 def test_summarize_requires_window():
     traj = Trajectory(
         times=np.linspace(0.0, 1.0, 5),
-        phis=np.full((5, 1), 0.7),
-        pinners=np.full((5, 1), 0.7),
+        data={"phi": np.full((5, 1), 0.7), "pinner": np.full((5, 1), 0.7)},
         lyapunov=np.zeros(5),
-        backend="phase", mode="qsdc", seed=0, dt=0.01,
+        meta={"kind": "consensus", "backend": "phase", "mode": "qsdc", "seed": 0, "dt": 0.01},
     )
     with pytest.raises(ValueError, match="short"):
         summarize(traj)
@@ -191,12 +189,13 @@ def test_summarize_requires_window():
 def test_summarize_ac_zero_shares_is_finite():
     # all-zero shares over the final window: no 0/0, the spread reads 0
     steps, n = 20, 3
-    ts = TimeSeries(
+    ts = Trajectory(
         times=np.linspace(0.0, 0.19, steps),
         data={"omega": np.full((steps, n), 60.0), "online": np.ones((steps, n)),
               "pinner": np.zeros((steps, n))},
-        kind="ac",
-        meta={"omega_nominal": 60.0, "k": 0.5},
+        lyapunov=np.zeros(steps),
+        meta={"kind": "ac", "backend": "phase", "mode": "qsdc", "seed": 0, "dt": 0.01,
+              "omega_nominal": 60.0, "k": 0.5},
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -485,6 +484,50 @@ def test_cli_short_horizon_is_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(["consensus", "--scenario", str(path)], tmp_path, capsys)
     assert code == 2
     assert err.startswith("runtime error: series too short")
+
+
+def test_cli_horizon_below_one_step_is_runtime_error(tmp_path, capsys):
+    path = edited_scenario(tmp_path, "consensus3", lambda d: d.update(horizon=0.004))
+    code, _, err = run_cli(["consensus", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("runtime error: horizon 0.004 is shorter than one step of 0.01")
+
+
+def stiffen(doc):
+    # weight 100 at dt 0.1 and one substep puts RK4 outside its stability region
+    doc["graph"]["weights"] = [100.0] * len(doc["graph"]["edges"])
+    doc["protocol"].update(dt=0.1, substeps=1)
+
+
+@pytest.mark.parametrize("command, scenario, backend", [
+    ("consensus", "consensus3", "bloch"), ("consensus", "consensus3", "phase"),
+    ("ac", "ac15", "phase")])
+def test_cli_step_that_leaves_the_bloch_ball_is_runtime_error(tmp_path, capsys, command,
+                                                              scenario, backend):
+    path = edited_scenario(tmp_path, scenario, stiffen)
+    code, _, err = run_cli([command, "--scenario", str(path), "--backend", backend],
+                           tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("runtime error: step ") and "use more substeps" in err
+
+
+def test_cli_one_der_dc_plant_runs(tmp_path, capsys):
+    doc = {
+        "schema_version": 1,
+        "kind": "dc",
+        "name": "one_der",
+        "horizon": 1.0,
+        "graph": {"nodes": 1, "edges": []},
+        "protocol": {"dt": 0.01, "backend": "phase", "seed": 1},
+        "dc": {"ders": [{"droop_m": 1.0, "line_r": 0.01, "rated_current": 5.0}],
+               "r_load": 10.0},
+    }
+    path = tmp_path / "one_der.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["dc", "--scenario", str(path)], tmp_path, capsys)
+    assert (code, err) == (0, "")
+    header = (tmp_path / "one_der_timeseries.csv").read_text().splitlines()[0]
+    assert {"phi_0", "pinner_0", "online_0", "vbus", "V"} <= set(header.split(","))
 
 
 def test_cli_wrong_kind_exit_code(tmp_path, capsys):

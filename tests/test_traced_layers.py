@@ -11,6 +11,8 @@ eve run stops calling a layer through the name the tracer wraps.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import qsdcsim.cli  # noqa: F401  (loads every layer module)
 from qsdcsim import consensus, measurement, microgrid
 from qsdcsim.netgraph import build_graph
@@ -94,3 +96,21 @@ def test_an_eve_run_calls_each_eve_layer(tmp_path, monkeypatch):
     expected = {"measurement.constant_phase_stream": 1, "measurement.eve_intercept": 1,
                 "measurement.stream_rng": 4, "measurement.sample_basis": 0}
     assert {name: calls[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("command, scenario", [("consensus", "consensus3"), ("ac", "ac15")])
+def test_a_run_command_writes_and_summarizes_its_record_once(tmp_path, monkeypatch, command,
+                                                            scenario):
+    # the tracer wraps the record's write_csv under every name it lists, so
+    # a second name bound to the same class would count each write twice
+    monkeypatch.delenv("QSDC_OUT_DIR", raising=False)
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        code = qsdcsim.cli.main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"),
+                                 "--backend", "phase", "--dt", "0.1", "--out", str(tmp_path)])
+    finally:
+        t.uninstall()
+    assert code == 0
+    calls = {name: layer["calls"] for name, layer in t.layers().items()}
+    assert (calls["cli.write_csv"], calls["cli.summarize"]) == (1, 1)
