@@ -168,14 +168,17 @@ def _protocol_overrides(args) -> dict:
 def cmd_run(args, sc: Scenario) -> int:
     """Run a consensus, ac or dc scenario; write its record and summary."""
     config = sc.protocol(**_protocol_overrides(args))
-    if sc.kind == "consensus":
-        sec = sc.raw["consensus"]
-        record = consensus.run_consensus(sec["initial_phi"], sec["pinner"], sc.graph(), config,
-                                         sc.horizon, sc.mixing_events())
-    else:
-        ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
-        record = microgrid.run_plant(sc.kind, ders, network, sc.graph(), config, sc.horizon,
-                                     sc.plant_events(), sc.mixing_events())
+    # a step that overflows turns into nan, which the step's own Bloch-ball
+    # check reports as a runtime error; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sc.kind == "consensus":
+            sec = sc.raw["consensus"]
+            record = consensus.run_consensus(sec["initial_phi"], sec["pinner"], sc.graph(),
+                                             config, sc.horizon, sc.mixing_events())
+        else:
+            ders, network = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
+            record = microgrid.run_plant(sc.kind, ders, network, sc.graph(), config, sc.horizon,
+                                         sc.plant_events(), sc.mixing_events())
     s = summarize(record)
     stem = "trajectory" if sc.kind == "consensus" else "timeseries"
     files = ", ".join(_emit(args, f"{sc.name}_{stem}", record, s)) or "no files"

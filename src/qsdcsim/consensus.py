@@ -9,9 +9,8 @@ twin-qubit estimate atan2(<Y>, <X>) back as the next phi_i.
 Backends:
   full  - dense density matrix driven by the jump operators, applied as a
           phase mask (rotation-Z) and a flat gather per edge (swap, 8 * 4^n
-          bytes of index per edge) with no 2^n x 2^n operator; `engine.rz_jump`,
-          `swap_jump`, `pauli_on` and `lindblad_rhs` keep the explicit-matrix
-          form as its oracle;
+          bytes of index per edge) with no 2^n x 2^n operator; its
+          explicit-matrix oracle is in `tests/oracles.py`;
   bloch - the per-node local expectations.  Rotation-Z and swap conjugation
           map local Pauli observables to local Pauli observables, so with
           w_i = x_i + i*y_i they obey the closed linear flow
@@ -43,8 +42,9 @@ never change within a plan, and a step writes only w's diagonal, the core's
 plus the gains.  `full` and `bloch` share one integrator,
 `engine._rk4` (Horner-form RK4), on rho and on v; it commutes with the
 linear map from rho to local Bloch vectors, so the two agree to rounding.
-The instantaneous-pinner forms `bloch_rhs` and `phase_rhs` are the
-reference equations; they coincide with the flow at the step start.
+The reference equations, the instantaneous-pinner forms `bloch_rhs` and
+`phase_rhs` that coincide with the flow at the step start, are in
+`tests/oracles.py`.
 
 Every run, consensus or plant (`microgrid.run_plant`), is recorded in one
 `Trajectory`, whose V, meta and time-prefixed warnings `run_record` builds.
@@ -69,7 +69,6 @@ from .measurement import (
 )
 from .netgraph import (
     CommGraph,
-    adjacency_matrix,
     incidence_matrix,
     lambda_min_sym,
     laplacian,
@@ -229,52 +228,6 @@ def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> n
     return clamped
 
 
-def bloch_rhs(x, y, z, pinners, graph: CommGraph):
-    """Exact local-expectation dynamics in instantaneous-pinner form:
-
-        dx_i = s_i cos(pt_i) - x_i + sum_j a_ij (x_j - x_i)
-        dy_i = s_i sin(pt_i) - y_i + sum_j a_ij (y_j - y_i)
-        dz_i = sum_j a_ij (z_j - z_i)
-
-    with s_i = sqrt(x_i^2 + y_i^2).  pinners=None drops the pinning term.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    a = adjacency_matrix(graph)
-    deg = a.sum(axis=1)
-    dx = a @ x - deg * x
-    dy = a @ y - deg * y
-    dz = a @ z - deg * z
-    if pinners is not None:
-        pt = np.asarray(pinners, dtype=float)
-        s = np.hypot(x, y)
-        dx += s * np.cos(pt) - x
-        dy += s * np.sin(pt) - y
-    return dx, dy, dz
-
-
-def phase_rhs(phi, s, pinners, graph: CommGraph) -> np.ndarray:
-    """Phase dynamics with coherence-ratio coupling weights:
-
-        dphi_i = sin(pt_i - phi_i) + sum_j a_ij (s_j / s_i) sin(phi_j - phi_i)
-
-    With all s equal this is the unit-weight pinned oscillator network.
-    """
-    phi = np.asarray(phi, dtype=float)
-    s = np.asarray(s, dtype=float)
-    for i, si in enumerate(s):
-        if si <= 0.0:
-            raise ZeroDivisionError(f"node {i} has non-positive coherence s={si}")
-    a = adjacency_matrix(graph)
-    pt = np.asarray(pinners, dtype=float)
-    dphi = np.sin(pt - phi)
-    diff = np.subtract.outer(phi, phi)  # diff[i, j] = phi_i - phi_j
-    ratio = np.divide.outer(1.0 / s, 1.0 / s)  # ratio[i, j] = s_j / s_i
-    dphi += np.sum(a * ratio * np.sin(-diff), axis=1)
-    return dphi
-
-
 def _measure_node(w: np.ndarray, config: ProtocolConfig, step: int):
     """Measured <X> and <Y> of all n nodes, from w = <X> + i*<Y>.
 
@@ -421,15 +374,10 @@ def qsdc_step(
     )
 
 
-def lyapunov(phis, pinner_star: float) -> float:
-    """V = 1/2 sum_i (phi_i - phi*)^2 against a common pinner."""
-    z = np.asarray(phis, dtype=float) - float(pinner_star)
-    return float(0.5 * np.dot(z, z))
-
-
 def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> np.ndarray:
-    """`lyapunov` of every row of phis over the nodes that the bool mask
-    `online` marks, against the mean of their pinners."""
+    """V = 1/2 sum_i (phi_i - phi*)^2 of every row of phis over the nodes
+    that the bool mask `online` marks, with phi* the mean of their pinners
+    (the scalar reference `lyapunov` is in `tests/oracles.py`)."""
     z = np.where(online, phis - np.mean(pinners, axis=1, where=online, keepdims=True), 0.0)
     return 0.5 * np.einsum("ij,ij->i", z, z)
 

@@ -22,9 +22,9 @@ So the RHS is M * rho + sum_e w_e swap_e(rho) (`IndexJumpSet`), at
 O((n+m) 4^n) per evaluation instead of O((n+m) 8^n), with 8 * 4^n bytes of
 flat index per edge (32 KiB at n = 6, 8 MiB at the 10-qubit cap) held by the
 step's jump set.  The local depolarizing channel is a partial trace and
-replace.  `rz_jump`, `swap_jump`, `pauli_on` and `lindblad_rhs` (the full
-anticommutator form on explicit matrices) are the oracle the tests
-cross-check the index form against.
+replace.  The explicit-matrix form (`rz_jump`, `swap_jump`, `pauli_on` and
+`lindblad_rhs`, the full anticommutator form) lives in `tests/oracles.py`,
+the oracle the tests check the index form against.
 
 `_rk4` is the package's one integrator: `evolve` runs it on rho, the
 `bloch`/`phase` core of `consensus` on v' = A v with A the 2n x 2n matrix
@@ -50,10 +50,6 @@ import numpy as np
 from .netgraph import CommGraph
 
 MAX_DENSE_QUBITS = 10
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class EngineError(Exception):
@@ -144,18 +140,6 @@ class DensityMatrix:
     TRACE_TOL = 1e-9
     EIGEN_TOL = 1e-9
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, check: bool = True) -> "DensityMatrix":
-        m = np.asarray(m, dtype=complex)
-        dim = m.shape[0]
-        n = int(round(math.log2(dim)))
-        if m.shape != (dim, dim) or 2**n != dim:
-            raise StateValidationError(f"dimension {m.shape} is not square 2^n")
-        dm = cls(matrix=m, qubit_count=n)
-        if check:
-            dm.check()
-        return dm
-
     def check(self, eigen_tol: float | None = None) -> None:
         m = self.matrix
         m_dag = m.conj().T
@@ -192,70 +176,6 @@ def product_state(specs) -> DensityMatrix:
     return DensityMatrix(matrix=rho, qubit_count=n)
 
 
-def _embed_single(op2: np.ndarray, i: int, n: int) -> np.ndarray:
-    if not (0 <= i < n):
-        raise IndexError(f"node {i} out of range for {n} qubits")
-    m = np.eye(2**i, dtype=complex)
-    m = np.kron(m, op2)
-    return np.kron(m, np.eye(2 ** (n - i - 1), dtype=complex))
-
-
-def pauli_on(i: int, which: str, n: int) -> np.ndarray:
-    """sigma_{x|y|z} acting on tensor factor i of an n-qubit space."""
-    table = {"x": PAULI_X, "X": PAULI_X, "y": PAULI_Y, "Y": PAULI_Y,
-             "z": PAULI_Z, "Z": PAULI_Z}
-    return _embed_single(table[which], i, n)
-
-
-def rz_jump(i: int, alpha: float, n: int) -> np.ndarray:
-    """Rotation-Z jump on node i: diag(e^{-i a/2}, e^{i a/2}) embedded in 2^n."""
-    rz = np.array(
-        [[np.exp(-0.5j * alpha), 0.0], [0.0, np.exp(0.5j * alpha)]], dtype=complex
-    )
-    return _embed_single(rz, i, n)
-
-
-def swap_jump(i: int, j: int, n: int) -> np.ndarray:
-    """Permutation matrix exchanging tensor factors i and j."""
-    if i == j:
-        raise IndexError("swap requires two distinct nodes")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"swap ({i},{j}) out of range for {n} qubits")
-    return np.eye(2**n, dtype=complex)[:, _swap_perm(i, j, n)]
-
-
-@dataclass
-class JumpSet:
-    """Explicit jump operators: per-node pins, per-edge swaps.
-
-    Each entry is (operator, rate weight).  Operators must be unitary; edge
-    weights act as dissipator rates so weighted graphs reduce to the weighted
-    coupling a_ij (x_j - x_i) on Bloch components.  Its `rhs` is the full
-    anticommutator form, so a hand-built set evolves as the oracle does.
-    """
-
-    pin_ops: list
-    swap_ops: list
-
-    UNITARITY_TOL = 1e-12
-
-    def __post_init__(self):
-        for op, _ in self.pin_ops + self.swap_ops:
-            dim = op.shape[0]
-            if np.max(np.abs(op.conj().T @ op - np.eye(dim))) > self.UNITARITY_TOL:
-                raise ValueError("jump operator is not unitary within 1e-12")
-
-    def all_ops(self) -> list:
-        return self.pin_ops + self.swap_ops
-
-    @property
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.all_ops())
-
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        return _rhs_raw(rho, self.all_ops())
-
-
 @functools.lru_cache(maxsize=None)
 def _node_bits(n: int) -> np.ndarray:
     """bits[a, i]: the bit of node i in basis index a, as a float."""
@@ -283,8 +203,8 @@ class IndexJumpSet:
 
     `rhs` applies them as one phase mask and, per edge, one gather of the
     flattened rho through a flat index (8 * 4^n bytes, built on first use and
-    held by the set).  `all_ops` builds the explicit (rz_jump / swap_jump,
-    weight) pairs on first use, for the oracle `lindblad_rhs`.
+    held by the set).  `tests/oracles.py` builds the explicit operators from
+    the public `n`, `pin_angles`, `edges` and `weights`.
     """
 
     def __init__(self, n: int, pin_angles, edges, weights):
@@ -296,17 +216,6 @@ class IndexJumpSet:
     @property
     def total_weight(self) -> float:
         return sum([1.0] * self.n + list(self.weights))
-
-    def all_ops(self) -> list:
-        return self._explicit.all_ops()
-
-    @functools.cached_property
-    def _explicit(self) -> JumpSet:
-        n = self.n
-        return JumpSet(
-            pin_ops=[(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(self.pin_angles)],
-            swap_ops=[(swap_jump(i, j, n), w) for (i, j), w in zip(self.edges, self.weights)],
-        )
 
     @functools.cached_property
     def _mask(self) -> np.ndarray:
@@ -340,28 +249,6 @@ def build_jump_set(graph: CommGraph, pin_angles) -> IndexJumpSet:
     return IndexJumpSet(n, pin_angles, graph.edges, graph.weights)
 
 
-def _rhs_raw(rho: np.ndarray, ops) -> np.ndarray:
-    """sum_k w_k (C rho C^+ - 1/2 {C^+C, rho}) for the given (C, w) pairs."""
-    out = np.zeros_like(rho)
-    for c, w in ops:
-        c_dag = c.conj().T
-        cc = c_dag @ c
-        out += w * (c @ rho @ c_dag - 0.5 * (cc @ rho + rho @ cc))
-    return out
-
-
-def lindblad_rhs(rho, jumps: JumpSet | IndexJumpSet) -> np.ndarray:
-    """Master-equation right-hand side on the explicit operators (the oracle);
-    traceless and Hermitian."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    ops = jumps.all_ops()
-    if ops and ops[0][0].shape != m.shape:
-        raise ValueError(
-            f"jump dimension {ops[0][0].shape} does not match state {m.shape}"
-        )
-    return _rhs_raw(m, ops)
-
-
 def _rk4(y: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
     """Classical RK4 on a linear y' = rhs(y) over dt in `substeps` steps, in
     Horner form; `rhs` must return a new array (it is scaled in place)."""
@@ -376,7 +263,7 @@ def _rk4(y: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
     return y
 
 
-def evolve(rho: DensityMatrix, jumps: JumpSet | IndexJumpSet, dt: float,
+def evolve(rho: DensityMatrix, jumps: IndexJumpSet, dt: float,
            substeps: int = 1) -> DensityMatrix:
     """`_rk4` on the matrix ODE with step dt/substeps, not re-Hermitized
     between substeps; the final `check` (eigenvalues above -1e-6) raises

@@ -5,8 +5,9 @@ factor cancels, so it is exact for any state with in-plane coherence.
 
 Basis changes are folded into closed-form Bernoulli probabilities
 p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
-S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` applies the
-actual 2x2 circuit; the tests check the closed form against it.
+S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` in
+`tests/oracles.py` applies the actual 2x2 circuit, the oracle of the closed
+form.
 
 Everything measures arrays: one binomial draw takes the counts of all nodes
 in every measured basis of a protocol step, or of all intercepted steps in
@@ -35,10 +36,6 @@ _STREAM_TAG = {"X": 0, "Y": 1, "Z": 2, "theta": 3, "eve_theta": 4, "shots": 5}
 # The bases an interceptor measures at step t: entry t mod length.
 _EVE_SCHEDULE = {"cycle": ("X", "Y", "Z"), "xy": ("X", "Y"), "all": ("XYZ",),
                  "x": ("X",), "y": ("Y",), "z": ("Z",)}
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-
 
 class MeasurementError(Exception):
     pass
@@ -147,31 +144,6 @@ def _clamped(e) -> np.ndarray:
         if bad.any():
             raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
     return c
-
-
-def exact_probability(bloch: BlochVector, basis: str) -> float:
-    """Infinite-shot limit of p0 for the chosen measurement circuit."""
-    return float(0.5 * (1.0 + _clamped(_component(bloch, basis))))
-
-
-def _gate_level_p0(bloch: BlochVector, basis: str) -> float:
-    """Apply the actual basis-change circuit to the 2x2 state, then read the
-    Z-basis 0 probability.  Oracle path for the closed form above."""
-    rho = 0.5 * np.array(
-        [[1.0 + bloch.z, bloch.x - 1j * bloch.y],
-         [bloch.x + 1j * bloch.y, 1.0 - bloch.z]],
-        dtype=complex,
-    )
-    if basis == "X":
-        u = _H
-    elif basis == "Y":
-        u = _H @ _S_DAG
-    elif basis == "Z":
-        u = np.eye(2, dtype=complex)
-    else:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    rot = u @ rho @ u.conj().T
-    return float(rot[0, 0].real)
 
 
 def _sample_zeros(rng: np.random.Generator, shots: int, e):

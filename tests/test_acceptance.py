@@ -2,7 +2,6 @@
 the measured figure next to its tolerance (run with -s to see them live).
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -11,7 +10,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qsdcsim.cli import fitted_decay_rate, summarize
+from oracles import (exact_probability, pauli_on, phase_rhs, random_connected_graph, rz_jump,
+                     swap_jump)
+from qsdcsim.cli import fitted_decay_rate
 from qsdcsim.consensus import (
     MixingEvent,
     ProtocolConfig,
@@ -19,7 +20,6 @@ from qsdcsim.consensus import (
     RateRegionError,
     ThetaConfig,
     convergence_rate,
-    phase_rhs,
     qsdc_step,
     run_consensus,
 )
@@ -28,15 +28,11 @@ from qsdcsim.engine import (
     build_jump_set,
     evolve,
     local_bloch,
-    pauli_on,
     product_state,
-    rz_jump,
-    swap_jump,
 )
 from qsdcsim.measurement import (
     constant_phase_stream,
     eve_intercept,
-    exact_probability,
     sample_basis,
     stream_rng,
 )
@@ -51,17 +47,6 @@ TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 def report(num, text):
     print(f"[PASS] criterion {num}: {text}")
-
-
-def random_connected_graph(rng, n):
-    edges = set()
-    for v in range(1, n):
-        edges.add((int(rng.integers(0, v)), v))
-    for _ in range(n):
-        a, b = rng.integers(0, n, 2)
-        if a != b:
-            edges.add((min(int(a), int(b)), max(int(a), int(b))))
-    return build_graph(n, sorted(edges))
 
 
 def test_criterion_1_three_node_consensus():

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (PAULI_X, PAULI_Y, PAULI_Z, JumpSet, explicit, from_matrix, lindblad_rhs,
+                     pauli_on, rz_jump, swap_jump)
 from qsdcsim.engine import (
     MAX_DENSE_QUBITS,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     BlochVector,
     CapacityError,
     DensityMatrix,
     IntegrationDivergedError,
-    JumpSet,
     PureQubitSpec,
     StateValidationError,
     _rk4,
@@ -21,13 +19,9 @@ from qsdcsim.engine import (
     build_jump_set,
     depolarize_local,
     evolve,
-    lindblad_rhs,
     local_bloch,
     partial_trace_single,
-    pauli_on,
     product_state,
-    rz_jump,
-    swap_jump,
 )
 from qsdcsim.netgraph import build_graph
 
@@ -166,7 +160,7 @@ def test_rz_zero_angle_is_identity():
 def test_rz_rotates_bloch_about_z():
     rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0)])
     c = rz_jump(0, math.pi / 2, 1)
-    rotated = DensityMatrix.from_matrix(c @ rho.matrix @ c.conj().T)
+    rotated = from_matrix(c @ rho.matrix @ c.conj().T)
     b = bloch_of(rotated)
     assert abs(b.x) < 1e-12 and abs(b.y - 1.0) < 1e-12 and abs(b.z) < 1e-12
 
@@ -256,7 +250,7 @@ def test_rhs_unitary_shortcut_identity():
         rho = rand_product(rng, n)
         rhs = lindblad_rhs(rho, jumps)
         shortcut = -jumps.total_weight * rho.matrix
-        for c, w in jumps.all_ops():
+        for c, w in explicit(jumps).all_ops():
             shortcut = shortcut + w * (c @ rho.matrix @ c.conj().T)
         assert np.max(np.abs(rhs - shortcut)) <= 1e-12
 
@@ -355,7 +349,7 @@ def test_positivity_check_matches_eigvalsh_oracle(tol):
                     rho.check(eigen_tol=tol)
     if tol == DensityMatrix.EIGEN_TOL:  # the default bound
         with pytest.raises(StateValidationError, match="below -1e-09$"):
-            DensityMatrix.from_matrix(state_with_lambda_min(rng, 2, -1.001e-9).matrix)
+            from_matrix(state_with_lambda_min(rng, 2, -1.001e-9).matrix)
 
 
 def test_evolve_argument_validation():
@@ -382,7 +376,7 @@ def test_partial_trace_product_factors():
 def test_partial_trace_bell_state():
     psi = np.zeros(4, dtype=complex)
     psi[0b00] = psi[0b11] = 1.0 / math.sqrt(2.0)
-    rho = DensityMatrix.from_matrix(np.outer(psi, psi.conj()))
+    rho = from_matrix(np.outer(psi, psi.conj()))
     for i in (0, 1):
         red = partial_trace_single(rho, i)
         assert np.max(np.abs(red.matrix - 0.5 * np.eye(2))) <= 1e-12
@@ -401,7 +395,7 @@ def test_partial_trace_index_error():
 
 
 def test_bloch_of_examples():
-    assert bloch_of(DensityMatrix.from_matrix(0.5 * np.eye(2))).r == 0.0
+    assert bloch_of(from_matrix(0.5 * np.eye(2))).r == 0.0
     b = bloch_of(product_state([PureQubitSpec(theta=math.pi / 2, phi=math.pi / 6)]))
     assert abs(b.x - math.cos(math.pi / 6)) < 1e-12
     assert abs(b.y - 0.5) < 1e-12
@@ -488,15 +482,7 @@ def entangled_state(rng, n):
     if n > 1:
         t = rng.uniform(0.3, 1.2)
         psi = math.cos(t) * psi - 1j * math.sin(t) * (swap_jump(0, n - 1, n) @ psi)
-    return DensityMatrix.from_matrix(np.outer(psi, psi.conj()))
-
-
-def explicit_jump_set(graph, alphas):
-    n = graph.node_count
-    return JumpSet(
-        pin_ops=[(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(alphas)],
-        swap_ops=[(swap_jump(i, j, n), w) for (i, j), w in zip(graph.edges, graph.weights)],
-    )
+    return from_matrix(np.outer(psi, psi.conj()))
 
 
 def test_index_form_matches_explicit_oracle():
@@ -509,13 +495,13 @@ def test_index_form_matches_explicit_oracle():
             if n > 1:  # a pure state with a mixed marginal is entangled
                 assert purity(partial_trace_single(rho, 0)) < 1.0 - 1e-4
             index = build_jump_set(g, alphas)
-            explicit = explicit_jump_set(g, alphas)
-            assert index.total_weight == explicit.total_weight
-            oracle = lindblad_rhs(rho, explicit)
+            oracle_set = explicit(index)
+            assert index.total_weight == oracle_set.total_weight
+            oracle = lindblad_rhs(rho, oracle_set)
             assert np.max(np.abs(index.rhs(rho.matrix) - oracle)) <= 1e-12
             assert np.max(np.abs(lindblad_rhs(rho, index) - oracle)) <= 1e-12
             fast = evolve(rho, index, 0.05, 2)
-            slow = evolve(rho, explicit, 0.05, 2)
+            slow = evolve(rho, oracle_set, 0.05, 2)
             assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-12
 
 

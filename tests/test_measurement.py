@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import _gate_level_p0, exact_probability
 from qsdcsim import measurement
 from qsdcsim.engine import BlochVector
 from qsdcsim.measurement import (
@@ -17,13 +18,11 @@ from qsdcsim.measurement import (
     binary_entropy_bits,
     constant_phase_stream,
     eve_intercept,
-    exact_probability,
     qdc_from_expectation,
     rekeyed_rng,
     sample_basis,
     stream_rng,
     _clamped,
-    _gate_level_p0,
     _sample_zeros,
 )
 

@@ -493,9 +493,10 @@ def test_cli_horizon_below_one_step_is_runtime_error(tmp_path, capsys):
     assert err.startswith("runtime error: horizon 0.004 is shorter than one step of 0.01")
 
 
-def stiffen(doc):
-    # weight 100 at dt 0.1 and one substep puts RK4 outside its stability region
-    doc["graph"]["weights"] = [100.0] * len(doc["graph"]["edges"])
+def stiffen(doc, weight=100.0):
+    # weight 100 at dt 0.1 and one substep puts RK4 outside its stability
+    # region; weight 1e100 overflows the first step to nan
+    doc["graph"]["weights"] = [weight] * len(doc["graph"]["edges"])
     doc["protocol"].update(dt=0.1, substeps=1)
 
 
@@ -509,6 +510,19 @@ def test_cli_step_that_leaves_the_bloch_ball_is_runtime_error(tmp_path, capsys, 
                            tmp_path, capsys)
     assert code == 2
     assert err.startswith("runtime error: step ") and "use more substeps" in err
+
+
+@pytest.mark.parametrize("command, scenario, backend", [
+    ("consensus", "consensus3", "bloch"), ("ac", "ac15", "phase")])
+def test_cli_overflowing_step_prints_only_the_runtime_error(tmp_path, capsys, command,
+                                                           scenario, backend):
+    # numpy's overflow and invalid-value warnings (errors under -W error)
+    # must not reach stderr
+    path = edited_scenario(tmp_path, scenario, lambda doc: stiffen(doc, 1e100))
+    code, _, err = run_cli([command, "--scenario", str(path), "--backend", backend], tmp_path,
+                           capsys)
+    assert (code, err) == (2, "runtime error: step 0: integration left the Bloch ball "
+                              "(coherence nan); use more substeps\n")
 
 
 def test_cli_one_der_dc_plant_runs(tmp_path, capsys):
