@@ -20,8 +20,9 @@ Backends:
           with alpha_i = pinner_i - phi_i and L the weighted Laplacian;
   phase - another name for the bloch core, kept for existing scenarios.
 
-Nodes keep their labels when some go offline (`qsdc_step`'s `online`
-flags): an offline node loses its edges, so both backends see it isolated.
+Nodes keep their labels when some go offline (the online flags of the
+`StepPlan` a step takes): an offline node loses its edges, so both backends
+see it isolated.
 
 Random streams are keyed per step, not per node (`measurement.stream_rng`
 lists the keys): with shots the stream (seed, shots tag, step) draws the X
@@ -258,12 +259,12 @@ def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
 
 
 class StepPlan:
-    """What the steps over `graph` with the bool mask `online` (None: all
-    online) share: the offline nodes' indices, `graph` without their edges,
-    its read-only linear core -blockdiag(L, L) before the gains, and the
-    buffers A and v0 of the bloch flow.  A starts as the core; a step
-    overwrites v0 and `diag`, the view of w's diagonal in A, from
-    `core_diag`, the core's copy of it."""
+    """The topology every `qsdc_step` of a run or plant segment takes: the
+    bool mask `online` over `graph`'s nodes (None: all online), the offline
+    nodes' indices, `graph` without their edges, its read-only linear core
+    -blockdiag(L, L) before the gains, and the buffers A and v0 of the bloch
+    flow.  A starts as the core; a step overwrites v0 and `diag`, the view of
+    w's diagonal in A, from `core_diag`, the core's copy of it."""
 
     def __init__(self, graph: CommGraph, online=None):
         n = graph.node_count
@@ -281,28 +282,18 @@ class StepPlan:
         self.core_diag = self.diag.copy()
 
 
-def qsdc_step(
-    state: ProtocolState,
-    graph: CommGraph,
-    config: ProtocolConfig,
-    pinners,
-    events=(),
-    online=None,
-    plan: StepPlan | None = None,
-) -> ProtocolState:
-    """One full protocol iteration; deterministic given config.seed.
+def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinners,
+              events=()) -> ProtocolState:
+    """One full protocol iteration on `plan`; deterministic given config.seed.
 
-    `online` has one bool per node (None: all online).  An offline node's
-    edges are dropped; its measurement is discarded, no warning names it and
-    its phase comes back unchanged.  Thetas and shots are drawn for all
-    nodes, and mixing events use physical node indices.  An online node
-    below S_FLOOR, or whose sampled <X> and <Y> are both zero, keeps its
-    phase and gets a warning.  A run passes its `StepPlan(graph, online)`
-    as `plan`, which then replaces `online`.
+    An offline node of `plan` has no edges; its measurement is discarded,
+    no warning names it and its phase comes back unchanged.  Thetas and
+    shots are drawn for all nodes, and mixing events use physical node
+    indices.  An online node below S_FLOOR, or whose sampled <X> and <Y> are
+    both zero, keeps its phase and gets a warning.
     """
-    n = graph.node_count
-    plan = StepPlan(graph, online) if plan is None else plan
     online = plan.online
+    n = len(online)
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
     prev = np.asarray(state.phis, dtype=float)
@@ -397,6 +388,8 @@ def convergence_rate(graph: CommGraph, epsilon: float, weights=None) -> float:
     w = np.asarray(weights, dtype=float) if weights is not None else np.asarray(graph.weights)
     if w.shape != (len(graph.edges),):
         raise ValueError(f"need {len(graph.edges)} edge weights, got {w.shape}")
+    if (w <= 0.0).any():
+        raise ValueError(f"non-positive edge weight in {w.tolist()}")
     m = s1 * np.eye(graph.node_count) + s2 * (b @ np.diag(w) @ b.T)
     return lambda_min_sym(m)
 
@@ -493,7 +486,7 @@ def run_consensus(
     noted: list = []
     plan = StepPlan(graph)  # one segment: every node online throughout
     for k in range(steps):
-        state = qsdc_step(state, graph, config, pt, events, plan=plan)
+        state = qsdc_step(state, plan, config, pt, events)
         if state.warnings:
             noted.append((k, state.warnings))
         phis[k + 1] = state.phis

@@ -296,7 +296,7 @@ def partial_trace_single(rho: DensityMatrix, i: int) -> DensityMatrix:
 
 def bloch_of(rho2: DensityMatrix) -> BlochVector:
     """Pauli expectations of a 2x2 density matrix."""
-    m = rho2.matrix if isinstance(rho2, DensityMatrix) else np.asarray(rho2)
+    m = rho2.matrix
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got {m.shape}")
     x = float((m[0, 1] + m[1, 0]).real)

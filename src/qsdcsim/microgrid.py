@@ -13,10 +13,12 @@ co-simulation closes it algebraically each step (the one-step-delayed
 alternative is unstable for m_i >> R_i, which is exactly the regime the
 droop accuracy condition requires).
 
-An offline DER keeps its index: each step runs `qsdc_step` on the full
-communication graph with the `StepPlan` of the DERs' online flags that its
-`PlantSegment` holds, which isolates the DER and holds its phase.  It
-carries no current (DC); its bus is passive (AC).
+`run_plant` splits the horizon at its events and builds one `PlantSegment`
+per part; `ac_step` and `dc_step` read the segment and write one row of the
+run's `_record`.  An offline DER keeps its index: `qsdc_step` runs on the
+segment's `StepPlan` of the full communication graph and the DERs' online
+flags, which isolates the DER and holds its phase.  It carries no current
+(DC); its bus is passive (AC).
 
 `run_plant` records a run in the same `consensus.Trajectory` as a consensus
 run, with the plant series beside "phi", "pinner" and "online".
@@ -66,6 +68,9 @@ class AcNetwork:
     bus_loads: np.ndarray  # kW per DER bus
     omega_nominal: float = 60.0
     k: float = 0.0        # rad per Hz; 0 means "apply the default rule"
+
+    def __post_init__(self):
+        self.bus_loads = np.array(self.bus_loads, dtype=float)  # a step_load adds floats
 
     def apply_default_k(self, ders) -> None:
         if self.k <= 0.0:
@@ -143,15 +148,15 @@ def _line_operators(lines: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return inc, np.array([b for _i, _j, b in lines], dtype=float)
 
 
-def ac_power_flow(deltas, lines, bus_loads, operators=None) -> np.ndarray:
+def ac_power_flow(deltas, operators, bus_loads) -> np.ndarray:
     """Injections P = P_L + B (b * sin(B^T delta)), i.e.
     P_i = P_L,i + sum_j b_ij sin(delta_i - delta_j), with `operators` the
-    `_line_operators` of `lines` (None: build them).
+    `_line_operators` (B, b) of the lines.
 
     The sine terms cancel pairwise, so sum(P) = sum(P_L) identically.
     """
-    inc, strength = _line_operators(lines, len(bus_loads)) if operators is None else operators
-    return np.asarray(bus_loads, dtype=float) + inc @ (strength * np.sin(inc.T @ deltas))
+    inc, strength = operators
+    return bus_loads + inc @ (strength * np.sin(inc.T @ deltas))
 
 
 def _passive_table(lines, bus_loads, passive) -> tuple:
@@ -166,15 +171,18 @@ def _passive_table(lines, bus_loads, passive) -> tuple:
     return tuple((i, float(bus_loads[i]), tuple(neigh[i])) for i in passive)
 
 
-def _solve_passive_buses(deltas, buses, tol=1e-11, max_sweeps=200):
+PASSIVE_TOL_KW, PASSIVE_SWEEPS = 1e-11, 200
+
+
+def _solve_passive_buses(deltas, buses):
     """Zero-injection angles for the buses of the `_passive_table` `buses`,
     whose DERs are offline (1-D Newton per bus, Gauss-Seidel sweeps);
-    MicrogridError if the injections stay above tol after max_sweeps
-    sweeps, as when a load exceeds what its lines carry."""
+    MicrogridError if the injections stay above PASSIVE_TOL_KW after
+    PASSIVE_SWEEPS sweeps, as when a load exceeds what its lines carry."""
     if not buses:
         return deltas
     d, sin, cos = deltas.tolist(), math.sin, math.cos
-    for _ in range(max_sweeps):
+    for _ in range(PASSIVE_SWEEPS):
         worst = 0.0
         for i, f, neigh in buses:
             di, fp = d[i], 0.0
@@ -185,25 +193,25 @@ def _solve_passive_buses(deltas, buses, tol=1e-11, max_sweeps=200):
             worst = max(worst, abs(f))
             if abs(fp) > 1e-9:
                 d[i] = di - f / fp
-        if worst < tol:
+        if worst < PASSIVE_TOL_KW:
             return np.array(d)
     raise MicrogridError(f"passive buses {[bus[0] for bus in buses]} did not settle: "
-                         f"injection residual {worst:.3g} kW after {max_sweeps} sweeps")
+                         f"injection residual {worst:.3g} kW after {PASSIVE_SWEEPS} sweeps")
 
 
 def _record(kind: str, rows: int, n: int) -> dict:
-    """Unfilled output arrays of `rows` steps: name -> (rows, width)."""
+    """Unfilled output arrays of `rows` steps: vbus (rows,), the rest (rows, n)."""
     names = ("omega", "power") if kind == "ac" else ("vbus", "current", "vref")
-    return {name: np.empty((rows, 1 if name == "vbus" else n))
+    return {name: np.empty((rows,) if name == "vbus" else (rows, n))
             for name in names + ("phi", "pinner", "online")}
 
 
 class PlantSegment:
     """What the steps up to the next event read: the `StepPlan` of the DERs'
     online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i,
-    and copies of the network arrays (AC: float bus loads, line operators
-    and the `_passive_table` of the offline DERs' buses; DC: R_i + m_i and
-    the online DERs' indices)."""
+    and copies of the network arrays (AC: bus loads, line operators and the
+    `_passive_table` of the offline DERs' buses; DC: R_i + m_i and the
+    online DERs' indices)."""
 
     def __init__(self, kind: str, ders, network, comm: CommGraph):
         online = np.array([d.online for d in ders])
@@ -211,7 +219,7 @@ class PlantSegment:
         self.droops = np.array([d.droop if kind == "ac" else d.droop_m for d in ders])
         self.gains = (network.k if kind == "ac" else network.c) * self.droops
         if kind == "ac":
-            self.loads = np.array(network.bus_loads, dtype=float)
+            self.loads = network.bus_loads.copy()
             self.operators = _line_operators(network.lines, len(self.loads))
             self.buses = _passive_table(network.lines, self.loads, self.plan.offline.tolist())
         else:
@@ -225,38 +233,26 @@ class AcPlantState:
     protocol: ProtocolState
 
 
-def ac_step(
-    plant: AcPlantState,
-    ders,
-    network: AcNetwork,
-    comm: CommGraph,
-    config: ProtocolConfig,
-    mixing=(),
-    segment: PlantSegment | None = None,
-    record: dict | None = None, row: int = 0,
-) -> tuple[AcPlantState, dict | None]:
-    """One co-simulation step of dt: power flow, consensus update with
-    pinners k*n_i*P_i, droop frequencies, angle integration.  A run passes
-    its `segment` and writes the outputs into row `row` of its `_record`;
-    without a record they come back as a dict."""
-    seg = PlantSegment("ac", ders, network, comm) if segment is None else segment
-    rec = _record("ac", 1, len(ders)) if record is None else record
+def ac_step(plant: AcPlantState, network: AcNetwork, config: ProtocolConfig, mixing,
+            segment: PlantSegment, record: dict, row: int) -> AcPlantState:
+    """One co-simulation step of dt on `segment`: power flow, consensus
+    update with pinners k*n_i*P_i, droop frequencies, angle integration.
+    The outputs go into row `row` of the `_record` `record`."""
     nominal = network.omega_nominal
 
-    deltas = _solve_passive_buses(plant.deltas, seg.buses)
-    power = ac_power_flow(deltas, network.lines, seg.loads, seg.operators)
-    rec["pinner"][row] = pinners = seg.gains * power
+    deltas = _solve_passive_buses(plant.deltas, segment.buses)
+    power = ac_power_flow(deltas, segment.operators, segment.loads)
+    record["pinner"][row] = pinners = segment.gains * power
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners, mixing, plan=seg.plan)
+    protocol = qsdc_step(plant.protocol, segment.plan, config, pinners, mixing)
 
-    omega = nominal - seg.droops * power + protocol.phis / network.k
-    omega[seg.plan.offline] = nominal
+    omega = nominal - segment.droops * power + protocol.phis / network.k
+    omega[segment.plan.offline] = nominal
     deltas = deltas + config.dt * 2.0 * math.pi * (omega - nominal)
 
-    rec["omega"][row], rec["power"][row], rec["phi"][row] = omega, power, protocol.phis
-    rec["online"][row] = seg.plan.online
-    return (AcPlantState(deltas=deltas, protocol=protocol),
-            None if record is not None else {name: arr[0] for name, arr in rec.items()})
+    record["omega"][row], record["power"][row], record["phi"][row] = omega, power, protocol.phis
+    record["online"][row] = segment.plan.online
+    return AcPlantState(deltas=deltas, protocol=protocol)
 
 
 def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]:
@@ -283,34 +279,23 @@ class DcPlantState:
     currents: np.ndarray
 
 
-def dc_step(
-    plant: DcPlantState,
-    ders,
-    network: DcNetwork,
-    comm: CommGraph,
-    config: ProtocolConfig,
-    mixing=(),
-    segment: PlantSegment | None = None,
-    record: dict | None = None, row: int = 0,
-) -> tuple[DcPlantState, dict | None]:
+def dc_step(plant: DcPlantState, network: DcNetwork, config: ProtocolConfig, mixing,
+            segment: PlantSegment, record: dict, row: int) -> DcPlantState:
     """One co-simulation step: consensus with pinners c*m_i*I_i, then the
     droop-closed bus solve with the updated phases; the rest as in `ac_step`."""
-    seg = PlantSegment("dc", ders, network, comm) if segment is None else segment
-    rec = _record("dc", 1, len(ders)) if record is None else record
-    rec["pinner"][row] = pinners = seg.gains * plant.currents
+    record["pinner"][row] = pinners = segment.gains * plant.currents
 
-    protocol = qsdc_step(plant.protocol, comm, config, pinners, mixing, plan=seg.plan)
+    protocol = qsdc_step(plant.protocol, segment.plan, config, pinners, mixing)
     phis = protocol.phis
 
     v_src = network.v_nominal + phis / network.c
-    vb, currents = dc_solve(v_src, seg.r_series, network.r_load, seg.online_idx)
-    v_refs = v_src - seg.droops * currents
-    v_refs[seg.plan.offline] = network.v_nominal
+    vb, currents = dc_solve(v_src, segment.r_series, network.r_load, segment.online_idx)
+    v_refs = v_src - segment.droops * currents
+    v_refs[segment.plan.offline] = network.v_nominal
 
-    rec["vbus"][row], rec["current"][row], rec["vref"][row] = vb, currents, v_refs
-    rec["phi"][row], rec["online"][row] = phis, seg.plan.online
-    return (DcPlantState(protocol=protocol, currents=currents),
-            None if record is not None else {name: arr[0] for name, arr in rec.items()})
+    record["vbus"][row], record["current"][row], record["vref"][row] = vb, currents, v_refs
+    record["phi"][row], record["online"][row] = phis, segment.plan.online
+    return DcPlantState(protocol=protocol, currents=currents)
 
 
 def _check_comm_connected(comm: CommGraph, ders, when: str) -> None:
@@ -360,16 +345,19 @@ def run_plant(
     Plant and protocol share the same dt; events snap to the nearest step.
     The run works on copies of `ders` and `network`, so events and the
     default k (AC) or c (DC) never reach the caller's objects.  The record
-    holds one row per step from t = dt, the series of `_record` (vbus as
-    (T,)); its `meta` has the k or c and the nominal frequency or voltage.
+    holds one row per step from t = dt, the series of `_record`; its `meta`
+    has the k or c and the nominal frequency or voltage.
     """
     n = len(ders)
     steps = step_count(horizon, config.dt)
     ders, network = copy.deepcopy((ders, network))
+    protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
         network.apply_default_k(ders)
+        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
     else:
         network.apply_default_c(ders)
+        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
     network.check_scaling(ders)
     _check_comm_connected(comm, ders, "initial topology")
 
@@ -379,12 +367,6 @@ def run_plant(
         if not (0 <= idx <= steps):
             raise ValueError(f"event at t={ev.time} outside the horizon")
         by_step.setdefault(idx, []).append(ev)
-
-    protocol = ProtocolState(phis=np.zeros(n))
-    if kind == "ac":
-        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
-    else:
-        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
 
     data = _record(kind, steps, n)
     applied: list = []
@@ -398,12 +380,10 @@ def run_plant(
                 _check_comm_connected(comm, ders, f"after {ev.kind} at t={ev.time:g}")
         segment = PlantSegment(kind, ders, network, comm)
         for kstep in range(start, stop):
-            plant, _ = step(plant, ders, network, comm, config, mixing, segment, data, kstep)
+            plant = step(plant, network, config, mixing, segment, data, kstep)
             if plant.protocol.warnings:
                 noted.append((kstep, plant.protocol.warnings))
 
-    if kind == "dc":
-        data["vbus"] = data["vbus"][:, 0]
     return run_record(kind, np.arange(1, steps + 1) * config.dt, data, config, noted, applied,
                       **{key: getattr(network, key, None)
                          for key in ("omega_nominal", "v_nominal", "k", "c")})

@@ -124,15 +124,12 @@ class Scenario:
         return out
 
     def ac_plant(self) -> tuple[list[microgrid.AcDer], microgrid.AcNetwork]:
-        import numpy as np
-
         sec = self.raw["ac"]
         ders = [microgrid.AcDer(droop=d["droop"], rated_kw=d["rated_kw"])
                 for d in sec["ders"]]
-        loads = np.array([d.get("bus_load_kw", 0.0) for d in sec["ders"]])
         net = microgrid.AcNetwork(
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
-            bus_loads=loads,
+            bus_loads=[d.get("bus_load_kw", 0.0) for d in sec["ders"]],
             omega_nominal=sec["omega_nominal"],
             k=sec.get("k", 0.0),
         )
@@ -282,9 +279,12 @@ def _physics_checks(doc: dict) -> None:
         if eps is not None and not (0.0 <= eps < math.pi / 2):
             fail("$.rate.epsilon", f"epsilon {eps} outside [0, pi/2)")
     if "weights" in rate and "graph" in doc:
-        edges = len(doc["graph"]["edges"])
-        if len(rate["weights"]) != edges:
-            fail("$.rate.weights", f"{len(rate['weights'])} weights for {edges} edges")
+        edges = doc["graph"]["edges"]
+        if len(rate["weights"]) != len(edges):
+            fail("$.rate.weights", f"{len(rate['weights'])} weights for {len(edges)} edges")
+        for (i, j), w in zip(edges, rate["weights"]):
+            if w <= 0.0:
+                fail("$.rate.weights", f"non-positive weight {w} on edge ({i},{j})")
 
 
 def _check_plant_events(sec: dict, n: int, horizon: float, prefix: str) -> None:

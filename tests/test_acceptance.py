@@ -18,6 +18,7 @@ from qsdcsim.consensus import (
     ProtocolConfig,
     ProtocolState,
     RateRegionError,
+    StepPlan,
     ThetaConfig,
     convergence_rate,
     qsdc_step,
@@ -90,7 +91,7 @@ def test_criterion_2_backend_equivalence():
         }
         for _step in range(25):
             for b in states:
-                states[b] = qsdc_step(states[b], g, cfgs[b], pinners)
+                states[b] = qsdc_step(states[b], StepPlan(g), cfgs[b], pinners)
             full, bloch = states["full"], states["bloch"]
             fx = full.s * np.cos(full.phis)
             fy = full.s * np.sin(full.phis)

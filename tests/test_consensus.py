@@ -13,6 +13,7 @@ from qsdcsim.consensus import (
     ProtocolConfig,
     ProtocolState,
     RateRegionError,
+    StepPlan,
     ThetaConfig,
     convergence_rate,
     lyapunov_rows,
@@ -147,41 +148,40 @@ def test_step_fixed_point_exact():
     for backend in ("full", "bloch", "phase"):
         cfg = exact_cfg(backend, theta=PAPER_THETA)
         state = ProtocolState(phis=np.full(3, PI / 3))
-        out = qsdc_step(state, TRIANGLE, cfg, np.full(3, PI / 3))
+        out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.full(3, PI / 3))
         assert np.max(np.abs(out.phis - PI / 3)) <= 1e-9
 
 
 def test_step_pinner_clamp_warning():
     cfg = exact_cfg("phase")
     state = ProtocolState(phis=np.full(3, 0.8))
-    out = qsdc_step(state, TRIANGLE, cfg, np.array([2.0, 0.5, 0.5]))
+    out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.array([2.0, 0.5, 0.5]))
     assert any("clamped" in w for w in out.warnings)
     assert out.pinners[0] == PI / 2
     # an offline node's pinner is clamped too, but no warning names it
-    off = qsdc_step(state, TRIANGLE, cfg, np.array([2.0, 0.5, 0.5]),
-                    online=[False, True, True])
+    off = qsdc_step(state, StepPlan(TRIANGLE, [False, True, True]), cfg,
+                    np.array([2.0, 0.5, 0.5]))
     assert off.pinners[0] == PI / 2
     assert not off.warnings
 
 
 def test_step_online_flags_need_one_per_node():
     with pytest.raises(ValueError, match="3 online flags"):
-        qsdc_step(ProtocolState(phis=np.full(3, 0.5)), TRIANGLE, exact_cfg(),
-                  np.full(3, 0.5), online=[False])
+        StepPlan(TRIANGLE, [False])
 
 
 def test_step_full_backend_capacity():
     g = build_graph(11, [(i, i + 1) for i in range(10)])
     cfg = exact_cfg("full")
     with pytest.raises(CapacityError):
-        qsdc_step(ProtocolState(phis=np.full(11, 0.4)), g, cfg, np.full(11, 0.4))
+        qsdc_step(ProtocolState(phis=np.full(11, 0.4)), StepPlan(g), cfg, np.full(11, 0.4))
 
 
 def test_step_mixing_aborts_node_when_coherence_collapses():
     cfg = exact_cfg("phase")
     ev = MixingEvent(nodes=(0,), t_start=0.0, t_end=1.0, p=0.75)  # shrink to 0
     state = ProtocolState(phis=np.full(3, 0.5))
-    out = qsdc_step(state, TRIANGLE, cfg, np.full(3, 0.7), events=[ev])
+    out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.full(3, 0.7), events=[ev])
     assert out.phis[0] == 0.5  # held at its previous estimate
     assert any("node 0" in w for w in out.warnings)
     assert out.phis[1] != 0.5
@@ -189,7 +189,7 @@ def test_step_mixing_aborts_node_when_coherence_collapses():
 
 def test_step_node_state_view():
     cfg = exact_cfg("phase", theta=ThetaConfig.fixed(1.1, 1.2, 1.3))
-    out = qsdc_step(ProtocolState(phis=np.full(3, 0.5)), TRIANGLE, cfg,
+    out = qsdc_step(ProtocolState(phis=np.full(3, 0.5)), StepPlan(TRIANGLE), cfg,
                     np.full(3, 0.6))
     assert out.thetas[2] == 1.3
     assert out.pinners[2] == 0.6
@@ -200,8 +200,8 @@ def test_step_sampled_mode_deterministic():
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=500,
                          theta=ThetaConfig.uniform(0.5, 2.5), seed=21,
                          backend="phase")
-    a = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), TRIANGLE, cfg, np.full(3, 0.9))
-    b = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), TRIANGLE, cfg, np.full(3, 0.9))
+    a = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE), cfg, np.full(3, 0.9))
+    b = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE), cfg, np.full(3, 0.9))
     assert np.array_equal(a.phis, b.phis)
 
 
@@ -224,14 +224,14 @@ def test_step_draws_one_theta_stream_and_one_shot_draw(monkeypatch):
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     state = ProtocolState(phis=np.full(6, 0.4), step=3)
     uniform = ThetaConfig.uniform(0.5, 2.5)
-    qsdc_step(state, g, exact_cfg("phase", theta=uniform), np.full(6, 0.9))
+    qsdc_step(state, StepPlan(g), exact_cfg("phase", theta=uniform), np.full(6, 0.9))
     assert (streams, draws) == ([(0, _STREAM_TAG["theta"], 0)], [])
     for mode, shape in (("qsdc", (2, 6)), ("qdc_legacy", (1, 6))):
         streams.clear()
         draws.clear()
         sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8,
                                  mode=mode)
-        qsdc_step(state, g, sampled, np.full(6, 0.9), online=[True, False] * 3)
+        qsdc_step(state, StepPlan(g, [True, False] * 3), sampled, np.full(6, 0.9))
         # qdc_legacy fixes theta, so it draws no theta block
         assert streams == ([(8, _STREAM_TAG["theta"], 0)] if mode == "qsdc" else [])
         assert draws == [shape]  # every basis and node, offline ones too
@@ -323,8 +323,8 @@ def test_sampled_estimate_ignores_isolated_node_going_offline():
                          theta=ThetaConfig.uniform(0.5, 2.5), seed=5)
     state = ProtocolState(phis=np.array([0.3, 0.4, 0.6, 0.8]), step=2)
     pinners = np.full(4, 0.7)
-    on = qsdc_step(state, g, cfg, pinners)
-    off = qsdc_step(state, g, cfg, pinners, online=[False, True, True, True])
+    on = qsdc_step(state, StepPlan(g), cfg, pinners)
+    off = qsdc_step(state, StepPlan(g, [False, True, True, True]), cfg, pinners)
     assert np.array_equal(on.phis[1:], off.phis[1:])
     assert off.phis[0] == 0.3 and on.phis[0] != 0.3
 
@@ -340,8 +340,8 @@ def test_offline_node_step_equals_hand_pruned_graph():
     online = np.arange(7) != 4
     for backend in ("phase", "bloch"):
         cfg = exact_cfg(backend, theta=ThetaConfig.uniform(0.4, 2.6), seed=3)
-        masked = qsdc_step(state, g, cfg, pinners, online=online)
-        by_hand = qsdc_step(state, pruned, cfg, pinners)
+        masked = qsdc_step(state, StepPlan(g, online), cfg, pinners)
+        by_hand = qsdc_step(state, StepPlan(pruned), cfg, pinners)
         assert np.max(np.abs(masked.phis - by_hand.phis)[online]) <= 1e-14
         assert masked.phis[4] == state.phis[4]
 
@@ -353,8 +353,9 @@ def test_sampled_degenerate_node_holds_phase():
     online = np.arange(6) != 5
     state = ProtocolState(phis=np.array([0.2, 1.9, 0.6, -0.3, 1.1, 1.7]))
     degenerate = 0
+    plan = StepPlan(g, online)
     for _ in range(40):
-        out = qsdc_step(state, g, cfg, np.full(6, 0.8), online=online)
+        out = qsdc_step(state, plan, cfg, np.full(6, 0.8))
         assert out.phis[5] == 1.7
         held = state.phis.clip(0.0, PI / 2)
         for w in out.warnings:
@@ -368,7 +369,7 @@ def test_sampled_degenerate_node_holds_phase():
 
 
 def test_step_plan_prunes_offline_edges():
-    plan = consensus.StepPlan(TRIANGLE, [True, False, True])
+    plan = StepPlan(TRIANGLE, [True, False, True])
     core = plan.core
     assert plan.graph.edges == ((0, 2),)
     assert np.array_equal(plan.offline, [1])
@@ -392,12 +393,12 @@ def test_step_plan_reuse_matches_fresh_plans_bitwise():
     for shots in (None, 64):
         cfg = ProtocolConfig(dt=0.01, substeps=3, shots=shots, backend="bloch", seed=4,
                              theta=ThetaConfig.uniform(0.4, 2.7))
-        plan = consensus.StepPlan(g, online)
+        plan = StepPlan(g, online)
         shared = fresh = ProtocolState(phis=np.array([0.1, 1.2, 0.7, 0.3, 1.5]))
         for k in range(10):
             pinners = np.linspace(0.2, 1.3, 5) + 0.05 * k
-            shared = qsdc_step(shared, g, cfg, pinners, events, plan=plan)
-            fresh = qsdc_step(fresh, g, cfg, pinners, events, online=online)
+            shared = qsdc_step(shared, plan, cfg, pinners, events)
+            fresh = qsdc_step(fresh, StepPlan(g, online), cfg, pinners, events)
             assert plan.a[keep].tobytes() == plan.core[keep].tobytes()
             for got, want in ((shared.phis, fresh.phis), (shared.s, fresh.s),
                               (shared.zs, fresh.zs)):
@@ -421,7 +422,7 @@ def test_backend_equivalence_small():
             state = ProtocolState(phis=init.copy())
             trace = []
             for _step in range(20):
-                state = qsdc_step(state, g, cfg, pinners)
+                state = qsdc_step(state, StepPlan(g), cfg, pinners)
                 trace.append(state.phis.copy())
             results[backend] = np.array(trace)
         assert np.max(np.abs(results["full"] - results["bloch"])) <= 1e-6
@@ -438,7 +439,7 @@ def test_full_backend_local_expectations_match_bloch_rhs_integration():
     thetas = rng.uniform(0.4, PI - 0.4, n)
     pinners = rng.uniform(0.1, 1.4, n)
     cfg = exact_cfg("full", theta=ThetaConfig.fixed(*thetas), dt=0.001, substeps=4)
-    out = qsdc_step(ProtocolState(phis=phis.copy()), g, cfg, pinners)
+    out = qsdc_step(ProtocolState(phis=phis.copy()), StepPlan(g), cfg, pinners)
 
     alphas = pinners - phis
     from qsdcsim.netgraph import adjacency_matrix
@@ -492,8 +493,8 @@ def test_full_step_matches_bloch_step_to_rounding():
             out = {}
             for backend in ("full", "bloch"):
                 cfg = exact_cfg(backend, theta=theta, seed=5)
-                out[backend] = qsdc_step(ProtocolState(phis=phis.copy()), g, cfg,
-                                         pinners, events, online=online)
+                out[backend] = qsdc_step(ProtocolState(phis=phis.copy()),
+                                         StepPlan(g, online), cfg, pinners, events)
             for name in ("phis", "s", "zs"):
                 gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
                 assert gap <= 1e-12, (n, online, name, gap)
@@ -510,7 +511,7 @@ def test_phase_matches_bloch_at_low_coherence():
     out = {}
     for backend in ("bloch", "phase"):
         out[backend] = qsdc_step(ProtocolState(phis=np.array([0.2, 0.8, 1.2])),
-                                 TRIANGLE, exact_cfg(backend, theta=theta),
+                                 StepPlan(TRIANGLE), exact_cfg(backend, theta=theta),
                                  np.full(3, 1.0))
     assert out["bloch"].s[0] < 0.02
     assert not out["phase"].warnings
@@ -664,7 +665,7 @@ def test_step_that_leaves_the_bloch_ball_fails(backend, weight):
     with pytest.raises(IntegrationDivergedError, match="use more substeps"):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(100):
-                state = qsdc_step(state, graph, cfg, PI / 3)
+                state = qsdc_step(state, StepPlan(graph), cfg, PI / 3)
 
 
 def test_stiff_but_stable_step_runs():
@@ -672,8 +673,8 @@ def test_stiff_but_stable_step_runs():
     graph = build_graph(3, [(0, 1), (1, 2), (0, 2)], [5.0] * 3)
     state = ProtocolState(phis=np.array(PAPER_INIT))
     for _ in range(100):
-        state = qsdc_step(state, graph, exact_cfg("bloch", PAPER_THETA, dt=0.1, substeps=1),
-                          PI / 3)
+        state = qsdc_step(state, StepPlan(graph),
+                          exact_cfg("bloch", PAPER_THETA, dt=0.1, substeps=1), PI / 3)
     assert np.max(state.s) <= 1.0
     assert np.max(np.abs(state.phis - PI / 3)) <= 1e-4
 
@@ -721,6 +722,9 @@ def test_convergence_rate_custom_weights():
     assert mu == pytest.approx(math.sin(PI / 3) / (PI / 3), abs=1e-9)
     with pytest.raises(ValueError):
         convergence_rate(TRIANGLE, 0.1, weights=[1.0])
+    for weights in ([-5.0, 1.0, 1.0], [0.0, 1.0, 1.0]):  # -5 would give mu < 0
+        with pytest.raises(ValueError, match="non-positive edge weight"):
+            convergence_rate(TRIANGLE, 0.1, weights=weights)
 
 
 def test_lyapunov_values():

@@ -11,6 +11,7 @@ from qsdcsim.consensus import (
     MixingEvent,
     ProtocolConfig,
     ProtocolState,
+    StepPlan,
     ThetaConfig,
     qsdc_step,
 )
@@ -24,7 +25,10 @@ from qsdcsim.microgrid import (
     Event,
     MicrogridError,
     PartitionError,
+    PlantSegment,
+    _line_operators,
     _passive_table,
+    _record,
     _solve_passive_buses,
     ac_power_flow,
     ac_step,
@@ -56,6 +60,15 @@ def ac3():
     return ders, net, comm
 
 
+def one_step(kind, plant, ders, net, comm, cfg):
+    """A plant step on its own: the segment and one-row record a run would
+    build around it; returns the new state and that row."""
+    segment, record = PlantSegment(kind, ders, net, comm), _record(kind, 1, len(ders))
+    step = ac_step if kind == "ac" else dc_step
+    plant = step(plant, net, cfg, (), segment, record, 0)
+    return plant, {name: arr[0] for name, arr in record.items()}
+
+
 def dc3(r_load=100.0, line_r=0.002):
     ders = [DcDer(droop_m=1.0, line_r=line_r, rated_current=6.0),
             DcDer(droop_m=1.25, line_r=line_r, rated_current=6.0),
@@ -68,14 +81,17 @@ def dc3(r_load=100.0, line_r=0.002):
 # -- AC power flow -----------------------------------------------------------
 
 
+def flow(deltas, lines, bus_loads):
+    return ac_power_flow(deltas, _line_operators(lines, len(bus_loads)), np.array(bus_loads))
+
+
 def test_power_flow_equal_angles():
-    p = ac_power_flow([0.2, 0.2, 0.2], ((0, 1, 200.0), (1, 2, 200.0)),
-                      [30.0, 10.0, 5.0])
+    p = flow([0.2, 0.2, 0.2], ((0, 1, 200.0), (1, 2, 200.0)), [30.0, 10.0, 5.0])
     assert np.allclose(p, [30.0, 10.0, 5.0])
 
 
 def test_power_flow_two_der_example():
-    p = ac_power_flow([0.1, 0.0], ((0, 1, 100.0),), [30.0, 30.0])
+    p = flow([0.1, 0.0], ((0, 1, 100.0),), [30.0, 30.0])
     assert p[0] == pytest.approx(30.0 + 100.0 * math.sin(0.1), abs=1e-12)
     assert p[1] == pytest.approx(30.0 - 100.0 * math.sin(0.1), abs=1e-12)
     assert p[0] == pytest.approx(39.98, abs=5e-3)
@@ -88,7 +104,7 @@ def test_power_flow_balance_random():
     loads = [12.0, 7.0, 20.0, 5.0]
     for _ in range(25):
         deltas = rng.uniform(-0.5, 0.5, 4)
-        p = ac_power_flow(deltas, lines, loads)
+        p = flow(deltas, lines, loads)
         assert abs(p.sum() - sum(loads)) <= 1e-9
 
 
@@ -111,7 +127,7 @@ def test_power_flow_matches_per_line_loop():
         for _ in range(20):
             deltas = rng.uniform(-0.6, 0.6, n)
             loads = rng.uniform(0.0, 60.0, n)
-            p = ac_power_flow(deltas, lines, loads)
+            p = flow(deltas, lines, loads)
             want = loop_power_flow(deltas, lines, loads)
             assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -125,7 +141,7 @@ def test_passive_buses_inject_nothing_after_ac_step():
     comm = build_graph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (2, 4)])
     plant = AcPlantState(deltas=np.array([0.05, -0.02, 0.01, 0.03, -0.04]),
                          protocol=ProtocolState(phis=np.full(5, 0.3)))
-    _, out = ac_step(plant, ders, net, comm, phase_cfg())
+    _, out = one_step("ac", plant, ders, net, comm, phase_cfg())
     assert np.max(np.abs(out["power"][[1, 3]])) <= 1e-9
     assert abs(out["power"].sum() - net.bus_loads.sum()) <= 1e-9
 
@@ -264,7 +280,7 @@ def test_ac_equilibrium_is_stationary():
     plant = AcPlantState(deltas=deltas,
                          protocol=ProtocolState(phis=ts.data["phi"][-1].copy()))
     net.k = ts.meta["k"]
-    plant2, out = ac_step(plant, ders, net, comm, cfg)
+    plant2, out = one_step("ac", plant, ders, net, comm, cfg)
     assert np.max(np.abs(out["omega"] - 60.0)) <= 1e-4
     assert np.max(np.abs(plant2.protocol.phis - plant.protocol.phis)) <= 1e-5
 
@@ -325,10 +341,10 @@ def test_offline_der_keeps_its_streams():
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=4)
     plant = AcPlantState(deltas=np.zeros(3),
                          protocol=ProtocolState(phis=np.full(3, 0.5), step=7))
-    plant2, out = ac_step(plant, ders, net, comm, cfg)
+    plant2, out = one_step("ac", plant, ders, net, comm, cfg)
     assert np.array_equal(plant2.protocol.thetas[1:], cfg.theta.draw(4, 7, 3)[1:])
     isolated = qsdc_step(ProtocolState(phis=np.full(3, 0.5), step=7),
-                         build_graph(3, [(1, 2)]), cfg, out["pinner"])
+                         StepPlan(build_graph(3, [(1, 2)])), cfg, out["pinner"])
     assert np.array_equal(plant2.protocol.phis[1:], isolated.phis[1:])
     assert plant2.protocol.phis[0] == 0.5
 
@@ -414,9 +430,9 @@ def test_dc_solve_is_the_closed_loop_oracle():
     net.apply_default_c(ders)
     state = DcPlantState(protocol=ProtocolState(phis=np.array([0.3, 0.5, 0.4])),
                          currents=np.array([2.0, 0.0, 1.5]))
-    _, out = dc_step(state, ders, net, comm, phase_cfg(seed=3))
+    _, out = one_step("dc", state, ders, net, comm, phase_cfg(seed=3))
     vb, cur = dc_solve(out["vref"], [d.line_r for d in ders], net.r_load, [0, 2])
-    assert abs(vb - out["vbus"][0]) <= 1e-9
+    assert abs(vb - out["vbus"]) <= 1e-9
     assert np.max(np.abs(cur - out["current"])) <= 1e-9
     assert out["current"][1] == 0.0 and out["current"][0] > 1.0
 
@@ -472,39 +488,45 @@ def test_dc_mixing_dichotomy():
     assert err_qdc >= 0.1  # persistent offset under the legacy estimator
 
 
-def test_run_plant_leaves_its_inputs_alone():
-    # dc9 steps the load resistance at t=20 and unplugs and replugs a DER
-    sc = parse_scenario(SCENARIOS / "dc9.json")
-    ders, net = sc.dc_plant()
+@pytest.mark.parametrize("name", ["dc9", "ac15"])
+def test_run_plant_leaves_its_inputs_alone(name):
+    # dc9 steps the load resistance at t=20 and unplugs and replugs a DER;
+    # ac15 steps a bus load and changes a droop
+    sc = parse_scenario(SCENARIOS / f"{name}.json")
+    ders, net = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
     csvs = []
     for _ in range(2):
-        ts = run_plant("dc", ders, net, sc.graph(), sc.protocol(), horizon=sc.horizon,
+        ts = run_plant(sc.kind, ders, net, sc.graph(), sc.protocol(), horizon=sc.horizon,
                        events=sc.plant_events(), mixing=sc.mixing_events())
         fh = io.StringIO()
         ts.write_csv(fh)
         csvs.append(fh.getvalue())
     assert len(set(csvs)) == 1  # not csvs[0] == csvs[1]: a diff of two CSVs takes minutes
-    assert (ders, net) == sc.dc_plant()
-    assert ts.meta["c"] == net.c > 0.0
+    fresh_ders, fresh_net = sc.ac_plant() if sc.kind == "ac" else sc.dc_plant()
+    assert ders == fresh_ders
+    for key in vars(net):  # not net == fresh_net: dataclass == raises on bus_loads
+        assert np.array_equal(getattr(net, key), getattr(fresh_net, key)), key
+    scale = "k" if sc.kind == "ac" else "c"
+    assert ts.meta[scale] == getattr(net, scale) > 0.0
 
 
 def chained_steps(kind, ders, net, comm, cfg, horizon, events):
-    """run_plant's record, stepped by hand through the one-step API."""
+    """run_plant's record, stepped by hand with a fresh segment every step."""
     ders, net = copy.deepcopy((ders, net))
     n = len(ders)
     protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
         net.apply_default_k(ders)
-        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
+        plant = AcPlantState(deltas=np.zeros(n), protocol=protocol)
     else:
         net.apply_default_c(ders)
-        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
+        plant = DcPlantState(protocol=protocol, currents=np.zeros(n))
     rows = []
     for k in range(int(round(horizon / cfg.dt))):
         for ev in events:
             if int(round(ev.time / cfg.dt)) == k:
                 microgrid._apply_event(ev, ders, net, kind)
-        plant, out = step(plant, ders, net, comm, cfg)
+        plant, out = one_step(kind, plant, ders, net, comm, cfg)
         rows.append(out)
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
@@ -512,7 +534,7 @@ def chained_steps(kind, ders, net, comm, cfg, horizon, events):
 @pytest.mark.parametrize("kind", ["ac", "dc"])
 def test_run_plant_matches_chained_steps(kind):
     # a stale per-segment constant (online flags, droops, loads, r_load)
-    # would make the segmented run drift from the one-step API
+    # would make the segmented run drift from per-step segments
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=8)
     if kind == "ac":
         ders, net, comm = ac3()
@@ -527,7 +549,8 @@ def test_run_plant_matches_chained_steps(kind):
     ts = run_plant(kind, ders, net, comm, cfg, horizon=0.5, events=events)
     want = chained_steps(kind, ders, net, comm, cfg, 0.5, events)
     assert list(ts.data) == list(want)
-    for name, arr in want.items():  # vbus: (T,) against (T, 1), the same bytes
+    for name, arr in want.items():
+        assert ts.data[name].shape == arr.shape, name
         assert ts.data[name].tobytes() == arr.tobytes(), name
 
 

@@ -3,8 +3,10 @@ pinned by sha256 and size in `pinned_outputs.json`.
 
 A change that moves outputs on purpose regenerates the table in the same
 commit, with `PYTHONPATH=src python tests/test_pinned_outputs.py`, so that the
-table's diff names every output that moved.  The digests hold for the numpy
-and BLAS build recorded in the table; a mismatch under another build says so.
+table's diff names every output that moved.  A failure names each moved file
+and prints the text of each moved JSON summary.  The digests hold for the
+numpy and BLAS build recorded in the table; a mismatch under another build
+says so.
 """
 
 import hashlib
@@ -61,7 +63,10 @@ def test_bundled_outputs_match_pinned_digests(key, tmp_path, monkeypatch):
                    if want.get(name) != got.get(name))
     note = ("" if build() == table["build"] else
             f" (this build is {build()}; the table was recorded under {table['build']})")
-    assert not moved, f"{key}: outputs differ from the pinned digests: {', '.join(moved)}{note}"
+    texts = "".join(f"\n{name}:\n{(tmp_path / name).read_text()}" for name in moved
+                    if name.endswith(".json") and (tmp_path / name).exists())
+    assert not moved, (f"{key}: outputs differ from the pinned digests: "
+                       f"{', '.join(moved)}{note}{texts}")
 
 
 if __name__ == "__main__":

@@ -381,6 +381,9 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [1.0]}),
                  ["--epsilon", "0.5"], "$.rate.weights: 1 weights for 3 edges",
                  id="rate-weights"),
+    pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [-5, 1, 1]}),
+                 ["--epsilon", "0.5"], "$.rate.weights: non-positive weight -5 on edge (0,1)",
+                 id="rate-weights-sign"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "0"],
                  "--shots: 0 shots per step, need at least 1", id="eve-shots-0"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "-2"],
@@ -452,15 +455,23 @@ def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, sce
     assert err.strip() == f"validation error: {message}"
 
 
+def ac_loads_with_fractional_step(doc, form):
+    for der in doc["ac"]["ders"]:
+        der["bus_load_kw"] = form(der["bus_load_kw"])
+    doc["ac"]["events"][0]["delta_kw"] = 2.5
+
+
 @pytest.mark.parametrize("command, scenario, edit", [
     pytest.param("consensus", "consensus3", lambda d, x: d["graph"].update(nodes=x(3)),
                  id="graph-nodes"),
+    pytest.param("ac", "ac15", ac_loads_with_fractional_step, id="ac-bus-loads"),
     pytest.param("consensus", "consensus3", lambda d, x: d["protocol"].update(substeps=x(2)),
                  id="protocol-substeps"),
     pytest.param("eve", "eve_pi6", lambda d, x: d["eve"].update(steps=x(300)), id="eve-steps"),
 ])
 def test_cli_integer_valued_floats_run_as_integers(tmp_path, capsys, command, scenario, edit):
-    # JSON Schema counts 3.0 as an integer, so the run must take it as 3
+    # JSON Schema counts 3.0 as an integer, so the run must take it as 3; and
+    # an integer bus load must take a +2.5 kW step_load in full, not as +2
     outputs = []
     for form in (int, float):
         (tmp_path / form.__name__).mkdir()
