@@ -1,5 +1,5 @@
-"""Every bundled scenario's CLI-default outputs, and a sampled-mode set, are
-pinned by sha256 and size in `pinned_outputs.json`.
+"""Every bundled scenario's CLI-default outputs, a sampled-mode set and the
+`scenarios/rate/` bound are pinned by sha256 and size in `pinned_outputs.json`.
 
 A change that moves outputs on purpose regenerates the table in the same
 commit, with `PYTHONPATH=src python tests/test_pinned_outputs.py`, so that the
@@ -32,6 +32,7 @@ for command, scenario, extra in [
     ("ac", "ac15_pnp", ["--shots", "16", "--seed", "5"]),
     ("dc", "dc9", ["--shots", "16", "--seed", "5"]),
     ("consensus", "consensus3_qdc_mixed", ["--backend", "bloch", "--shots", "2"]),
+    ("rate", "rate/ring5_weighted", []),
 ]:
     RUNS[" ".join([scenario, *extra])] = (command, scenario, extra)
 
