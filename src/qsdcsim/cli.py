@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, consensus, engine, microgrid
 from .measurement import (_STREAM_TAG, MeasurementError, constant_phase_stream, eve_intercept,
                           stream_rng)
-from .netgraph import GraphValidationError
+from .netgraph import GraphValidationError, build_graph
 from .scenario import BACKENDS, Scenario, ScenarioError, parse_scenario
 
 _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
@@ -244,8 +244,9 @@ def cmd_rate(args, sc: Scenario) -> int:
     epsilon = args.epsilon if args.epsilon is not None else rate_sec.get("epsilon")
     if epsilon is None:
         raise ScenarioError("rate needs --epsilon or a rate.epsilon field")
-    weights = rate_sec.get("weights")
-    mu = consensus.convergence_rate(graph, float(epsilon), weights)
+    if "weights" in rate_sec:
+        graph = build_graph(graph.node_count, graph.edges, rate_sec["weights"])
+    mu = consensus.convergence_rate(graph, float(epsilon))
     print(f"mu = {mu:.4f} (epsilon = {float(epsilon):.6g}, n = {graph.node_count})")
     if args.format in ("json", "both"):
         out = _out_dir(args)

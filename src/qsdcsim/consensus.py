@@ -373,10 +373,11 @@ def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> 
     return 0.5 * np.einsum("ij,ij->i", z, z)
 
 
-def convergence_rate(graph: CommGraph, epsilon: float, weights=None) -> float:
+def convergence_rate(graph: CommGraph, epsilon: float) -> float:
     """Exponential synchronization rate mu = lambda_min(s1*I + s2*B W B^T)
-    with s1 = sinc(eps), s2 = sinc(2*eps), valid for initial deviations
-    bounded by eps < pi/2."""
+    with s1 = sinc(eps), s2 = sinc(2*eps) and W the weights of `graph`,
+    valid for initial deviations bounded by eps < pi/2.  Other weights are
+    bounded on the graph `netgraph.build_graph` makes with them."""
     if not (0.0 <= epsilon < math.pi / 2):
         raise RateRegionError(
             f"epsilon must lie in [0, pi/2) for the invariant set to hold, got {epsilon}"
@@ -385,12 +386,7 @@ def convergence_rate(graph: CommGraph, epsilon: float, weights=None) -> float:
     s1 = float(np.sinc(epsilon / math.pi))
     s2 = float(np.sinc(2.0 * epsilon / math.pi))
     b = incidence_matrix(graph)
-    w = np.asarray(weights, dtype=float) if weights is not None else np.asarray(graph.weights)
-    if w.shape != (len(graph.edges),):
-        raise ValueError(f"need {len(graph.edges)} edge weights, got {w.shape}")
-    if (w <= 0.0).any():
-        raise ValueError(f"non-positive edge weight in {w.tolist()}")
-    m = s1 * np.eye(graph.node_count) + s2 * (b @ np.diag(w) @ b.T)
+    m = s1 * np.eye(graph.node_count) + s2 * (b @ np.diag(graph.weights) @ b.T)
     return lambda_min_sym(m)
 
 
@@ -438,6 +434,8 @@ def write_csv_rows(fh, cols, block: np.ndarray) -> None:
 
 def step_count(horizon: float, dt: float) -> int:
     """Steps of dt in `horizon`; ValueError if that is not at least one."""
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"horizon {horizon} over dt {dt} is not a finite step count")
     steps = int(round(horizon / dt))
     if steps < 1:
         raise ValueError(f"horizon {horizon} is shorter than one step of {dt}")

@@ -28,9 +28,9 @@ the oracle the tests check the index form against.
 
 `_rk4` is the package's one integrator: `evolve` runs it on rho, the
 `bloch`/`phase` core of `consensus` on v' = A v with A the 2n x 2n matrix
-it builds from a Laplacian cached per online set.  On a linear flow one RK4
-step is the degree-4 Taylor polynomial of e^{hA}, evaluated in Horner form
-y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))).  The master equation's A maps
+of the `StepPlan` that a run or an event segment builds.  On a linear flow
+one RK4 step is the degree-4 Taylor polynomial of e^{hA}, evaluated in
+Horner form y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))).  The master equation's A maps
 Hermitian matrices to traceless Hermitian ones, so trace and Hermiticity
 hold to rounding with no re-projection between substeps, and the final
 `DensityMatrix.check` in `evolve` (Cholesky: lambda_min > -1e-6) guards it.

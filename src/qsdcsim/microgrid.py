@@ -67,63 +67,47 @@ class AcNetwork:
     lines: tuple          # ((i, j, b_kw), ...) sine-coupling strengths
     bus_loads: np.ndarray  # kW per DER bus
     omega_nominal: float = 60.0
-    k: float = 0.0        # rad per Hz; 0 means "apply the default rule"
+    k: float = 0.0        # rad per Hz; 0 means the `pinner_gain` default
 
     def __post_init__(self):
         self.bus_loads = np.array(self.bus_loads, dtype=float)  # a step_load adds floats
-
-    def apply_default_k(self, ders) -> None:
-        if self.k <= 0.0:
-            self.k = default_ac_scaling(ders)
-
-    def check_scaling(self, ders) -> None:
-        worst = max(d.droop * d.rated_kw for d in ders)
-        if self.k * worst >= math.pi / 2:
-            raise ValueError(
-                f"scaling violated: k*max(n_i*rated_i) = {self.k * worst:.4f} "
-                ">= pi/2; lower k or the droop gains"
-            )
-
-
-def default_ac_scaling(ders) -> float:
-    """k = 0.8*(pi/2)/max(n_i * rated_i), keeping pinners inside (0, pi/2)."""
-    return 0.8 * (math.pi / 2) / max(d.droop * d.rated_kw for d in ders)
 
 
 @dataclass
 class DcDer:
     """One DC distributed energy resource."""
 
-    droop_m: float        # V per A
+    droop: float          # V per A, m_i
     line_r: float         # ohm, DER terminal to bus
     rated_current: float  # A
     online: bool = True
 
     def __post_init__(self):
-        if self.droop_m <= 0.0 or self.line_r <= 0.0 or self.rated_current <= 0.0:
-            raise ValueError("droop_m, line_r and rated_current must be positive")
+        if self.droop <= 0.0 or self.line_r <= 0.0 or self.rated_current <= 0.0:
+            raise ValueError("droop, line_r and rated_current must be positive")
 
 
 @dataclass
 class DcNetwork:
     v_nominal: float = 48.0
     r_load: float = math.inf
-    c: float = 0.0        # rad per V; 0 means "apply the default rule"
-
-    def apply_default_c(self, ders) -> None:
-        if self.c <= 0.0:
-            self.c = default_dc_scaling(ders)
-
-    def check_scaling(self, ders) -> None:
-        worst = max(d.droop_m * d.rated_current for d in ders)
-        if self.c * worst >= math.pi / 2:
-            raise ValueError(
-                f"scaling violated: c*max(m_i*I_rated) = {self.c * worst:.4f} >= pi/2"
-            )
+    c: float = 0.0        # rad per V; 0 means the `pinner_gain` default
 
 
-def default_dc_scaling(ders) -> float:
-    return 0.8 * (math.pi / 2) / max(d.droop_m * d.rated_current for d in ders)
+def pinner_gain(gain: float, spans) -> float:
+    """The pinner gain k (AC) or c (DC) of DERs whose droop spans n_i*rated_i
+    or m_i*I_rated_i are `spans`: `gain`, or 0.8*(pi/2)/max span when `gain`
+    is not positive.  Every pinner gain*span then stays inside (0, pi/2), as
+    the twin-qubit phase estimate needs; ValueError if gain*max span is not
+    below pi/2."""
+    worst = max(spans)
+    if gain <= 0.0:
+        return 0.8 * (math.pi / 2) / worst
+    if not gain * worst < math.pi / 2:
+        raise ValueError(f"gain {gain:g} times the largest droop span {worst:g} is "
+                         f"{gain * worst:.4f} >= pi/2; keep the gain below "
+                         f"{math.pi / 2 / worst:.4g}")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,7 @@ class PlantSegment:
     def __init__(self, kind: str, ders, network, comm: CommGraph):
         online = np.array([d.online for d in ders])
         self.plan = StepPlan(comm, online)
-        self.droops = np.array([d.droop if kind == "ac" else d.droop_m for d in ders])
+        self.droops = np.array([d.droop for d in ders])
         self.gains = (network.k if kind == "ac" else network.c) * self.droops
         if kind == "ac":
             self.loads = network.bus_loads.copy()
@@ -320,11 +304,9 @@ def _apply_event(ev: Event, ders, network, kind: str) -> str:
         return f"step_load r_load={network.r_load}"
     if ev.kind == "droop_change":
         node = int(pl["node"])
-        if kind == "ac":
-            ders[node].droop = float(pl["droop"])
-            return f"droop_change node={node} droop={ders[node].droop}"
-        ders[node].droop_m = float(pl["droop"])
-        return f"droop_change node={node} droop_m={ders[node].droop_m}"
+        ders[node].droop = float(pl["droop"])
+        key = "droop" if kind == "ac" else "droop_m"  # the scenario file's name
+        return f"droop_change node={node} {key}={ders[node].droop}"
     node = int(pl["node"])
     ders[node].online = ev.kind == "plug"
     return f"{ev.kind} node={node}"
@@ -353,12 +335,11 @@ def run_plant(
     ders, network = copy.deepcopy((ders, network))
     protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
-        network.apply_default_k(ders)
+        network.k = pinner_gain(network.k, [d.droop * d.rated_kw for d in ders])
         plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
     else:
-        network.apply_default_c(ders)
+        network.c = pinner_gain(network.c, [d.droop * d.rated_current for d in ders])
         plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
-    network.check_scaling(ders)
     _check_comm_connected(comm, ders, "initial topology")
 
     by_step: dict[int, list[Event]] = {}

@@ -74,7 +74,7 @@ def build_graph(n: int, edges, weights=None) -> CommGraph:
         key = (min(i, j), max(i, j))
         if key in seen:
             raise GraphValidationError(f"duplicate edge ({i},{j})", "edges")
-        if w <= 0.0:
+        if not w > 0.0:  # nan too
             raise GraphValidationError(f"non-positive weight {w} on edge ({i},{j})",
                                        "weights")
         seen.add(key)

@@ -131,24 +131,21 @@ class Scenario:
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
             bus_loads=[d.get("bus_load_kw", 0.0) for d in sec["ders"]],
             omega_nominal=sec["omega_nominal"],
-            k=sec.get("k", 0.0),
+            k=microgrid.pinner_gain(sec.get("k", 0.0), [d.droop * d.rated_kw for d in ders]),
         )
-        net.apply_default_k(ders)
         return ders, net
 
     def dc_plant(self) -> tuple[list[microgrid.DcDer], microgrid.DcNetwork]:
         sec = self.raw["dc"]
-        ders = [
-            microgrid.DcDer(droop_m=d["droop_m"], line_r=d["line_r"],
-                            rated_current=d["rated_current"])
-            for d in sec["ders"]
-        ]
+        ders = [microgrid.DcDer(droop=d["droop_m"], line_r=d["line_r"],
+                                rated_current=d["rated_current"])
+                for d in sec["ders"]]
         net = microgrid.DcNetwork(
             v_nominal=sec["v_nominal"],
             r_load=math.inf if sec["r_load"] == "inf" else float(sec["r_load"]),
-            c=sec.get("c", 0.0),
+            c=microgrid.pinner_gain(sec.get("c", 0.0),
+                                    [d.droop * d.rated_current for d in ders]),
         )
-        net.apply_default_c(ders)
         return ders, net
 
 
@@ -178,6 +175,8 @@ def _apply_defaults(doc: dict) -> dict:
     proto = dict(_PROTOCOL_DEFAULTS)
     proto.update(doc.get("protocol", {}))
     if proto.get("shots") is not None:
+        if doc.get("protocol", {}).get("exact"):
+            raise ScenarioError("$.protocol.exact: exact=true excludes shots")
         proto["exact"] = False
     doc["protocol"] = proto
     if doc["kind"] == "eve":
@@ -204,8 +203,8 @@ def _physics_checks(doc: dict) -> None:
     kind = doc["kind"]
     horizon = doc.get("horizon")
 
-    def fail(path: str, msg: str, hint: str = ""):
-        raise ScenarioError(f"{path}: {msg}" + (f" ({hint})" if hint else ""))
+    def fail(path: str, msg: str):
+        raise ScenarioError(f"{path}: {msg}")
 
     theta = doc["protocol"]["theta"]
     if theta["kind"] == "uniform" and not (0.0 < theta["lo"] < theta["hi"] < math.pi):
@@ -234,32 +233,21 @@ def _physics_checks(doc: dict) -> None:
                     fail(f"$.consensus.{key}", f"{key} {p} outside [0, pi/2]")
         _check_mixing(sec, n, horizon, "$.consensus")
 
-    if kind == "ac":
-        sec = doc["ac"]
+    if kind in ("ac", "dc"):
+        sec = doc[kind]
         n = len(sec["ders"])
         if doc["graph"]["nodes"] != n:
-            fail("$.ac.ders", f"{n} DERs but the graph has {doc['graph']['nodes']} nodes")
-        for col, (i, j, _b) in enumerate(sec["lines"]):
+            fail(f"$.{kind}.ders", f"{n} DERs but the graph has {doc['graph']['nodes']} nodes")
+        for col, (i, j, _b) in enumerate(sec.get("lines", [])):
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 fail(f"$.ac.lines[{col}]", f"bad endpoint pair ({i},{j})")
-        worst = max(d["droop"] * d["rated_kw"] for d in sec["ders"])
-        k = sec.get("k")
-        if k is not None and k * worst >= math.pi / 2:
-            fail("$.ac.k", f"k*max(n_i*rated_i) = {k * worst:.4f} >= pi/2",
-                 "lower k below (pi/2)/max(n_i*rated_i) so pinners stay in range")
-        _check_plant_events(sec, n, horizon, "$.ac")
-
-    if kind == "dc":
-        sec = doc["dc"]
-        n = len(sec["ders"])
-        if doc["graph"]["nodes"] != n:
-            fail("$.dc.ders", f"{n} DERs but the graph has {doc['graph']['nodes']} nodes")
-        worst = max(d["droop_m"] * d["rated_current"] for d in sec["ders"])
-        c = sec.get("c")
-        if c is not None and c * worst >= math.pi / 2:
-            fail("$.dc.c", f"c*max(m_i*I_rated) = {c * worst:.4f} >= pi/2",
-                 "lower c below (pi/2)/max(m_i*I_rated)")
-        _check_plant_events(sec, n, horizon, "$.dc")
+        gain, droop, rated = ("k", "droop", "rated_kw") if kind == "ac" else (
+            "c", "droop_m", "rated_current")
+        try:
+            microgrid.pinner_gain(sec.get(gain, 0.0), [d[droop] * d[rated] for d in sec["ders"]])
+        except ValueError as exc:
+            fail(f"$.{kind}.{gain}", str(exc))
+        _check_plant_events(sec, n, horizon, f"$.{kind}")
 
     if kind == "eve":
         th = doc["eve"]["theta"]
@@ -279,12 +267,10 @@ def _physics_checks(doc: dict) -> None:
         if eps is not None and not (0.0 <= eps < math.pi / 2):
             fail("$.rate.epsilon", f"epsilon {eps} outside [0, pi/2)")
     if "weights" in rate and "graph" in doc:
-        edges = doc["graph"]["edges"]
-        if len(rate["weights"]) != len(edges):
-            fail("$.rate.weights", f"{len(rate['weights'])} weights for {len(edges)} edges")
-        for (i, j), w in zip(edges, rate["weights"]):
-            if w <= 0.0:
-                fail("$.rate.weights", f"non-positive weight {w} on edge ({i},{j})")
+        try:
+            build_graph(doc["graph"]["nodes"], doc["graph"]["edges"], rate["weights"])
+        except GraphValidationError as exc:
+            fail("$.rate.weights" if exc.field == "weights" else f"$.graph.{exc.field}", str(exc))
 
 
 def _check_plant_events(sec: dict, n: int, horizon: float, prefix: str) -> None:
@@ -339,7 +325,9 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null":
 
 def _is_type(inst, name: str) -> bool:
     if name in ("number", "integer"):
-        if isinstance(inst, bool) or not isinstance(inst, (int, float)):
+        # RFC 8259 has no nan or infinity; Python's json reads them all the same
+        if isinstance(inst, bool) or not isinstance(inst, (int, float)) or (
+                isinstance(inst, float) and not math.isfinite(inst)):
             return False
         return name == "number" or isinstance(inst, int) or inst.is_integer()
     return isinstance(inst, _TYPES[name])

@@ -647,6 +647,13 @@ def test_run_rejects_bad_args():
         run_consensus([0.1, 0.2], 0.5, build_graph(1, []), cfg, horizon=1.0)
 
 
+def test_run_rejects_a_non_finite_horizon():
+    # a ValueError, which the CLI reports, not an OverflowError from int(round(inf))
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not a finite step count"):
+            run_consensus(PAPER_INIT, PI / 3, TRIANGLE, exact_cfg("phase"), horizon=horizon)
+
+
 def test_run_rejects_horizon_below_one_step():
     # run_plant's rule: a run records at least one step
     with pytest.raises(ValueError, match="shorter than one step"):
@@ -717,14 +724,15 @@ def test_convergence_rate_rejects_outside_region():
 
 
 def test_convergence_rate_custom_weights():
-    mu = convergence_rate(TRIANGLE, PI / 3, weights=[2.0, 2.0, 2.0])
+    mu = convergence_rate(build_graph(3, TRIANGLE.edges, [2.0, 2.0, 2.0]), PI / 3)
     # lambda_min is still set by the Laplacian kernel
     assert mu == pytest.approx(math.sin(PI / 3) / (PI / 3), abs=1e-9)
     with pytest.raises(ValueError):
-        convergence_rate(TRIANGLE, 0.1, weights=[1.0])
-    for weights in ([-5.0, 1.0, 1.0], [0.0, 1.0, 1.0]):  # -5 would give mu < 0
-        with pytest.raises(ValueError, match="non-positive edge weight"):
-            convergence_rate(TRIANGLE, 0.1, weights=weights)
+        build_graph(3, TRIANGLE.edges, [1.0])
+    # -5 would give mu < 0, nan an eigensolver failure
+    for weights in ([-5.0, 1.0, 1.0], [0.0, 1.0, 1.0], [math.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="non-positive weight"):
+            build_graph(3, TRIANGLE.edges, weights)
 
 
 def test_lyapunov_values():

@@ -34,8 +34,7 @@ from qsdcsim.microgrid import (
     ac_step,
     dc_solve,
     dc_step,
-    default_ac_scaling,
-    default_dc_scaling,
+    pinner_gain,
     run_plant,
 )
 from qsdcsim.netgraph import build_graph
@@ -70,9 +69,9 @@ def one_step(kind, plant, ders, net, comm, cfg):
 
 
 def dc3(r_load=100.0, line_r=0.002):
-    ders = [DcDer(droop_m=1.0, line_r=line_r, rated_current=6.0),
-            DcDer(droop_m=1.25, line_r=line_r, rated_current=6.0),
-            DcDer(droop_m=0.8, line_r=line_r, rated_current=6.0)]
+    ders = [DcDer(droop=1.0, line_r=line_r, rated_current=6.0),
+            DcDer(droop=1.25, line_r=line_r, rated_current=6.0),
+            DcDer(droop=0.8, line_r=line_r, rated_current=6.0)]
     net = DcNetwork(v_nominal=48.0, r_load=r_load)
     comm = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     return ders, net, comm
@@ -136,7 +135,7 @@ def test_passive_buses_inject_nothing_after_ac_step():
     ring = tuple((i, (i + 1) % 5, 150.0 + 10.0 * i) for i in range(5))
     ders = [AcDer(droop=4e-3, rated_kw=40.0) for _ in range(5)]
     net = AcNetwork(lines=ring, bus_loads=np.array([20.0, 12.0, 18.0, 9.0, 15.0]))
-    net.apply_default_k(ders)
+    net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
     ders[1].online = ders[3].online = False
     comm = build_graph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (2, 4)])
     plant = AcPlantState(deltas=np.array([0.05, -0.02, 0.01, 0.03, -0.04]),
@@ -337,7 +336,7 @@ def test_offline_der_keeps_its_streams():
     # own index, exactly as on the full graph with node 0 isolated.
     ders, net, comm = ac3()
     ders[0].online = False
-    net.apply_default_k(ders)
+    net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=4)
     plant = AcPlantState(deltas=np.zeros(3),
                          protocol=ProtocolState(phis=np.full(3, 0.5), step=7))
@@ -366,7 +365,7 @@ def test_ac_scaling_rule_checked():
 
 def test_ac_default_scaling_rule():
     ders, _, _ = ac3()
-    k = default_ac_scaling(ders)
+    k = pinner_gain(0.0, [d.droop * d.rated_kw for d in ders])
     assert k == pytest.approx(0.8 * (PI / 2) / 0.2)
 
 
@@ -427,7 +426,7 @@ def test_dc_solve_is_the_closed_loop_oracle():
     # own reference voltages V* - m_i I_i + phi_i/c
     ders, net, comm = dc3(r_load=8.0)
     ders[1].online = False
-    net.apply_default_c(ders)
+    net.c = pinner_gain(net.c, [d.droop * d.rated_current for d in ders])
     state = DcPlantState(protocol=ProtocolState(phis=np.array([0.3, 0.5, 0.4])),
                          currents=np.array([2.0, 0.0, 1.5]))
     _, out = one_step("dc", state, ders, net, comm, phase_cfg(seed=3))
@@ -516,10 +515,10 @@ def chained_steps(kind, ders, net, comm, cfg, horizon, events):
     n = len(ders)
     protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
-        net.apply_default_k(ders)
+        net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
         plant = AcPlantState(deltas=np.zeros(n), protocol=protocol)
     else:
-        net.apply_default_c(ders)
+        net.c = pinner_gain(net.c, [d.droop * d.rated_current for d in ders])
         plant = DcPlantState(protocol=protocol, currents=np.zeros(n))
     rows = []
     for k in range(int(round(horizon / cfg.dt))):
@@ -554,6 +553,22 @@ def test_run_plant_matches_chained_steps(kind):
         assert ts.data[name].tobytes() == arr.tobytes(), name
 
 
+def test_dc_droop_change_sets_the_pinner_gain_from_its_step():
+    # DcDer names its droop `droop`, yet the record keeps the file's key droop_m
+    ders, net, comm = dc3()
+    cfg = phase_cfg(seed=2)
+    base = run_plant("dc", ders, net, comm, cfg, horizon=1.0)
+    events = [Event(time=0.5, kind="droop_change", payload={"node": 1, "droop": 0.9})]
+    ts = run_plant("dc", ders, net, comm, cfg, horizon=1.0, events=events)
+    assert ts.events_applied == ["t=0.5 droop_change node=1 droop_m=0.9"]
+    assert ders[1].droop == 1.25
+    # step 50 reads the currents of step 49, which the change has not reached
+    assert ts.data["pinner"][:50].tobytes() == base.data["pinner"][:50].tobytes()
+    pinner, was = ts.data["pinner"][50], base.data["pinner"][50]
+    assert pinner[1] == pytest.approx(was[1] * 0.9 / 1.25, rel=1e-12)
+    assert np.array_equal(pinner[[0, 2]], was[[0, 2]])
+
+
 def test_dc_partition_detected():
     ders, net, _ = dc3()
     chain = build_graph(3, [(0, 1), (1, 2)])
@@ -565,7 +580,8 @@ def test_dc_partition_detected():
 
 def test_dc_default_scaling_rule():
     ders, _, _ = dc3()
-    assert default_dc_scaling(ders) == pytest.approx(0.8 * (PI / 2) / (1.25 * 6.0))
+    spans = [d.droop * d.rated_current for d in ders]
+    assert pinner_gain(0.0, spans) == pytest.approx(0.8 * (PI / 2) / (1.25 * 6.0))
 
 
 def test_event_validation():

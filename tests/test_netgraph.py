@@ -59,6 +59,7 @@ def test_build_disconnected_allowed():
         (3, [(0, 5)], None, "out of range"),
         (2, [(0, 1)], [-1.0], "non-positive weight"),
         (2, [(0, 1)], [1.0, 2.0], "weights"),
+        (2, [(0, 1)], [float("nan")], "non-positive weight"),
     ],
 )
 def test_build_rejects(n, edges, weights, fragment):

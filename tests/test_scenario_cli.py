@@ -379,11 +379,27 @@ def edited_scenario(tmp_path, scenario, edit):
 
 @pytest.mark.parametrize("command, scenario, edit, args, message", [
     pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [1.0]}),
-                 ["--epsilon", "0.5"], "$.rate.weights: 1 weights for 3 edges",
+                 ["--epsilon", "0.5"], "$.rate.weights: got 1 weights for 3 edges",
                  id="rate-weights"),
     pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [-5, 1, 1]}),
-                 ["--epsilon", "0.5"], "$.rate.weights: non-positive weight -5 on edge (0,1)",
+                 ["--epsilon", "0.5"], "$.rate.weights: non-positive weight -5.0 on edge (0,1)",
                  id="rate-weights-sign"),
+    # RFC 8259 has no NaN or Infinity, but Python's json reads and writes them
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["graph"].update(weights=[math.nan, 1.0, 1.0]), [],
+                 "$.graph.weights[0]: nan is not of type 'number'", id="graph-weights-nan"),
+    pytest.param("rate", "consensus3", lambda d: d.update(rate={"weights": [math.nan, 1, 1]}),
+                 ["--epsilon", "0.5"], "$.rate.weights[0]: nan is not of type 'number'",
+                 id="rate-weights-nan"),
+    pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(dt=math.nan), [],
+                 "$.protocol.dt: nan is not of type 'number'", id="protocol-dt-nan"),
+    pytest.param("ac", "ac15", lambda d: d["ac"].update(k=math.nan), [],
+                 "$.ac.k: nan is not of type 'number'", id="ac-k-nan"),
+    pytest.param("consensus", "consensus3", lambda d: d.update(horizon=math.inf), [],
+                 "$.horizon: inf is not of type 'number'", id="horizon-inf"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["protocol"].update(exact=True, shots=16), [],
+                 "$.protocol.exact: exact=true excludes shots", id="protocol-exact-with-shots"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "0"],
                  "--shots: 0 shots per step, need at least 1", id="eve-shots-0"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "-2"],
