@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
-from . import consensus, microgrid  # lazy: only the builders that need them run them
+from . import consensus, microgrid  # lazy: run only by the builders and checks that use them
 from .netgraph import CommGraph, GraphValidationError, build_graph
 
 
