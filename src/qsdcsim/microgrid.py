@@ -192,8 +192,9 @@ def _record(kind: str, rows: int, n: int) -> dict:
 
 class PlantSegment:
     """What the steps up to the next event read: the `StepPlan` of the DERs'
-    online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i,
-    and copies of the network arrays (AC: bus loads, line operators and the
+    online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i
+    (ValueError if the droops break `pinner_gain`'s bound), and copies of
+    the network arrays (AC: bus loads, line operators and the
     `_passive_table` of the offline DERs' buses; DC: R_i + m_i and the
     online DERs' indices)."""
 
@@ -201,7 +202,9 @@ class PlantSegment:
         online = np.array([d.online for d in ders])
         self.plan = StepPlan(comm, online)
         self.droops = np.array([d.droop for d in ders])
-        self.gains = (network.k if kind == "ac" else network.c) * self.droops
+        gain, rated = (network.k, "rated_kw") if kind == "ac" else (network.c, "rated_current")
+        # a droop_change can break the bound the run's gain met at its start
+        self.gains = pinner_gain(gain, [d.droop * getattr(d, rated) for d in ders]) * self.droops
         if kind == "ac":
             self.loads = network.bus_loads.copy()
             self.operators = _line_operators(network.lines, len(self.loads))

@@ -2,15 +2,19 @@
 and construction of the runtime objects a run needs.
 
 `schemas/scenario.schema.json` is the one declarative source of the file
-format.  `_errors` interprets the subset of JSON Schema 2020-12 (Core and
-Validation) that the file uses: `$ref` (local `#/...` pointers only),
-`allOf`, `oneOf`, `if`/`then`, `const`, `enum`, `type`, `properties`,
-`required`, `additionalProperties: false`, `items` (a schema or `false`),
-`prefixItems`, `minItems`, `maxItems`, `minimum`, `exclusiveMinimum` and
-`maximum`; `$schema`, `$id`, `title` and `$defs` are annotations.  As in
-2020-12, a bool is neither a `number` nor an `integer`, an integer-valued
-float such as 3.0 is an `integer`, and `const: 1` does not match `true`.
-The validator only reads the document; `_apply_defaults` normalizes it.
+format.  `_valid` decides whether a document meets it, by the subset of JSON
+Schema 2020-12 (Core and Validation) that the file uses: `$ref` (local `#/...`
+pointers only), `allOf`, `oneOf`, `if`/`then`, `const`, `enum`, `type`,
+`properties`, `required`, `additionalProperties: false`, `items` (a schema or
+`false`), `prefixItems`, `minItems`, `maxItems`, `minimum`,
+`exclusiveMinimum` and `maximum`; `$schema`, `$id`, `title` and `$defs` are
+annotations.  As in 2020-12, a bool is neither a `number` nor an `integer`,
+an integer-valued float such as 3.0 is an `integer`, and `const: 1` does not
+match `true`; unlike it, nan and +-inf are not numbers.  Only a rejected
+document imports jsonschema: `_reference_error` asks it, with the same
+numbers, which error explains the rejection, so a valid file's set-up loads
+no schema library.  The validator only reads the document; `_apply_defaults`
+normalizes it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
 
 from . import consensus, microgrid  # lazy: run only by the builders and checks that use them
 from .netgraph import CommGraph, GraphValidationError, build_graph
@@ -243,11 +246,20 @@ def _physics_checks(doc: dict) -> None:
                 fail(f"$.ac.lines[{col}]", f"bad endpoint pair ({i},{j})")
         gain, droop, rated = ("k", "droop", "rated_kw") if kind == "ac" else (
             "c", "droop_m", "rated_current")
+        spans = [d[droop] * d[rated] for d in sec["ders"]]
         try:
-            microgrid.pinner_gain(sec.get(gain, 0.0), [d[droop] * d[rated] for d in sec["ders"]])
+            value = microgrid.pinner_gain(sec.get(gain, 0.0), spans)
         except ValueError as exc:
             fail(f"$.{kind}.{gain}", str(exc))
         _check_plant_events(sec, n, horizon, f"$.{kind}")
+        # the run holds the one gain to every droop_change, in time order
+        for idx, ev in sorted(enumerate(sec["events"]), key=lambda item: item[1]["time"]):
+            if ev["kind"] == "droop_change":
+                spans[ev["node"]] = ev["droop"] * sec["ders"][ev["node"]][rated]
+                try:
+                    microgrid.pinner_gain(value, spans)
+                except ValueError as exc:
+                    fail(f"$.{kind}.events[{idx}].droop", str(exc))
 
     if kind == "eve":
         th = doc["eve"]["theta"]
@@ -306,20 +318,6 @@ def _check_mixing(sec: dict, n: int, horizon: float, prefix: str) -> None:
 # -- schema validation ------------------------------------------------------
 
 
-class _Error(NamedTuple):
-    path: tuple          # from the instance the error list was made for
-    keyword: str
-    matches_type: bool   # the instance has a type its (sub)schema allows
-    message: str
-    context: tuple = ()  # the branch errors of a failed oneOf
-
-    def rank(self) -> tuple:
-        """max() prefers a shallow error, then the later of two siblings, then
-        any keyword over oneOf, then one whose instance has a type its schema
-        rejects."""
-        return (-len(self.path), self.path, self.keyword != "oneOf", not self.matches_type)
-
-
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 
 
@@ -338,10 +336,6 @@ def _type_names(schema: dict) -> list:
     return [types] if isinstance(types, str) else types
 
 
-def _matches_type(schema: dict, inst) -> bool:
-    return any(_is_type(inst, t) for t in _type_names(schema))
-
-
 def _equal(a, b) -> bool:
     return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
 
@@ -353,168 +347,73 @@ def _resolve(ref: str) -> dict:
     return node
 
 
-def _errors(schema: dict, inst, path: tuple = ()):
-    """Every error of `inst` under `schema`, keyword by keyword in schema
-    order.  A keyword check yields its own errors as messages and passes on
-    those of its subschemas."""
-    for kw, val in schema.items():
-        if kw in _KEYWORDS:
-            for err in _KEYWORDS[kw](val, inst, schema, path):
-                yield err if isinstance(err, _Error) else _Error(
-                    path, kw, _matches_type(schema, inst), err)
+def _valid(schema: dict, inst) -> bool:
+    """Whether `inst` meets every keyword of `schema`."""
+    return all(_KEYWORDS[kw](val, inst, schema) for kw, val in schema.items() if kw in _KEYWORDS)
 
 
-def _subschemas(subs, inst, schema, path):
-    for sub in subs:
-        yield from _errors(sub, inst, path)
+def _items(sub, inst, schema) -> bool:
+    rest = inst[len(schema.get("prefixItems", ())):] if isinstance(inst, list) else []
+    return all(sub is not False and _valid(sub, item) for item in rest)
 
 
-def _one_of(subs, inst, schema, path):
-    found = [tuple(_errors(sub, inst)) for sub in subs]
-    valid = [sub for sub, errs in zip(subs, found) if not errs]
-    if not valid:
-        yield _Error(path, "oneOf", _matches_type(schema, inst),
-                     f"{inst!r} is not valid under any of the given schemas", sum(found, ()))
-    elif len(valid) > 1:
-        yield f"{inst!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
-
-
-def _if(cond, inst, schema, path):
-    if "then" in schema and next(_errors(cond, inst, path), None) is None:
-        yield from _errors(schema["then"], inst, path)
-
-
-def _type(types, inst, schema, path):
-    if not _matches_type(schema, inst):
-        yield f"{inst!r} is not of type {', '.join(map(repr, _type_names(schema)))}"
-
-
-def _properties(props, inst, schema, path):
-    if isinstance(inst, dict):
-        for key, sub in props.items():
-            if key in inst:
-                yield from _errors(sub, inst[key], path + (key,))
-
-
-def _required(keys, inst, schema, path):
-    if isinstance(inst, dict):
-        yield from (f"{key!r} is a required property" for key in keys if key not in inst)
-
-
-def _additional_properties(allowed, inst, schema, path):
-    if isinstance(inst, dict) and allowed is False:
-        extra = sorted((k for k in inst if k not in schema.get("properties", {})), key=str)
-        if extra:
-            yield (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
-                   f"{'was' if len(extra) == 1 else 'were'} unexpected)")
-
-
-def _prefix_items(subs, inst, schema, path):
-    if isinstance(inst, list):
-        for i, (item, sub) in enumerate(zip(inst, subs)):
-            yield from _errors(sub, item, path + (i,))
-
-
-def _items(sub, inst, schema, path):
-    start = len(schema.get("prefixItems", ()))
-    if not isinstance(inst, list) or len(inst) <= start:
-        return
-    if sub is False:
-        extra = len(inst) - start
-        rest = inst[start] if extra == 1 else inst[start:]
-        yield (f"Expected at most {start} item{'' if start == 1 else 's'} "
-               f"but found {extra} extra: {rest!r}")
-    else:
-        for i in range(start, len(inst)):
-            yield from _errors(sub, inst[i], path + (i,))
-
-
-def _const(val, inst, schema, path):
-    if not _equal(inst, val):
-        yield f"{val!r} was expected"
-
-
-def _enum(vals, inst, schema, path):
-    if not any(_equal(inst, v) for v in vals):
-        yield f"{inst!r} is not one of {vals!r}"
-
-
-def _min_items(n, inst, schema, path):
-    if isinstance(inst, list) and len(inst) < n:
-        yield f"{inst!r} {'should be non-empty' if n == 1 else 'is too short'}"
-
-
-def _max_items(n, inst, schema, path):
-    if isinstance(inst, list) and len(inst) > n:
-        yield f"{inst!r} is too long"
-
-
-def _bound(fails, words):
-    """A check that yields `inst words bound` for a number that fails it."""
-    def check(bound, inst, schema, path):
-        if _is_type(inst, "number") and fails(inst, bound):
-            yield f"{inst!r} {words} {bound!r}"
-    return check
-
-
+# keyword -> check(value, inst, schema); a check passes an instance it does not apply to
 _KEYWORDS = {
-    "$ref": lambda ref, inst, schema, path: _errors(_resolve(ref), inst, path),
-    "allOf": _subschemas,
-    "oneOf": _one_of,
-    "if": _if,
-    "const": _const,
-    "enum": _enum,
-    "type": _type,
-    "properties": _properties,
-    "required": _required,
-    "additionalProperties": _additional_properties,
-    "prefixItems": _prefix_items,
+    "$ref": lambda ref, inst, schema: _valid(_resolve(ref), inst),
+    "allOf": lambda subs, inst, schema: all(_valid(sub, inst) for sub in subs),
+    "oneOf": lambda subs, inst, schema: sum(_valid(sub, inst) for sub in subs) == 1,
+    "if": lambda cond, inst, schema: (
+        "then" not in schema or not _valid(cond, inst) or _valid(schema["then"], inst)),
+    "const": lambda val, inst, schema: _equal(inst, val),
+    "enum": lambda vals, inst, schema: any(_equal(inst, v) for v in vals),
+    "type": lambda types, inst, schema: any(_is_type(inst, t) for t in _type_names(schema)),
+    "properties": lambda props, inst, schema: not isinstance(inst, dict) or all(
+        _valid(sub, inst[key]) for key, sub in props.items() if key in inst),
+    "required": lambda keys, inst, schema: not isinstance(inst, dict) or all(
+        key in inst for key in keys),
+    "additionalProperties": lambda allowed, inst, schema: (
+        allowed is not False or not isinstance(inst, dict)
+        or all(key in schema.get("properties", {}) for key in inst)),
+    "prefixItems": lambda subs, inst, schema: not isinstance(inst, list) or all(
+        _valid(sub, item) for sub, item in zip(subs, inst)),
     "items": _items,
-    "minItems": _min_items,
-    "maxItems": _max_items,
-    "minimum": _bound(lambda x, b: x < b, "is less than the minimum of"),
-    "exclusiveMinimum": _bound(lambda x, b: x <= b, "is less than or equal to the minimum of"),
-    "maximum": _bound(lambda x, b: x > b, "is greater than the maximum of"),
+    "minItems": lambda n, inst, schema: not isinstance(inst, list) or len(inst) >= n,
+    "maxItems": lambda n, inst, schema: not isinstance(inst, list) or len(inst) <= n,
+    "minimum": lambda bound, inst, schema: not _is_type(inst, "number") or inst >= bound,
+    "exclusiveMinimum": lambda bound, inst, schema: not _is_type(inst, "number") or inst > bound,
+    "maximum": lambda bound, inst, schema: not _is_type(inst, "number") or inst <= bound,
 }
 
 
-def _best_error(doc: dict) -> _Error | None:
-    """The most relevant schema error of `doc`, with its path from the root.
+def _reference_error(schema: dict, inst):
+    """jsonschema's `best_match` among the errors of `inst`, which `_valid`
+    rejected, under `schema`: the scenario schema, or a part of it with no
+    `$ref`.  Its type checker takes numbers from `_is_type`, so that nan and
+    +-inf fail `type` here as well."""
+    import jsonschema  # ~75 ms; only a rejected document pays for it
 
-    That is the best by rank, descending into a failed oneOf's branch errors
-    unless the two best of them tie: the reference validator's `best_match`.
-    """
-    best = max(_errors(_SCHEMA, doc), key=_Error.rank, default=None)
-    if best is None:
-        return None
-    path = best.path
-    while best.context:
-        first, *second = sorted(best.context, key=_Error.rank)[:2]
-        if second and first.rank() == second[0].rank():
-            break
-        best, path = first, path + first.path
-    return best._replace(path=path)
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine_many({
+        "number": lambda _checker, x: _is_type(x, "number"),
+        "integer": lambda _checker, x: _is_type(x, "integer")})
+    errors = jsonschema.validators.extend(base, type_checker=checker)(schema).iter_errors(inst)
+    return jsonschema.exceptions.best_match(errors)
 
 
 def _check_option(key: str, value) -> None:
     """Hold the command-line option --key to the schema of protocol.key,
     which its value replaces, and name the option in the error."""
     sub = _resolve("#/$defs/protocol")["properties"][key]
-    error = max(_errors(sub, value), key=_Error.rank, default=None)
-    if error is not None:
-        raise ScenarioError(f"--{key}: {error.message}")
-
-
-def _json_path(path: tuple) -> str:
-    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    if not _valid(sub, value):
+        raise ScenarioError(f"--{key}: {_reference_error(sub, value).message}")
 
 
 def validate_scenario(doc: dict) -> dict:
     """Schema-validate, apply defaults, run physics checks; returns the
     normalized document and leaves `doc` as it was."""
-    error = _best_error(doc)
-    if error is not None:
-        raise ScenarioError(f"{_json_path(error.path)}: {error.message}")
+    if not _valid(_SCHEMA, doc):
+        error = _reference_error(_SCHEMA, doc)
+        raise ScenarioError(f"{error.json_path}: {error.message}")
     doc = _apply_defaults(doc)
     _physics_checks(doc)
     return doc

@@ -569,6 +569,14 @@ def test_dc_droop_change_sets_the_pinner_gain_from_its_step():
     assert np.array_equal(pinner[[0, 2]], was[[0, 2]])
 
 
+def test_dc_droop_change_past_the_gain_bound_raises():
+    # c = 0.8*(pi/2)/7.5 from the first droops; c*5*6 = 5.03 rad >= pi/2
+    ders, net, comm = dc3(r_load=2.0, line_r=0.05)
+    events = [Event(time=1.0, kind="droop_change", payload={"node": 1, "droop": 5.0})]
+    with pytest.raises(ValueError, match="largest droop span 30 is 5.0265 >= pi/2"):
+        run_plant("dc", ders, net, comm, phase_cfg(seed=2), horizon=3.0, events=events)
+
+
 def test_dc_partition_detected():
     ders, net, _ = dc3()
     chain = build_graph(3, [(0, 1), (1, 2)])

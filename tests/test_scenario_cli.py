@@ -55,7 +55,7 @@ def test_parse_shipped_consensus3():
 
 
 def test_parse_all_shipped_scenarios():
-    for path in sorted(SCENARIOS.glob("*.json")):
+    for path in sorted(SCENARIOS.rglob("*.json")):
         sc = parse_scenario(path)
         assert sc.raw["schema_version"] == 1
 
@@ -456,6 +456,11 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
                  "$.consensus.mixing[0]: event window is reversed", id="mixing-reversed"),
+    pytest.param("dc", "dc9",
+                 lambda d: d["dc"]["events"].append({"time": 10.0, "kind": "droop_change",
+                                                     "node": 1, "droop": 5.0}), [],
+                 "$.dc.events[3].droop: gain 0.167552 times the largest droop span 30 is "
+                 "5.0265 >= pi/2; keep the gain below 0.05236", id="dc-droop-change-gain"),
     pytest.param("consensus", "consensus3", lambda d: None, ["--dt", "0.5"],
                  "--dt: 0.5 is greater than the maximum of 0.1", id="option-dt"),
     pytest.param("dc", "dc9", lambda d: None, ["--backend", "phase", "--shots", "0"],

@@ -1,8 +1,9 @@
-"""The scenario validator against the schema file and, where it is installed,
-against the `jsonschema` package as a reference implementation.
+"""The scenario validator against the schema file and against the
+`jsonschema` package as a reference implementation.
 
-The differential tests require the same accept/reject decision, and the same
-JSON path and keyword as `jsonschema.exceptions.best_match`, on every bundled
+The differential tests require the reference's accept/reject decision from
+`_valid` and, for a rejected document, the JSON path and keyword of a plain
+`jsonschema.exceptions.best_match` from `_reference_error`, on every bundled
 scenario, on the benchmark's generated documents and on corpora of one- and
 two-field mutations of them.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qsdcsim.scenario import _KEYWORDS, _SCHEMA, _best_error, _json_path, validate_scenario
+from qsdcsim.scenario import _KEYWORDS, _SCHEMA, _reference_error, _valid, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -123,7 +124,8 @@ def _at(doc, path):
 def reference():
     """(json_path, keyword) of the reference validator's best match, or None
     if `doc` is valid."""
-    jsonschema = pytest.importorskip("jsonschema")
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(_SCHEMA)
 
     def best(doc):
@@ -137,8 +139,10 @@ def reference():
 
 
 def ours(doc):
-    error = _best_error(doc)
-    return None if error is None else (_json_path(error.path), error.keyword)
+    if _valid(_SCHEMA, doc):
+        return None
+    error = _reference_error(_SCHEMA, doc)
+    return error.json_path, error.validator
 
 
 def test_schema_uses_only_supported_keywords():
@@ -213,7 +217,7 @@ def test_cli_import_loads_no_schema_library():
     code = (
         "import sys, qsdcsim.cli\n"
         "from qsdcsim.scenario import parse_scenario\n"
-        f"for path in {sorted(map(str, SCENARIOS.glob('*.json')))!r}:\n"
+        f"for path in {sorted(map(str, SCENARIOS.rglob('*.json')))!r}:\n"
         "    parse_scenario(path)\n"
         "roots = {'jsonschema', 'referencing', 'attrs', 'attr', 'rpds', 'numpy.random'}\n"
         "print(sorted(m for m in sys.modules\n"
@@ -222,3 +226,17 @@ def test_cli_import_loads_no_schema_library():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def test_rejected_file_explains_itself_in_a_fresh_interpreter(tmp_path):
+    # the in-process tests have imported jsonschema already, so only a new
+    # interpreter shows that the error path imports it on its own
+    doc = json.loads((SCENARIOS / "consensus3.json").read_text())
+    doc["protocol"]["dt"] = "x"
+    path = tmp_path / "consensus3.json"
+    path.write_text(json.dumps(doc))
+    out = subprocess.run([sys.executable, "-m", "qsdcsim.cli", "consensus", "--scenario",
+                          str(path), "--out", str(tmp_path)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 1
+    assert out.stderr == "validation error: $.protocol.dt: 'x' is not of type 'number'\n"
