@@ -15,9 +15,11 @@ Backends:
           map local Pauli observables to local Pauli observables, so with
           w_i = x_i + i*y_i they obey the closed linear flow
 
-              dw/dt = (e^{i*alpha} - 1) * w - L w,    dz/dt = -L z,
+              dw/dt = (e^{i*alpha} - 1) * w - L w,
 
-          with alpha_i = pinner_i - phi_i and L the weighted Laplacian;
+          with alpha_i = pinner_i - phi_i and L the weighted Laplacian.  The
+          z components follow dz/dt = -L z, which no estimate reads: only
+          the `full` oracle carries them, in rho;
   phase - another name for the bloch core, kept for existing scenarios.
 
 Nodes keep their labels when some go offline (the online flags of the
@@ -34,18 +36,15 @@ step reads its row step % THETA_BLOCK, so the thetas stay a pure function of
 node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
-the measured phase), so the flow is one matrix on v = [w; z]:
-v' = A v with A = blockdiag(diag(e^{i*alpha} - 1) - L, -L).  A run builds
-one `StepPlan` per segment (`run_plant`: per event segment), holding the
-read-only core -blockdiag(L, L) of the graph without the offline nodes'
-edges, and the buffer A, filled with the core once: the off-diagonal entries
-never change within a plan, and a step writes only w's diagonal, the core's
-plus the gains.  `full` and `bloch` share one integrator,
-`engine._rk4` (Horner-form RK4), on rho and on v; it commutes with the
-linear map from rho to local Bloch vectors, so the two agree to rounding.
-The reference equations, the instantaneous-pinner forms `bloch_rhs` and
-`phase_rhs` that coincide with the flow at the step start, are in
-`tests/oracles.py`.
+the measured phase), so the flow is one n x n matrix on w:
+w' = A w with A = diag(e^{i*alpha} - 1) - L.  A run builds one `StepPlan`
+per segment (`run_plant`: per event segment), which holds A's RK4 stage
+matrices with their fixed off-diagonal entries.  `full` and `bloch` share
+one integrator, `engine._rk4` (Horner-form RK4 over four stage maps
+u -> c*f(u)), on rho and on w; it commutes with the linear map from rho to
+local Bloch vectors, so the two agree to rounding.  The reference
+equations, the instantaneous-pinner forms `bloch_rhs` and `phase_rhs` that
+coincide with the flow at the step start, are in `tests/oracles.py`.
 
 Every run, consensus or plant (`microgrid.run_plant`), is recorded in one
 `Trajectory`, whose V, meta and time-prefixed warnings `run_record` builds.
@@ -214,7 +213,6 @@ class ProtocolState:
     step: int = 0
     thetas: np.ndarray | None = None
     s: np.ndarray | None = None
-    zs: np.ndarray | None = None
     pinners: np.ndarray | None = None
     rho: engine.DensityMatrix | None = None
     warnings: list = field(default_factory=list)
@@ -261,10 +259,15 @@ def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
 class StepPlan:
     """The topology every `qsdc_step` of a run or plant segment takes: the
     bool mask `online` over `graph`'s nodes (None: all online), the offline
-    nodes' indices, `graph` without their edges, its read-only linear core
-    -blockdiag(L, L) before the gains, and the buffers A and v0 of the bloch
-    flow.  A starts as the core; a step overwrites v0 and `diag`, the view of
-    w's diagonal in A, from `core_diag`, the core's copy of it."""
+    nodes' indices, `graph` without their edges, and what its steps reuse.
+
+    For `full`, `swaps`: the flat swap indices of the pruned graph
+    (`engine.swap_groups`), built on first use.  For `bloch` and `phase`,
+    the read-only core -L (n x n, complex) of the pruned graph, and per
+    RK4 substep h the four stage matrices c * (core + diag(e^{i*alpha} - 1))
+    for c in `engine.rk4_coefficients(h)`, one (4, n, n) array built on
+    first use and rebuilt only when h changes.  Their off-diagonal entries
+    never change; a step writes only the four diagonals."""
 
     def __init__(self, graph: CommGraph, online=None):
         n = graph.node_count
@@ -275,11 +278,25 @@ class StepPlan:
         kept = [k for k, (i, j) in enumerate(graph.edges) if online[i] and online[j]]
         self.graph = CommGraph(n, tuple(graph.edges[k] for k in kept),
                                tuple(graph.weights[k] for k in kept))
-        self.core = -np.kron(np.eye(2), laplacian(self.graph)).astype(complex)
+        self.core = (-laplacian(self.graph)).astype(complex)
         self.core.setflags(write=False)
-        self.a, self.v0 = self.core.copy(), np.empty(2 * n, dtype=complex)
-        self.diag = self.a.ravel()[:n * (2 * n + 1):2 * n + 1]
-        self.core_diag = self.diag.copy()
+        self.shift = self.core.diagonal() - 1.0  # A's diagonal is e^{i*alpha} + shift
+        self.h = None
+
+    @functools.cached_property
+    def swaps(self) -> list:
+        return engine.swap_groups(self.graph.node_count, self.graph.edges, self.graph.weights)
+
+    def stages(self, h: float, alphas: np.ndarray) -> tuple:
+        """The `_rk4` stages of one substep h with rotation angles alphas."""
+        if h != self.h:
+            n = len(self.core)
+            self.h, self.coef = h, np.array(engine.rk4_coefficients(h))[:, None]
+            self.mats = self.coef[:, :, None] * self.core
+            self.diags = self.mats.reshape(4, n * n)[:, ::n + 1]
+            self.maps = tuple(m.dot for m in self.mats)
+        np.multiply(self.coef, np.exp(1j * alphas) + self.shift, out=self.diags)
+        return self.maps
 
 
 def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinners,
@@ -306,26 +323,22 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
         rho = engine.product_state(
             [PureQubitSpec(theta=float(th), phi=float(ph)) for th, ph in zip(thetas, phis)]
         )
-        jumps = engine.build_jump_set(plan.graph, alphas)
+        jumps = engine.build_jump_set(plan.graph, alphas, plan.swaps)
         rho = engine.evolve(rho, jumps, config.dt, config.substeps)
         for ev in events:
             if ev.active(t_now, config.dt):
                 for i in ev.nodes:
                     rho = engine.depolarize_local(rho, i, ev.p)
-        w, zs = np.empty(n, dtype=complex), np.empty(n)
+        w = np.empty(n, dtype=complex)
         for i in range(n):
             b = engine.local_bloch(rho, i)
-            w[i], zs[i] = complex(b.x, b.y), b.z
+            w[i] = complex(b.x, b.y)
         final_rho = rho
-    else:  # bloch and phase: v' = A v on v = [w; z], w = x + i*y
-        v0 = plan.v0
-        np.add(plan.core_diag, np.exp(1j * alphas) - 1.0, out=plan.diag)
-        np.multiply(np.sin(thetas), np.exp(1j * phis), out=v0[:n])
-        v0[n:] = np.cos(thetas)
-        out = _rk4(v0, plan.a.dot, config.dt, config.substeps).reshape(2, n)
+    else:  # bloch and phase: w' = A w, w = x + i*y
+        stages = plan.stages(config.dt / config.substeps, alphas)
+        w = _rk4(np.sin(thetas) * np.exp(1j * phis), stages, config.substeps)
         if events:
-            out *= _mixing_factors(n, events, t_now, config.dt)
-        w, zs = out[0], out[1].real
+            w *= _mixing_factors(n, events, t_now, config.dt)
         final_rho = None
 
     s_after = np.hypot(w.real, w.imag)
@@ -358,7 +371,6 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
         step=state.step + 1,
         thetas=thetas,
         s=s_after,
-        zs=zs,
         pinners=pt,
         rho=final_rho,
         warnings=warnings,

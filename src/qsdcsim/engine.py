@@ -20,17 +20,20 @@ conjugations are index operations on rho, so the production path builds no
 
 So the RHS is M * rho + sum_e w_e swap_e(rho) (`IndexJumpSet`), at
 O((n+m) 4^n) per evaluation instead of O((n+m) 8^n), with 8 * 4^n bytes of
-flat index per edge (32 KiB at n = 6, 8 MiB at the 10-qubit cap) held by the
-step's jump set.  The local depolarizing channel is a partial trace and
-replace.  The explicit-matrix form (`rz_jump`, `swap_jump`, `pauli_on` and
-`lindblad_rhs`, the full anticommutator form) lives in `tests/oracles.py`,
-the oracle the tests check the index form against.
+flat index per edge (32 KiB at n = 6, 8 MiB at the 10-qubit cap), built once
+per `consensus.StepPlan` and shared by the jump sets of its steps.  The local
+depolarizing channel is a partial trace and replace.  The explicit-matrix
+form (`rz_jump`, `swap_jump`, `pauli_on` and `lindblad_rhs`, the full
+anticommutator form) lives in `tests/oracles.py`, the oracle the tests check
+the index form against.
 
 `_rk4` is the package's one integrator: `evolve` runs it on rho, the
-`bloch`/`phase` core of `consensus` on v' = A v with A the 2n x 2n matrix
-of the `StepPlan` that a run or an event segment builds.  On a linear flow
+`bloch`/`phase` core of `consensus` on w' = A w with A the n x n matrix of
+the `StepPlan` that a run or an event segment builds.  On a linear flow
 one RK4 step is the degree-4 Taylor polynomial of e^{hA}, evaluated in
-Horner form y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))).  The master equation's A maps
+Horner form y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))); `_rk4` takes its four
+stages as maps u -> cAu, so the bloch core passes pre-scaled matrices and
+`evolve` scales `rhs` in place.  The master equation's A maps
 Hermitian matrices to traceless Hermitian ones, so trace and Hermiticity
 hold to rounding with no re-projection between substeps, and the final
 `DensityMatrix.check` in `evolve` (Cholesky: lambda_min > -1e-6) guards it.
@@ -197,21 +200,34 @@ def _swap_perm(i: int, j: int, n: int) -> np.ndarray:
     return perm
 
 
+def swap_groups(n: int, edges, weights) -> list:
+    """The flat swap index of every edge (8 * 4^n bytes each), grouped by
+    edge weight in edge order, so rho is scaled once per weight."""
+    groups: dict[float, list] = {}
+    for (i, j), w in zip(edges, weights):
+        p = _swap_perm(i, j, n)
+        groups.setdefault(w, []).append((p[:, np.newaxis] * len(p) + p).ravel())
+    return list(groups.items())
+
+
 class IndexJumpSet:
     """The protocol's jumps in index form: a rotation-Z pin of angle alpha_i
     and weight 1 on every node, a swap of weight w_e on every edge.
 
     `rhs` applies them as one phase mask and, per edge, one gather of the
-    flattened rho through a flat index (8 * 4^n bytes, built on first use and
-    held by the set).  `tests/oracles.py` builds the explicit operators from
-    the public `n`, `pin_angles`, `edges` and `weights`.
+    flattened rho through its flat index: `swaps`, the `swap_groups` of the
+    edges, shared if given, else built on first use and held by the set.
+    `tests/oracles.py` builds the explicit operators from the public `n`,
+    `pin_angles`, `edges` and `weights`.
     """
 
-    def __init__(self, n: int, pin_angles, edges, weights):
+    def __init__(self, n: int, pin_angles, edges, weights, swaps=None):
         self.n = n
         self.pin_angles = np.array(pin_angles, dtype=float)
         self.edges = tuple(edges)
         self.weights = tuple(weights)
+        if swaps is not None:
+            self._swap_groups = swaps
 
     @property
     def total_weight(self) -> float:
@@ -224,12 +240,7 @@ class IndexJumpSet:
 
     @functools.cached_property
     def _swap_groups(self) -> list:
-        """Flat swap indices grouped by edge weight, so rho is scaled once per weight."""
-        groups: dict[float, list] = {}
-        for (i, j), w in zip(self.edges, self.weights):
-            p = _swap_perm(i, j, self.n)
-            groups.setdefault(w, []).append((p[:, np.newaxis] * len(p) + p).ravel())
-        return list(groups.items())
+        return swap_groups(self.n, self.edges, self.weights)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = self._mask * rho
@@ -241,38 +252,55 @@ class IndexJumpSet:
         return out
 
 
-def build_jump_set(graph: CommGraph, pin_angles) -> IndexJumpSet:
-    """One rotation-Z jump per node (angle alpha_i) and one swap per edge."""
+def build_jump_set(graph: CommGraph, pin_angles, swaps=None) -> IndexJumpSet:
+    """One rotation-Z jump per node (angle alpha_i) and one swap per edge;
+    `swaps`, if given, must be the `swap_groups` of `graph`."""
     n = graph.node_count
     if len(pin_angles) != n:
         raise ValueError(f"need {n} pin angles, got {len(pin_angles)}")
-    return IndexJumpSet(n, pin_angles, graph.edges, graph.weights)
+    return IndexJumpSet(n, pin_angles, graph.edges, graph.weights, swaps)
 
 
-def _rk4(y: np.ndarray, rhs, dt: float, substeps: int) -> np.ndarray:
-    """Classical RK4 on a linear y' = rhs(y) over dt in `substeps` steps, in
-    Horner form; `rhs` must return a new array (it is scaled in place)."""
-    h = dt / substeps
+def rk4_coefficients(h: float) -> tuple:
+    """The Horner stage coefficients of one RK4 step of h, innermost first."""
+    return (h / 4.0, h / 3.0, h / 2.0, h)
+
+
+def _rk4(y: np.ndarray, stages, substeps: int) -> np.ndarray:
+    """Classical RK4 on a linear y' = f(y), `substeps` steps of h, in Horner
+    form y + hf(y + h/2 f(y + h/3 f(y + h/4 f(y)))).  `stages` are the four
+    maps u -> c f(u) for c in `rk4_coefficients(h)`, innermost first; each
+    must return a new array (the stage adds y to it in place)."""
     for _ in range(substeps):
         u = y
-        for c in (h / 4.0, h / 3.0, h / 2.0, h):
-            u = rhs(u)
-            u *= c
+        for stage in stages:
+            u = stage(u)
             u += y
         y = u
     return y
 
 
+def _scaled_stage(rhs, c: float):
+    """The stage u -> c * rhs(u), scaled in place."""
+    def stage(u):
+        u = rhs(u)
+        u *= c
+        return u
+    return stage
+
+
 def evolve(rho: DensityMatrix, jumps: IndexJumpSet, dt: float,
            substeps: int = 1) -> DensityMatrix:
-    """`_rk4` on the matrix ODE with step dt/substeps, not re-Hermitized
-    between substeps; the final `check` (eigenvalues above -1e-6) raises
-    IntegrationDivergedError when the step left the state space."""
+    """`_rk4` on the matrix ODE with step dt/substeps, each stage `jumps.rhs`
+    scaled in place, not re-Hermitized between substeps; the final `check`
+    (eigenvalues above -1e-6) raises IntegrationDivergedError when the step
+    left the state space."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    m = _rk4(rho.matrix, jumps.rhs, dt, substeps)
+    stages = [_scaled_stage(jumps.rhs, c) for c in rk4_coefficients(dt / substeps)]
+    m = _rk4(rho.matrix, stages, substeps)
     out = DensityMatrix(matrix=m, qubit_count=rho.qubit_count)
     try:
         out.check(eigen_tol=1e-6)

@@ -327,7 +327,8 @@ def run_plant(
 ) -> Trajectory:
     """Fixed-step co-simulation of an AC or DC scenario.
 
-    Plant and protocol share the same dt; events snap to the nearest step.
+    Plant and protocol share the same dt; events snap to the nearest step
+    start, and one that snaps outside steps 0 .. steps - 1 raises ValueError.
     The run works on copies of `ders` and `network`, so events and the
     default k (AC) or c (DC) never reach the caller's objects.  The record
     holds one row per step from t = dt, the series of `_record`; its `meta`
@@ -348,7 +349,7 @@ def run_plant(
     by_step: dict[int, list[Event]] = {}
     for ev in events:
         idx = int(round(ev.time / config.dt))
-        if not (0 <= idx <= steps):
+        if not (0 <= idx < steps):  # step `steps` would start after the last row
             raise ValueError(f"event at t={ev.time} outside the horizon")
         by_step.setdefault(idx, []).append(ev)
 
@@ -356,7 +357,7 @@ def run_plant(
     applied: list = []
     noted: list = []
 
-    starts = sorted({0, *by_step} - {steps})  # event steps split the horizon
+    starts = sorted({0, *by_step})  # event steps split the horizon
     for start, stop in zip(starts, starts[1:] + [steps]):
         for ev in by_step.get(start, ()):
             applied.append(f"t={ev.time:g} {_apply_event(ev, ders, network, kind)}")

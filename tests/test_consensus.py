@@ -21,7 +21,8 @@ from qsdcsim.consensus import (
     run_consensus,
     write_csv_rows,
 )
-from qsdcsim.engine import CapacityError, IntegrationDivergedError, local_bloch
+from qsdcsim.engine import (CapacityError, IntegrationDivergedError, local_bloch,
+                            rk4_coefficients, swap_groups)
 from qsdcsim.measurement import _STREAM_TAG, stream_rng
 from qsdcsim.netgraph import build_graph
 from qsdcsim.scenario import parse_scenario
@@ -374,7 +375,7 @@ def test_step_plan_prunes_offline_edges():
     assert plan.graph.edges == ((0, 2),)
     assert np.array_equal(plan.offline, [1])
     lap = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
-    assert np.array_equal(core, -np.kron(np.eye(2), lap))
+    assert np.array_equal(core, -lap)
     with pytest.raises(ValueError, match="read-only"):
         core[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -382,14 +383,13 @@ def test_step_plan_prunes_offline_edges():
 
 
 def test_step_plan_reuse_matches_fresh_plans_bitwise():
-    # a step writes only w's diagonal of the plan's A: every other entry
-    # stays the core's, and ten steps through one plan equal ten that each
-    # build their own
+    # a step writes only the diagonals of the plan's stage matrices: every
+    # other entry stays c times the core's, and ten steps through one plan
+    # equal ten that each build their own
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], weights=[1, 2, 1, 0.5, 1, 3])
     online = np.arange(5) != 2
     events = (MixingEvent((1, 4), 0.02, 0.05, 0.1),)
-    keep = ~np.eye(10, dtype=bool)
-    keep[5:, 5:] = True
+    off = ~np.eye(5, dtype=bool)
     for shots in (None, 64):
         cfg = ProtocolConfig(dt=0.01, substeps=3, shots=shots, backend="bloch", seed=4,
                              theta=ThetaConfig.uniform(0.4, 2.7))
@@ -399,10 +399,39 @@ def test_step_plan_reuse_matches_fresh_plans_bitwise():
             pinners = np.linspace(0.2, 1.3, 5) + 0.05 * k
             shared = qsdc_step(shared, plan, cfg, pinners, events)
             fresh = qsdc_step(fresh, StepPlan(g, online), cfg, pinners, events)
-            assert plan.a[keep].tobytes() == plan.core[keep].tobytes()
-            for got, want in ((shared.phis, fresh.phis), (shared.s, fresh.s),
-                              (shared.zs, fresh.zs)):
+            for c, m in zip(rk4_coefficients(cfg.dt / cfg.substeps), plan.mats):
+                assert m[off].tobytes() == (c * plan.core)[off].tobytes()
+            for got, want in ((shared.phis, fresh.phis), (shared.s, fresh.s)):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_step_plan_rebuilds_its_stages_when_the_substep_changes():
+    # one plan stepped under a second substep length h = dt/substeps and
+    # then the first again must match fresh plans bitwise at every step
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)], weights=[1, 0.5, 2, 1.5])
+    theta = ThetaConfig.uniform(0.4, 2.7)
+    cfgs = [ProtocolConfig(dt=0.01, substeps=4, backend="bloch", seed=2, theta=theta),
+            ProtocolConfig(dt=0.02, substeps=3, backend="bloch", seed=2, theta=theta)]
+    plan = StepPlan(g)
+    shared = fresh = ProtocolState(phis=np.array([0.1, 1.2, 0.7, 0.3]))
+    for k, cfg in enumerate(cfgs + cfgs[:1] + cfgs):
+        pinners = np.linspace(0.2, 1.3, 4) + 0.05 * k
+        shared = qsdc_step(shared, plan, cfg, pinners)
+        fresh = qsdc_step(fresh, StepPlan(g), cfg, pinners)
+        assert shared.phis.tobytes() == fresh.phis.tobytes(), k
+        assert shared.s.tobytes() == fresh.s.tobytes(), k
+
+
+def test_full_run_builds_its_swap_indices_once_per_plan(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return swap_groups(*args)
+
+    monkeypatch.setattr(consensus.engine, "swap_groups", counted)
+    traj = run_consensus(PAPER_INIT, PI / 3, TRIANGLE, exact_cfg("full", theta=PAPER_THETA), 0.1)
+    assert len(traj.times) == 11 and calls == [(3, TRIANGLE.edges, TRIANGLE.weights)]
 
 
 # -- backend equivalence -----------------------------------------------------
@@ -495,7 +524,7 @@ def test_full_step_matches_bloch_step_to_rounding():
                 cfg = exact_cfg(backend, theta=theta, seed=5)
                 out[backend] = qsdc_step(ProtocolState(phis=phis.copy()),
                                          StepPlan(g, online), cfg, pinners, events)
-            for name in ("phis", "s", "zs"):
+            for name in ("phis", "s"):
                 gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
                 assert gap <= 1e-12, (n, online, name, gap)
             if online is not None:
@@ -515,7 +544,7 @@ def test_phase_matches_bloch_at_low_coherence():
                                  np.full(3, 1.0))
     assert out["bloch"].s[0] < 0.02
     assert not out["phase"].warnings
-    for name in ("phis", "s", "zs"):
+    for name in ("phis", "s"):
         gap = np.max(np.abs(getattr(out["phase"], name) - getattr(out["bloch"], name)))
         assert gap <= 1e-12, (name, gap)
 

@@ -22,6 +22,7 @@ from qsdcsim.engine import (
     local_bloch,
     partial_trace_single,
     product_state,
+    rk4_coefficients,
 )
 from qsdcsim.netgraph import build_graph
 
@@ -551,7 +552,7 @@ def test_rk4_is_taylor_polynomial_on_linear_core():
     n = 7
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     y0 = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    out = _rk4(y0, lambda v: a @ v, 0.3, 3)
+    out = _rk4(y0, [(c * a).dot for c in rk4_coefficients(0.1)], 3)
     assert rel_gap(out, taylor4(lambda v: a @ v, y0, 0.3, 3)) <= 1e-13
     # the truncation error is far above the bound, so a wrong stage weight shows
     assert rel_gap(out, taylor4(lambda v: a @ v, y0, 0.3, 1)) > 1e-6
@@ -562,7 +563,7 @@ def test_rk4_is_taylor_polynomial_on_dense_state():
     n = 4
     rho = entangled_state(rng, n)
     jumps = build_jump_set(random_weighted_graph(rng, n), rng.uniform(-1.5, 1.5, n))
-    out = _rk4(rho.matrix, jumps.rhs, 0.2, 2)
+    out = _rk4(rho.matrix, [lambda u, c=c: c * jumps.rhs(u) for c in rk4_coefficients(0.1)], 2)
     assert rel_gap(out, taylor4(jumps.rhs, rho.matrix, 0.2, 2)) <= 1e-13
     assert np.array_equal(evolve(rho, jumps, 0.2, 2).matrix, out)
 

@@ -525,6 +525,30 @@ def test_cli_horizon_below_one_step_is_runtime_error(tmp_path, capsys):
     assert err.startswith("runtime error: horizon 0.004 is shorter than one step of 0.01")
 
 
+@pytest.mark.parametrize("time, options", [(45.0, []), (44.96, ["--dt", "0.1"])])
+def test_cli_event_in_the_last_half_step_is_runtime_error(tmp_path, capsys, time, options):
+    # the event snaps to step `steps`, which starts after the run's last row,
+    # so it could not be applied: it is rejected, not dropped
+    path = edited_scenario(tmp_path, "dc9", lambda d: d["dc"]["events"].append(
+        {"time": time, "kind": "unplug", "node": 0}))
+    code, _, err = run_cli(["dc", "--scenario", str(path), *options], tmp_path / "out", capsys)
+    assert (code, err) == (2, f"runtime error: event at t={time} outside the horizon\n")
+
+
+def test_cli_ac_dt_override_runs_and_settles(tmp_path, capsys):
+    # a dt other than the scenario's changes the RK4 substep of every plan
+    code, _, err = run_cli(["ac", "--scenario", str(SCENARIOS / "ac15.json"), "--dt", "0.02",
+                            "--format", "json"], tmp_path, capsys)
+    assert (code, err) == (0, "")
+    s = json.loads((tmp_path / "ac15_timeseries_summary.json").read_text())
+    assert s["dt"] == 0.02 and s["warnings"] == 0
+    assert abs(s["steady_freq_hz"] - 60.0) <= 1e-3
+    assert s["sharing_spread_pct"] <= 1.0
+    assert s["events_applied"] == ["t=10 step_load node=4 delta_kw=40.0",
+                                   "t=17 droop_change node=0 droop=0.0047",
+                                   "t=20 droop_change node=6 droop=0.0021"]
+
+
 def stiffen(doc, weight=100.0):
     # weight 100 at dt 0.1 and one substep puts RK4 outside its stability
     # region; weight 1e100 overflows the first step to nan
