@@ -37,7 +37,7 @@ from . import __version__, consensus, engine, microgrid
 from .measurement import (_STREAM_TAG, MeasurementError, constant_phase_stream, eve_intercept,
                           stream_rng)
 from .netgraph import GraphValidationError, build_graph
-from .scenario import BACKENDS, Scenario, ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, _check_option, parse_scenario
 
 _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
 
@@ -202,9 +202,8 @@ def _angle(v) -> str:
 def cmd_eve(args, sc: Scenario) -> int:
     sec = sc.raw["eve"]
     seed = sc.protocol_options(seed=args.seed)["seed"]
-    shots = args.shots if args.shots is not None else sec["shots_per_step"]
-    if shots < 1:
-        raise ScenarioError(f"--shots: {shots} shots per step, need at least 1")
+    shots = sec["shots_per_step"] if args.shots is None else args.shots
+    _check_option("shots", shots, "#/$defs/eve/properties/shots_per_step")
     theta = sec["theta"]
     steps = sec["steps"]
     if theta["kind"] == "fixed":
@@ -259,6 +258,14 @@ def cmd_rate(args, sc: Scenario) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _backend(name: str) -> str:
+    # not `choices`: argparse lists them for every command, which would run `consensus`
+    if name in consensus.BACKENDS:
+        return name
+    choices = ", ".join(map(repr, consensus.BACKENDS))
+    raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsdcsim",
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("consensus", "ac", "dc", "eve"):
         p = add(name, cmd_eve if name == "eve" else cmd_run, f"run a {name} scenario")
         if name != "eve":
-            p.add_argument("--backend", choices=BACKENDS)
+            p.add_argument("--backend", type=_backend)
             p.add_argument("--dt", type=float)
         shots = p.add_mutually_exclusive_group()
         shots.add_argument("--shots", type=int)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -109,7 +110,7 @@ class ThetaConfig:
                     f"uniform theta needs 0 < lo < hi < pi, got ({self.lo}, {self.hi})"
                 )
         elif self.kind == "fixed":
-            vals = self.values if self.values is not None else (math.pi / 2,)
+            vals = self.values or (math.pi / 2,)
             object.__setattr__(self, "values", tuple(float(v) for v in vals))
             for v in self.values:
                 if not (0.0 < v < math.pi):
@@ -130,9 +131,7 @@ class ThetaConfig:
             if len(self.values) == 1:
                 return np.full(n, self.values[0])
             if len(self.values) != n:
-                raise ValueError(
-                    f"fixed theta list has {len(self.values)} entries for {n} nodes"
-                )
+                raise ValueError(f"{len(self.values)} values for {n} nodes")
             return np.array(self.values, dtype=float)
         return _theta_block(seed, step // THETA_BLOCK, n, self.lo, self.hi)[step % THETA_BLOCK]
 
@@ -164,16 +163,16 @@ class ProtocolConfig:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
             raise ValueError(f"dt must lie in (0, 0.1], got {self.dt}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if not (isinstance(self.substeps, Integral) and self.substeps >= 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1 or None, got {self.shots}")
+        if not (self.shots is None or isinstance(self.shots, Integral) and self.shots >= 1):
+            raise ValueError(f"shots must be an integer >= 1 or None, got {self.shots}")
         if self.mode == "qdc_legacy":
-            object.__setattr__(self, "theta", ThetaConfig.fixed(math.pi / 2))
+            object.__setattr__(self, "theta", ThetaConfig.fixed())
 
     @property
     def exact(self) -> bool:
@@ -192,9 +191,9 @@ class MixingEvent:
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"depolarizing strength must lie in [0,1], got {self.p}")
-        if self.t_end < self.t_start:
-            raise ValueError("event window is reversed")
+            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        if not self.t_start <= self.t_end:  # also false for a nan end
+            raise ValueError(f"event window [{self.t_start}, {self.t_end}) needs t_start <= t_end")
         object.__setattr__(self, "nodes", tuple(int(i) for i in self.nodes))
 
     def active(self, t: float, dt: float) -> bool:

@@ -45,6 +45,12 @@ class PartitionError(MicrogridError):
     """An unplug event left the communication graph disconnected."""
 
 
+def _check_positive(der, *names: str) -> None:
+    for name in names:
+        if not getattr(der, name) > 0.0:  # also false for nan
+            raise ValueError(f"{name} must be positive, got {getattr(der, name)}")
+
+
 @dataclass
 class AcDer:
     """One AC distributed energy resource."""
@@ -54,10 +60,7 @@ class AcDer:
     online: bool = True
 
     def __post_init__(self):
-        if self.droop <= 0.0:
-            raise ValueError(f"droop must be positive, got {self.droop}")
-        if self.rated_kw <= 0.0:
-            raise ValueError(f"rated power must be positive, got {self.rated_kw}")
+        _check_positive(self, "droop", "rated_kw")
 
 
 @dataclass
@@ -83,8 +86,7 @@ class DcDer:
     online: bool = True
 
     def __post_init__(self):
-        if self.droop <= 0.0 or self.line_r <= 0.0 or self.rated_current <= 0.0:
-            raise ValueError("droop, line_r and rated_current must be positive")
+        _check_positive(self, "droop", "line_r", "rated_current")
 
 
 @dataclass

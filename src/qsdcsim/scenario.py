@@ -15,10 +15,20 @@ document imports jsonschema: `_reference_error` asks it, with the same
 numbers, which error explains the rejection, so a valid file's set-up loads
 no schema library.  The validator only reads the document; `_apply_defaults`
 normalizes it.
+
+Each rule has one home.  The schema holds the file format: types, keys and
+the ranges no runtime object needs (`seed >= 0`, `horizon > 0`, the eve
+fields).  The constructors hold the rest: ProtocolConfig (dt, substeps, shots,
+backend, mode), ThetaConfig (bounds, values, one per node), MixingEvent (p,
+window), AcDer and DcDer (positivity), Event (kinds), pinner_gain, build_graph.
+`_physics_checks` builds them, and checks the rules that tie fields together.
+Defaults are the dataclass fields; an eve file that sets no protocol field but
+the seed loads no `consensus`.  `ac.voltage_nominal` is accepted and unused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -38,18 +48,6 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
-BACKENDS = tuple(_SCHEMA["$defs"]["protocol"]["properties"]["backend"]["enum"])
-
-_PROTOCOL_DEFAULTS = {
-    "dt": 0.01,
-    "substeps": 4,
-    "exact": True,
-    "shots": None,
-    "theta": {"kind": "uniform", "lo": 0.2, "hi": math.pi - 0.2},
-    "backend": "phase",
-    "mode": "qsdc",
-    "seed": 0,
-}
 
 
 @dataclass
@@ -72,7 +70,7 @@ class Scenario:
         p = dict(self.raw.get("protocol", {}))
         for key, val in overrides.items():
             if val is not None:
-                _check_option(key, val)
+                _check_option(key, val, f"#/$defs/protocol/properties/{key}")
                 p[key] = val
         if overrides.get("exact"):
             p["shots"] = None
@@ -82,16 +80,11 @@ class Scenario:
 
     def protocol(self, **overrides) -> consensus.ProtocolConfig:
         kwargs = self.protocol_options(**overrides)
-        theta = kwargs.pop("theta")
         kwargs.pop("exact", None)
-        if theta["kind"] == "fixed":
-            vals = theta.get("values", math.pi / 2)
-            vals = (vals,) if isinstance(vals, (int, float)) else tuple(vals)
-            kwargs["theta"] = consensus.ThetaConfig.fixed(*vals)
-        else:
-            kwargs["theta"] = consensus.ThetaConfig.uniform(theta["lo"], theta["hi"])
-        # the schema and physics checks cover each field
-        return consensus.ProtocolConfig(**kwargs)
+        if "theta" in kwargs:
+            kwargs["theta"] = _theta(kwargs["theta"])
+        options = {key: f"--{key}" for key, val in overrides.items() if val is not None}
+        return _built("$.protocol", consensus.ProtocolConfig, names=options, **kwargs)
 
     def graph(self) -> CommGraph:
         if "graph" not in self.raw:
@@ -105,51 +98,67 @@ class Scenario:
 
     def mixing_events(self) -> list[consensus.MixingEvent]:
         section = self.raw.get(self.kind, {})
-        out = []
-        for i, ev in enumerate(section.get("mixing", [])):
-            try:
-                out.append(consensus.MixingEvent(nodes=tuple(ev["nodes"]),
-                                                 t_start=ev["t_start"], t_end=ev["t_end"],
-                                                 p=ev["p"]))
-            except ValueError as exc:
-                raise ScenarioError(f"$.{self.kind}.mixing[{i}]: {exc}") from exc
-        return out
+        return [_built(f"$.{self.kind}.mixing[{i}]", consensus.MixingEvent,
+                       nodes=tuple(ev["nodes"]), t_start=ev["t_start"], t_end=ev["t_end"],
+                       p=ev["p"])
+                for i, ev in enumerate(section.get("mixing", []))]
 
     def plant_events(self) -> list[microgrid.Event]:
         section = self.raw.get(self.kind, {})
-        out = []
-        for i, ev in enumerate(section.get("events", [])):
-            payload = {k: v for k, v in ev.items() if k not in ("time", "kind")}
-            if "r_load" in payload and payload["r_load"] == "inf":
-                payload["r_load"] = math.inf
-            out.append(microgrid.Event(time=float(ev["time"]), kind=ev["kind"],
-                                       payload=payload))
-        return out
+        return [_built(f"$.{self.kind}.events[{i}].kind", microgrid.Event,
+                       time=float(ev["time"]), kind=ev["kind"],
+                       payload={k: math.inf if v == "inf" else v  # r_load may be "inf"
+                                for k, v in ev.items() if k not in ("time", "kind")})
+                for i, ev in enumerate(section.get("events", []))]
 
     def ac_plant(self) -> tuple[list[microgrid.AcDer], microgrid.AcNetwork]:
         sec = self.raw["ac"]
-        ders = [microgrid.AcDer(droop=d["droop"], rated_kw=d["rated_kw"])
-                for d in sec["ders"]]
+        ders = [_built(f"$.ac.ders[{i}]", microgrid.AcDer, droop=d["droop"],
+                       rated_kw=d["rated_kw"])
+                for i, d in enumerate(sec["ders"])]
         net = microgrid.AcNetwork(
             lines=tuple((int(i), int(j), float(b)) for i, j, b in sec["lines"]),
             bus_loads=[d.get("bus_load_kw", 0.0) for d in sec["ders"]],
             omega_nominal=sec["omega_nominal"],
-            k=microgrid.pinner_gain(sec.get("k", 0.0), [d.droop * d.rated_kw for d in ders]),
+            k=_built("$.ac.k", microgrid.pinner_gain, sec.get("k", 0.0),
+                     [d.droop * d.rated_kw for d in ders]),
         )
         return ders, net
 
     def dc_plant(self) -> tuple[list[microgrid.DcDer], microgrid.DcNetwork]:
         sec = self.raw["dc"]
-        ders = [microgrid.DcDer(droop=d["droop_m"], line_r=d["line_r"],
-                                rated_current=d["rated_current"])
-                for d in sec["ders"]]
+        ders = [_built(f"$.dc.ders[{i}]", microgrid.DcDer,
+                       names={"droop": f"$.dc.ders[{i}].droop_m"}, droop=d["droop_m"],
+                       line_r=d["line_r"], rated_current=d["rated_current"])
+                for i, d in enumerate(sec["ders"])]
         net = microgrid.DcNetwork(
             v_nominal=sec["v_nominal"],
             r_load=math.inf if sec["r_load"] == "inf" else float(sec["r_load"]),
-            c=microgrid.pinner_gain(sec.get("c", 0.0),
-                                    [d.droop * d.rated_current for d in ders]),
+            c=_built("$.dc.c", microgrid.pinner_gain, sec.get("c", 0.0),
+                     [d.droop * d.rated_current for d in ders]),
         )
         return ders, net
+
+
+def _built(path: str, make, *args, names: dict | None = None, **kwargs):
+    """make(*args, **kwargs), with its ValueError raised as a ScenarioError
+    at `path`; or, if the message starts with keyword argument `key`, at
+    names[key] when given, else at path.key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).split()[0]
+        where = (names or {}).get(key, f"{path}.{key}") if key in kwargs else path
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _theta(spec: dict) -> consensus.ThetaConfig:
+    """The ThetaConfig of a protocol's theta section."""
+    if spec["kind"] == "uniform":
+        return _built("$.protocol.theta", consensus.ThetaConfig.uniform, spec["lo"], spec["hi"])
+    values = spec.get("values", [])
+    return _built("$.protocol.theta.values", consensus.ThetaConfig.fixed,
+                  *(values if isinstance(values, list) else [values]))
 
 
 def _integers(schema: dict, inst):
@@ -175,56 +184,44 @@ def _integers(schema: dict, inst):
 def _apply_defaults(doc: dict) -> dict:
     # a deep copy; the schema admits no tuples, so the round trip changes nothing else
     doc = _integers(_SCHEMA, json.loads(json.dumps(doc)))
-    proto = dict(_PROTOCOL_DEFAULTS)
-    proto.update(doc.get("protocol", {}))
-    if proto.get("shots") is not None:
-        if doc.get("protocol", {}).get("exact"):
-            raise ScenarioError("$.protocol.exact: exact=true excludes shots")
-        proto["exact"] = False
-    doc["protocol"] = proto
-    if doc["kind"] == "eve":
-        eve = doc["eve"]
-        eve.setdefault("r", 1.0)
-        eve.setdefault("theta", {"kind": "uniform", "lo": 0.0, "hi": math.pi})
-        eve.setdefault("shots_per_step", 1)
-        eve.setdefault("bases_policy", "cycle")
-    if doc["kind"] == "ac":
-        doc["ac"].setdefault("omega_nominal", 60.0)
-        doc["ac"].setdefault("events", [])
-        doc["ac"].setdefault("mixing", [])
-    if doc["kind"] == "dc":
-        doc["dc"].setdefault("v_nominal", 48.0)
-        doc["dc"].setdefault("r_load", "inf")
-        doc["dc"].setdefault("events", [])
-        doc["dc"].setdefault("mixing", [])
-    if doc["kind"] == "consensus":
+    kind, proto = doc["kind"], doc.setdefault("protocol", {})
+    if proto.get("shots") is not None and proto.get("exact"):
+        raise ScenarioError("$.protocol.exact: exact=true excludes shots")
+    proto["exact"] = proto.get("shots") is None and proto.get("exact", True)
+    if kind == "eve":
+        proto.setdefault("seed", 0)  # an eve run reads only the seed
+        doc["eve"] = {"r": 1.0, "theta": {"kind": "uniform", "lo": 0.0, "hi": math.pi},
+                      "shots_per_step": 1, "bases_policy": "cycle", **doc["eve"]}
+    else:
+        defaults = dataclasses.asdict(consensus.ProtocolConfig())
+        defaults["theta"] = {k: v for k, v in defaults["theta"].items() if v is not None}
+        doc["protocol"] = {**defaults, **proto}
+    if kind == "consensus":
         doc["consensus"].setdefault("mixing", [])
+    if kind in ("ac", "dc"):
+        ac, dc = microgrid.AcNetwork, microgrid.DcNetwork  # a file spells infinity "inf"
+        network = {"omega_nominal": ac.omega_nominal} if kind == "ac" else {
+            "v_nominal": dc.v_nominal, "r_load": "inf" if dc.r_load == math.inf else dc.r_load}
+        doc[kind] = {**network, "events": [], "mixing": [], **doc[kind]}
     return doc
 
 
-def _physics_checks(doc: dict) -> None:
-    kind = doc["kind"]
+def _physics_checks(sc: Scenario) -> None:
+    doc, kind = sc.raw, sc.kind
     horizon = doc.get("horizon")
 
     def fail(path: str, msg: str):
         raise ScenarioError(f"{path}: {msg}")
 
-    theta = doc["protocol"]["theta"]
-    if theta["kind"] == "uniform" and not (0.0 < theta["lo"] < theta["hi"] < math.pi):
-        fail("$.protocol.theta", f"uniform bounds ({theta['lo']}, {theta['hi']}) "
-             "must satisfy 0 < lo < hi < pi")
-    values = theta.get("values", math.pi / 2) if theta["kind"] == "fixed" else []
-    values = values if isinstance(values, list) else [values]
-    for v in values:
-        if not (0.0 < v < math.pi):
-            fail("$.protocol.theta.values", f"fixed theta {v} outside (0, pi)")
-    if kind in ("consensus", "ac", "dc") and len(values) > 1:
+    if kind != "eve" or doc["protocol"].keys() - {"seed", "exact"}:
+        sc.protocol()
+    if kind in ("consensus", "ac", "dc"):
         n = doc["graph"]["nodes"] if kind == "consensus" else len(doc[kind]["ders"])
-        if len(values) != n:
-            fail("$.protocol.theta.values", f"{len(values)} values for {n} nodes")
+        if doc["protocol"]["theta"]["kind"] == "fixed":
+            _built("$.protocol.theta.values", _theta(doc["protocol"]["theta"]).draw, 0, 0, n)
+    sc.mixing_events()
 
     if kind == "consensus":
-        n = doc["graph"]["nodes"]
         sec = doc["consensus"]
         for key, noun in (("initial_phi", "phases"), ("pinner", "pinners")):
             vals = sec[key] if isinstance(sec[key], list) else [sec[key]]
@@ -238,40 +235,33 @@ def _physics_checks(doc: dict) -> None:
 
     if kind in ("ac", "dc"):
         sec = doc[kind]
-        n = len(sec["ders"])
         if doc["graph"]["nodes"] != n:
             fail(f"$.{kind}.ders", f"{n} DERs but the graph has {doc['graph']['nodes']} nodes")
         for col, (i, j, _b) in enumerate(sec.get("lines", [])):
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 fail(f"$.ac.lines[{col}]", f"bad endpoint pair ({i},{j})")
-        gain, droop, rated = ("k", "droop", "rated_kw") if kind == "ac" else (
-            "c", "droop_m", "rated_current")
-        spans = [d[droop] * d[rated] for d in sec["ders"]]
-        try:
-            value = microgrid.pinner_gain(sec.get(gain, 0.0), spans)
-        except ValueError as exc:
-            fail(f"$.{kind}.{gain}", str(exc))
+        ders, network = sc.ac_plant() if kind == "ac" else sc.dc_plant()
+        sc.plant_events()
         _check_plant_events(sec, n, horizon, f"$.{kind}")
         # the run holds the one gain to every droop_change, in time order
+        gain, rated = ("k", "rated_kw") if kind == "ac" else ("c", "rated_current")
+        spans = [d.droop * getattr(d, rated) for d in ders]
         for idx, ev in sorted(enumerate(sec["events"]), key=lambda item: item[1]["time"]):
             if ev["kind"] == "droop_change":
-                spans[ev["node"]] = ev["droop"] * sec["ders"][ev["node"]][rated]
-                try:
-                    microgrid.pinner_gain(value, spans)
-                except ValueError as exc:
-                    fail(f"$.{kind}.events[{idx}].droop", str(exc))
+                spans[ev["node"]] = ev["droop"] * getattr(ders[ev["node"]], rated)
+                _built(f"$.{kind}.events[{idx}].droop", microgrid.pinner_gain,
+                       getattr(network, gain), spans)
 
     if kind == "eve":
         th = doc["eve"]["theta"]
         if th["kind"] == "uniform" and not (0.0 <= th["lo"] < th["hi"] <= math.pi):
             fail("$.eve.theta", "uniform bounds must satisfy 0 <= lo < hi <= pi")
-        if th["kind"] == "fixed":
-            vals = th.get("values", math.pi / 2)
-            vals = vals if isinstance(vals, list) else [vals]
-            if len(vals) > 1:
-                fail("$.eve.theta.values", f"{len(vals)} values; the stream has one fixed theta")
-            if not (0.0 <= vals[0] <= math.pi):
-                fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
+        vals = th.get("values", []) if th["kind"] == "fixed" else []
+        vals = vals if isinstance(vals, list) else [vals]
+        if len(vals) > 1:
+            fail("$.eve.theta.values", f"{len(vals)} values; the stream has one fixed theta")
+        if vals and not (0.0 <= vals[0] <= math.pi):
+            fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
 
     rate = doc.get("rate", {})
     if kind == "rate":
@@ -400,12 +390,12 @@ def _reference_error(schema: dict, inst):
     return jsonschema.exceptions.best_match(errors)
 
 
-def _check_option(key: str, value) -> None:
-    """Hold the command-line option --key to the schema of protocol.key,
-    which its value replaces, and name the option in the error."""
-    sub = _resolve("#/$defs/protocol")["properties"][key]
+def _check_option(option: str, value, ref: str) -> None:
+    """Hold the command-line option --`option` to the schema at `ref`, of the
+    field its value replaces, and name the option in the error."""
+    sub = _resolve(ref)
     if not _valid(sub, value):
-        raise ScenarioError(f"--{key}: {_reference_error(sub, value).message}")
+        raise ScenarioError(f"--{option}: {_reference_error(sub, value).message}")
 
 
 def validate_scenario(doc: dict) -> dict:
@@ -415,7 +405,7 @@ def validate_scenario(doc: dict) -> dict:
         error = _reference_error(_SCHEMA, doc)
         raise ScenarioError(f"{error.json_path}: {error.message}")
     doc = _apply_defaults(doc)
-    _physics_checks(doc)
+    _physics_checks(Scenario(kind=doc["kind"], raw=doc))
     return doc
 
 

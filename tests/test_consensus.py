@@ -88,6 +88,20 @@ def test_protocol_config_validation():
         ProtocolConfig(shots=0)
 
 
+@pytest.mark.parametrize("field, value", [("substeps", 2.5), ("shots", 1.5)])
+def test_protocol_config_rejects_a_fractional_count(field, value):
+    # 2.5 substeps used to fail inside the run with a bare TypeError, and
+    # 1.5 shots ran as a sampled run
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ProtocolConfig(**{field: value})
+
+
+@pytest.mark.parametrize("t_start, t_end", [(math.nan, 1.0), (0.0, math.nan)])
+def test_mixing_event_rejects_a_nan_window_end(t_start, t_end):
+    with pytest.raises(ValueError, match="event window"):
+        MixingEvent(nodes=(0,), t_start=t_start, t_end=t_end, p=0.1)
+
+
 def test_qdc_mode_forces_equator_theta():
     cfg = ProtocolConfig(mode="qdc_legacy", theta=ThetaConfig.uniform(0.3, 2.0))
     assert cfg.theta.kind == "fixed"

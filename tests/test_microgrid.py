@@ -592,6 +592,19 @@ def test_dc_default_scaling_rule():
     assert pinner_gain(0.0, spans) == pytest.approx(0.8 * (PI / 2) / (1.25 * 6.0))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: AcDer(droop=math.nan, rated_kw=40.0), "droop"),
+    (lambda: AcDer(droop=5e-3, rated_kw=math.nan), "rated_kw"),
+    (lambda: DcDer(droop=math.nan, line_r=0.01, rated_current=5.0), "droop"),
+    (lambda: DcDer(droop=1.0, line_r=math.nan, rated_current=5.0), "line_r"),
+    (lambda: DcDer(droop=1.0, line_r=0.01, rated_current=math.nan), "rated_current"),
+], ids=["ac-droop", "ac-rated_kw", "dc-droop", "dc-line_r", "dc-rated_current"])
+def test_der_rejects_a_nan_parameter(make, field):
+    # `x <= 0` is false for nan, which let a nan droop through
+    with pytest.raises(ValueError, match=f"^{field} must be positive, got nan$"):
+        make()
+
+
 def test_event_validation():
     with pytest.raises(ValueError, match="unknown event kind"):
         Event(time=1.0, kind="meteor_strike")

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import shutil
@@ -9,10 +10,11 @@ import pytest
 
 from qsdcsim import cli
 from qsdcsim.cli import fitted_decay_rate, main, settling_time, summarize
-from qsdcsim.consensus import RateRegionError, Trajectory, convergence_rate, run_consensus
+from qsdcsim.consensus import (ProtocolConfig, RateRegionError, ThetaConfig, Trajectory,
+                               convergence_rate, run_consensus)
 from qsdcsim.engine import CapacityError
 from qsdcsim.measurement import InvalidStateError
-from qsdcsim.microgrid import PartitionError
+from qsdcsim.microgrid import AcNetwork, DcNetwork, PartitionError
 from qsdcsim.netgraph import GraphValidationError
 from qsdcsim.scenario import (
     ScenarioError,
@@ -140,6 +142,38 @@ def test_parse_mixing_window_must_fit_horizon():
         {"nodes": [0], "t_start": 0.5, "t_end": 99.0, "p": 0.1}]
     with pytest.raises(ScenarioError, match="horizon"):
         scenario_from_dict(doc)
+
+
+MINIMAL_PLANTS = {
+    "ac": {"ders": [{"droop": 5e-3, "rated_kw": 40.0}] * 2, "lines": [[0, 1, 200.0]]},
+    "dc": {"ders": [{"droop_m": 1.0, "line_r": 0.01, "rated_current": 5.0}] * 2},
+}
+
+
+@pytest.mark.parametrize("kind", ["consensus", "ac", "dc"])
+def test_file_defaults_are_the_runtime_defaults(kind):
+    # the defaults that parsing writes into `raw` come from the dataclasses
+    # that a run takes, so a second copy of them cannot drift apart
+    doc = minimal_consensus_doc()
+    if kind != "consensus":
+        del doc["consensus"]
+        doc.update(kind=kind, **{kind: copy.deepcopy(MINIMAL_PLANTS[kind])})
+    sc = scenario_from_dict(doc)
+    runtime = ProtocolConfig()
+    protocol = sc.raw["protocol"]
+    for field in ("dt", "substeps", "shots", "backend", "mode", "seed"):
+        assert protocol[field] == getattr(runtime, field), field
+    assert protocol["theta"] == {"kind": ThetaConfig().kind, "lo": ThetaConfig().lo,
+                                 "hi": ThetaConfig().hi}
+    assert sc.protocol() == runtime
+    if kind == "ac":
+        assert sc.raw["ac"]["omega_nominal"] == AcNetwork.omega_nominal
+        assert sc.ac_plant()[1].omega_nominal == AcNetwork.omega_nominal
+    if kind == "dc":
+        assert sc.raw["dc"]["v_nominal"] == DcNetwork.v_nominal
+        assert sc.raw["dc"]["r_load"] == "inf" and DcNetwork.r_load == math.inf
+        network = sc.dc_plant()[1]
+        assert (network.v_nominal, network.r_load) == (DcNetwork.v_nominal, DcNetwork.r_load)
 
 
 def test_roundtrip_identity():
@@ -357,6 +391,17 @@ def test_cli_options_a_subcommand_ignores_are_usage_errors(tmp_path, capsys, com
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, scenario", [("consensus", "consensus3"), ("ac", "ac15")])
+def test_cli_unknown_backend_is_a_usage_error(tmp_path, capsys, command, scenario):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"), "--backend", "gpu",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert ("argument --backend: invalid choice: 'gpu' (choose from 'full', 'bloch', 'phase')"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, scenario", [
     ("consensus", "consensus3"), ("ac", "ac15"), ("dc", "dc9"), ("eve", "eve_pi6"),
 ])
@@ -401,9 +446,9 @@ def edited_scenario(tmp_path, scenario, edit):
                  lambda d: d["protocol"].update(exact=True, shots=16), [],
                  "$.protocol.exact: exact=true excludes shots", id="protocol-exact-with-shots"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "0"],
-                 "--shots: 0 shots per step, need at least 1", id="eve-shots-0"),
+                 "--shots: 0 is less than the minimum of 1", id="eve-shots-0"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", "-2"],
-                 "--shots: -2 shots per step, need at least 1", id="eve-shots-negative"),
+                 "--shots: -2 is less than the minimum of 1", id="eve-shots-negative"),
     pytest.param("eve", "eve_pi6",
                  lambda d: d["eve"].update(theta={"kind": "fixed", "values": [0.3, 2.0]}),
                  [], "$.eve.theta.values: 2 values; the stream has one fixed theta",
@@ -455,18 +500,37 @@ def edited_scenario(tmp_path, scenario, edit):
                  id="eve-protocol-exact-no-shots"),
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
-                 "$.consensus.mixing[0]: event window is reversed", id="mixing-reversed"),
+                 "$.consensus.mixing[0]: event window [5.0, 3.0) needs t_start <= t_end",
+                 id="mixing-reversed"),
     pytest.param("dc", "dc9",
                  lambda d: d["dc"]["events"].append({"time": 10.0, "kind": "droop_change",
                                                      "node": 1, "droop": 5.0}), [],
                  "$.dc.events[3].droop: gain 0.167552 times the largest droop span 30 is "
                  "5.0265 >= pi/2; keep the gain below 0.05236", id="dc-droop-change-gain"),
     pytest.param("consensus", "consensus3", lambda d: None, ["--dt", "0.5"],
-                 "--dt: 0.5 is greater than the maximum of 0.1", id="option-dt"),
+                 "--dt: dt must lie in (0, 0.1], got 0.5", id="option-dt"),
     pytest.param("dc", "dc9", lambda d: None, ["--backend", "phase", "--shots", "0"],
-                 "--shots: 0 is less than the minimum of 1", id="option-shots"),
+                 "--shots: shots must be an integer >= 1 or None, got 0", id="option-shots"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--seed", "-1"],
                  "--seed: -1 is less than the minimum of 0", id="option-seed"),
+    # rules that the runtime objects hold, reported at the field's path
+    pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(dt=0.5), [],
+                 "$.protocol.dt: dt must lie in (0, 0.1], got 0.5", id="protocol-dt-range"),
+    pytest.param("eve", "eve_pi6", lambda d: d["protocol"].update(substeps=0), [],
+                 "$.protocol.substeps: substeps must be an integer >= 1, got 0",
+                 id="eve-protocol-substeps"),
+    pytest.param("ac", "ac15", lambda d: d["protocol"].update(backend="gpu"), [],
+                 "$.protocol.backend: backend must be one of ('full', 'bloch', 'phase'), "
+                 "got 'gpu'", id="protocol-backend"),
+    pytest.param("ac", "ac15", lambda d: d["ac"]["ders"][2].update(rated_kw=0), [],
+                 "$.ac.ders[2].rated_kw: rated_kw must be positive, got 0", id="ac-der-rated"),
+    pytest.param("dc", "dc9", lambda d: d["dc"]["ders"][1].update(droop_m=-1.0), [],
+                 "$.dc.ders[1].droop_m: droop must be positive, got -1.0", id="dc-der-droop"),
+    pytest.param("dc", "dc9", lambda d: d["dc"]["events"][0].update(kind="meteor"), [],
+                 "$.dc.events[0].kind: unknown event kind 'meteor'", id="plant-event-kind"),
+    pytest.param("consensus", "consensus3_mixed",
+                 lambda d: d["consensus"]["mixing"][0].update(p=1.5), [],
+                 "$.consensus.mixing[0].p: p must lie in [0, 1], got 1.5", id="mixing-p"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):
