@@ -10,7 +10,10 @@ Backends:
   full  - dense density matrix driven by the jump operators, applied as a
           phase mask (rotation-Z) and a flat gather per edge (swap, 8 * 4^n
           bytes of index per edge) with no 2^n x 2^n operator; its
-          explicit-matrix oracle is in `tests/oracles.py`;
+          explicit-matrix oracle is in `tests/oracles.py`.  A step builds
+          rho from the theta and phi arrays in one call and reads every
+          node's x and y back in one gather (`engine.local_bloch`), with w
+          a view of those two columns;
   bloch - the per-node local expectations.  Rotation-Z and swap conjugation
           map local Pauli observables to local Pauli observables, so with
           w_i = x_i + i*y_i they obey the closed linear flow
@@ -60,7 +63,7 @@ from numbers import Integral
 import numpy as np
 
 from . import engine
-from .engine import PureQubitSpec, _rk4
+from .engine import _rk4
 from .measurement import (
     _STREAM_TAG,
     _sample_zeros,
@@ -319,19 +322,15 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
     t_now = state.step * config.dt
 
     if config.backend == "full":
-        rho = engine.product_state(
-            [PureQubitSpec(theta=float(th), phi=float(ph)) for th, ph in zip(thetas, phis)]
-        )
+        rho = engine.product_state(thetas, phis)
         jumps = engine.build_jump_set(plan.graph, alphas, plan.swaps)
         rho = engine.evolve(rho, jumps, config.dt, config.substeps)
         for ev in events:
             if ev.active(t_now, config.dt):
                 for i in ev.nodes:
                     rho = engine.depolarize_local(rho, i, ev.p)
-        w = np.empty(n, dtype=complex)
-        for i in range(n):
-            b = engine.local_bloch(rho, i)
-            w[i] = complex(b.x, b.y)
+        # a view of the x and y columns: x + 1j*y would turn a y of -0.0 into +0.0
+        w = engine.local_bloch(rho)[:, :2].view(complex)[:, 0]
         final_rho = rho
     else:  # bloch and phase: w' = A w, w = x + i*y
         stages = plan.stages(config.dt / config.substeps, alphas)

@@ -1,6 +1,12 @@
-"""Dense density-matrix engine: jump operators, master-equation RHS, the
-classical-RK4 stepper `_rk4`, partial traces, Bloch extraction, and a local
-depolarizing channel.
+"""Dense density-matrix engine: the product-state build, jump operators,
+master-equation RHS, the classical-RK4 stepper `_rk4`, the local Bloch read,
+and a local depolarizing channel.  It takes and returns arrays, with no
+per-node object: `product_state` builds rho from the theta and phi arrays
+of all nodes, and `local_bloch` returns every node's (x, y, z) as one
+(n, 3) array, read by one gather of the flattened rho through a flat index
+cached per n (`_local_index`, 16 * n * 2^n bytes) and one sum over each
+reduced entry's 2^(n-1) terms.  The per-node partial trace it replaces,
+`partial_trace_single`, is its oracle in `tests/oracles.py`.
 
 The master equation used throughout has no Hamiltonian term and only unitary
 jump operators (one rotation-Z per node, one swap per edge):
@@ -71,67 +77,6 @@ class IntegrationDivergedError(EngineError):
     """Integration produced an invalid state; reduce the substep."""
 
 
-@dataclass(frozen=True)
-class PureQubitSpec:
-    """Polar coordinates of a pure qubit: cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-    theta in (0, pi), phi in [0, pi/2] (the protocol's working quadrant).
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.theta < math.pi):
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
-        if not (0.0 <= self.phi <= math.pi / 2):
-            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
-
-    def ket(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.theta / 2.0),
-             math.sin(self.theta / 2.0) * np.exp(1j * self.phi)],
-            dtype=complex,
-        )
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Pauli expectations (x, y, z) of a single-qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
-
-    @property
-    def s(self) -> float:
-        """In-plane coherence magnitude r*sin(theta)."""
-        return math.sqrt(self.x**2 + self.y**2)
-
-    @property
-    def theta(self) -> float:
-        r = self.r
-        if r == 0.0:
-            return math.pi / 2
-        return math.acos(max(-1.0, min(1.0, self.z / r)))
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    @classmethod
-    def from_polar(cls, r: float, theta: float, phi: float) -> "BlochVector":
-        return cls(
-            x=r * math.sin(theta) * math.cos(phi),
-            y=r * math.sin(theta) * math.sin(phi),
-            z=r * math.cos(theta),
-        )
-
-
 @dataclass
 class DensityMatrix:
     """2^n x 2^n density matrix of the whole qubit network."""
@@ -161,10 +106,12 @@ class DensityMatrix:
             raise StateValidationError(f"state has an eigenvalue below {-tol:g}") from None
 
 
-def product_state(specs) -> DensityMatrix:
-    """Tensor product of pure qubits, rho = (x)_i |q_i><q_i|."""
-    specs = list(specs)
-    n = len(specs)
+def product_state(thetas, phis) -> DensityMatrix:
+    """Tensor product of the pure qubits cos(theta_i/2)|0> + e^{i phi_i}
+    sin(theta_i/2)|1>, rho = (x)_i |q_i><q_i|, with theta_i in (0, pi) and
+    phi_i in [0, pi/2] (the protocol's working quadrant)."""
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    n = len(thetas)
     if n < 1:
         raise ValueError("need at least one qubit")
     if n > MAX_DENSE_QUBITS:
@@ -172,9 +119,18 @@ def product_state(specs) -> DensityMatrix:
             f"{n} qubits exceed the dense backend cap of {MAX_DENSE_QUBITS}; "
             "use the bloch or phase backend"
         )
-    psi = specs[0].ket()
-    for spec in specs[1:]:
-        psi = np.multiply.outer(psi, spec.ket()).ravel()
+    bad = ~((0.0 < thetas) & (thetas < math.pi))  # a nan is bad too
+    if bad.any():
+        raise ValueError(f"theta must lie in (0, pi), got {thetas[bad][0]}")
+    bad = ~((0.0 <= phis) & (phis <= math.pi / 2))
+    if bad.any():
+        raise ValueError(f"phi must lie in [0, pi/2], got {phis[bad][0]}")
+    kets = np.empty((n, 2), dtype=complex)
+    kets[:, 0] = np.cos(thetas / 2.0)
+    kets[:, 1] = np.sin(thetas / 2.0) * np.exp(1j * phis)
+    psi = kets[0]
+    for ket in kets[1:]:
+        psi = np.multiply.outer(psi, ket).ravel()
     rho = np.outer(psi, psi.conj())
     return DensityMatrix(matrix=rho, qubit_count=n)
 
@@ -311,31 +267,28 @@ def evolve(rho: DensityMatrix, jumps: IndexJumpSet, dt: float,
     return out
 
 
-def partial_trace_single(rho: DensityMatrix, i: int) -> DensityMatrix:
-    """Reduced 2x2 state of qubit i."""
-    n = rho.qubit_count
-    if not (0 <= i < n):
-        raise IndexError(f"node {i} out of range for {n} qubits")
-    # rows and columns split as (qubits before i, qubit i, qubits after i)
-    factor = (2**i, 2, 2 ** (n - i - 1))
-    red = np.einsum("aibajb->ij", rho.matrix.reshape(factor + factor))
-    return DensityMatrix(matrix=red, qubit_count=1)
+@functools.lru_cache(maxsize=None)
+def _local_index(n: int) -> np.ndarray:
+    """index[k, r, i]: the flat position in a 2^n x 2^n rho of entry r of
+    the partial-trace sum that gives (rho_01, rho_10, rho_00, rho_11)[k] of
+    node i's reduced state; r runs over the other nodes' bits in increasing
+    order (node 0 is the most significant bit)."""
+    r = np.arange(2 ** (n - 1))[:, np.newaxis]
+    shifts = n - 1 - np.arange(n)
+    base = ((r >> shifts) << (shifts + 1)) | (r & ((1 << shifts) - 1))  # node i's bit 0
+    bit = 1 << shifts
+    index = np.stack([(base + b * bit) * 2**n + base + c * bit
+                      for b, c in ((0, 1), (1, 0), (0, 0), (1, 1))])
+    index.flags.writeable = False
+    return index
 
 
-def bloch_of(rho2: DensityMatrix) -> BlochVector:
-    """Pauli expectations of a 2x2 density matrix."""
-    m = rho2.matrix
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got {m.shape}")
-    x = float((m[0, 1] + m[1, 0]).real)
-    y = float((1j * (m[0, 1] - m[1, 0])).real)
-    z = float((m[0, 0] - m[1, 1]).real)
-    return BlochVector(x=x, y=y, z=z)
-
-
-def local_bloch(rho: DensityMatrix, i: int) -> BlochVector:
-    """Bloch vector of node i's reduced state."""
-    return bloch_of(partial_trace_single(rho, i))
+def local_bloch(rho: DensityMatrix) -> np.ndarray:
+    """(x, y, z) of every node's reduced state, one row per node: one gather
+    of the flattened rho through `_local_index`, each reduced entry summed
+    over its 2^(n-1) terms in basis order."""
+    r01, r10, r00, r11 = rho.matrix.take(_local_index(rho.qubit_count)).sum(axis=1)
+    return np.column_stack(((r01 + r10).real, (1j * (r01 - r10)).real, (r00 - r11).real))
 
 
 def depolarize_local(rho: DensityMatrix, i: int, p: float) -> DensityMatrix:

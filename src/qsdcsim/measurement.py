@@ -3,11 +3,12 @@ and the eavesdropper experiment.  The twin-qubit atan2 phase estimator is
 `np.arctan2(<Y>, <X>)` in `consensus.qsdc_step`: the common r*sin(theta)
 factor cancels, so it is exact for any state with in-plane coherence.
 
-Basis changes are folded into closed-form Bernoulli probabilities
-p0 = (1 + e)/2 with e the X, Y or Z Bloch component (Hadamard for X,
-S-dagger then Hadamard for Y, nothing for Z).  `_gate_level_p0` in
-`tests/oracles.py` applies the actual 2x2 circuit, the oracle of the closed
-form.
+A qubit is given by its Bloch components (x, y, z): a triple, or a row of
+an (n, 3) array such as `engine.local_bloch` returns.  Basis changes are
+folded into closed-form Bernoulli probabilities p0 = (1 + e)/2 with e the
+X, Y or Z component (Hadamard for X, S-dagger then Hadamard for Y, nothing
+for Z).  `_gate_level_p0` in `tests/oracles.py` applies the actual 2x2
+circuit, the oracle of the closed form.
 
 Everything measures arrays: one binomial draw takes the counts of all nodes
 in every measured basis of a protocol step, or of all intercepted steps in
@@ -22,12 +23,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .engine import BlochVector
 
 BASES = ("X", "Y", "Z")
 # The second key word of every random stream: one table, so that no two
@@ -127,11 +124,11 @@ class CountHistogram:
         return self.ones / self.shots
 
 
-def _component(bloch: BlochVector, basis: str) -> float:
-    try:
-        return {"X": bloch.x, "Y": bloch.y, "Z": bloch.z}[basis]
-    except KeyError:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}") from None
+def _component(bloch, basis: str) -> float:
+    """The `basis` entry of an (x, y, z) triple."""
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+    return bloch[BASES.index(basis)]
 
 
 def _clamped(e) -> np.ndarray:
@@ -152,8 +149,9 @@ def _sample_zeros(rng: np.random.Generator, shots: int, e):
     return rng.binomial(shots, 0.5 * (1.0 + _clamped(e)))
 
 
-def sample_basis(bloch: BlochVector, basis: str, shots: int, seed) -> CountHistogram:
-    """Draw independent shots in the given basis.
+def sample_basis(bloch, basis: str, shots: int, seed) -> CountHistogram:
+    """Draw independent shots in the given basis of a qubit whose Bloch
+    components are the triple `bloch` = (x, y, z).
 
     `seed` is either a numpy Generator or an integer, which selects the
     stream (seed, basis tag).
@@ -205,9 +203,10 @@ class EveReport:
         }
 
 
-def constant_phase_stream(phi: float, thetas, r: float = 1.0) -> np.ndarray:
+def constant_phase_stream(phi: float, thetas, r: float) -> np.ndarray:
     """Bloch components (x, y, z), one row per step, of a qubit with fixed
-    phase and varying theta, as seen by an interceptor on one channel."""
+    phase and varying theta and Bloch length r, as seen by an interceptor on
+    one channel; a scenario's r defaults in `scenario._apply_defaults`."""
     thetas = np.asarray(thetas, dtype=float)
     x, y, z = (out := np.empty((thetas.size, len(BASES)))).T
     np.multiply(np.sin(thetas, out=x), r, out=x)  # r sin(theta)
@@ -217,13 +216,8 @@ def constant_phase_stream(phi: float, thetas, r: float = 1.0) -> np.ndarray:
     return out
 
 
-def eve_intercept(
-    stream,
-    bases_policy: str = "cycle",
-    shots_per_step: int = 1,
-    seed: int = 0,
-    exact: bool = False,
-) -> EveReport:
+def eve_intercept(stream, bases_policy: str, shots_per_step: int, seed: int,
+                  exact: bool = False) -> EveReport:
     """Aggregate interception statistics over a stream of exchanged qubits.
 
     `stream` has one row of Bloch components (x, y, z) per protocol step,
@@ -237,6 +231,7 @@ def eve_intercept(
     policy names a basis in at most one slot, so its steps are one strided
     view; a mean sums its view left to right from +0.0 (`np.cumsum`): the
     pinned bundled outputs carry that rounding, and a pairwise `sum` moves it.
+    A scenario's policy, shots and seed default in `scenario._apply_defaults`.
     """
     comps = _clamped(stream)
     if comps.ndim != 2 or comps.shape[1] != len(BASES) or not len(comps):

@@ -20,7 +20,8 @@ Each rule has one home.  The schema holds the file format: types, keys and
 the ranges no runtime object needs (`seed >= 0`, `horizon > 0`, the eve
 fields).  The constructors hold the rest: ProtocolConfig (dt, substeps, shots,
 backend, mode), ThetaConfig (bounds, values, one per node), MixingEvent (p,
-window), AcDer and DcDer (positivity), Event (kinds), pinner_gain, build_graph.
+window), AcDer and DcDer (positivity), Event (kinds), pinner_gain, build_graph,
+convergence_rate (the rate epsilon).
 `_physics_checks` builds them, and checks the rules that tie fields together.
 Defaults are the dataclass fields; an eve file that sets no protocol field but
 the seed loads no `consensus`.  `ac.voltage_nominal` is accepted and unused.
@@ -264,15 +265,15 @@ def _physics_checks(sc: Scenario) -> None:
             fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
 
     rate = doc.get("rate", {})
-    if kind == "rate":
-        eps = rate.get("epsilon")
-        if eps is not None and not (0.0 <= eps < math.pi / 2):
-            fail("$.rate.epsilon", f"epsilon {eps} outside [0, pi/2)")
     if "weights" in rate and "graph" in doc:
         try:
-            build_graph(doc["graph"]["nodes"], doc["graph"]["edges"], rate["weights"])
+            graph = build_graph(doc["graph"]["nodes"], doc["graph"]["edges"], rate["weights"])
         except GraphValidationError as exc:
             fail("$.rate.weights" if exc.field == "weights" else f"$.graph.{exc.field}", str(exc))
+    elif kind == "rate":
+        graph = sc.graph()
+    if kind == "rate" and "epsilon" in rate:
+        _built("$.rate", consensus.convergence_rate, graph, epsilon=rate["epsilon"])
 
 
 def _check_plant_events(sec: dict, n: int, horizon: float, prefix: str) -> None:

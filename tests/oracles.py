@@ -1,8 +1,10 @@
 """Test oracles, which no run executes: the master equation on explicit
 2^n x 2^n operators (`lindblad_rhs`, against which the index form of
-`engine.IndexJumpSet` is checked through `explicit`), the instantaneous-pinner
-reference equations of the `bloch`/`phase` core, and the gate-level
-measurement circuit."""
+`engine.IndexJumpSet` is checked through `explicit`), the per-node partial
+trace (`partial_trace_single`, against which the one-gather
+`engine.local_bloch` is checked), the instantaneous-pinner reference
+equations of the `bloch`/`phase` core, and the gate-level measurement
+circuit."""
 
 from __future__ import annotations
 
@@ -11,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsdcsim.engine import (BlochVector, DensityMatrix, IndexJumpSet, StateValidationError,
-                            _swap_perm)
+from qsdcsim.engine import DensityMatrix, IndexJumpSet, StateValidationError, _swap_perm
 from qsdcsim.measurement import BASES, _clamped, _component
 from qsdcsim.netgraph import CommGraph, adjacency_matrix, build_graph
 
@@ -126,6 +127,23 @@ def lindblad_rhs(rho, jumps: JumpSet | IndexJumpSet) -> np.ndarray:
     return _rhs_raw(m, ops)
 
 
+def partial_trace_single(rho: DensityMatrix, i: int) -> DensityMatrix:
+    """Reduced 2x2 state of qubit i."""
+    n = rho.qubit_count
+    if not (0 <= i < n):
+        raise IndexError(f"node {i} out of range for {n} qubits")
+    # rows and columns split as (qubits before i, qubit i, qubits after i)
+    factor = (2**i, 2, 2 ** (n - i - 1))
+    red = np.einsum("aibajb->ij", rho.matrix.reshape(factor + factor))
+    return DensityMatrix(matrix=red, qubit_count=1)
+
+
+def polar_bloch(r: float, theta: float, phi: float) -> np.ndarray:
+    """Bloch components (x, y, z) of length r at polar angle theta and phase phi."""
+    return np.array([r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi),
+                     r * math.cos(theta)])
+
+
 def bloch_rhs(x, y, z, pinners, graph: CommGraph):
     """Exact local-expectation dynamics in instantaneous-pinner form:
 
@@ -188,19 +206,26 @@ def random_connected_graph(rng, n):
     return build_graph(n, sorted(edges))
 
 
-def exact_probability(bloch: BlochVector, basis: str) -> float:
-    """Infinite-shot limit of p0 for the chosen measurement circuit."""
+def random_angles(rng, n, margin=0.1):
+    """The thetas in (margin, pi - margin) and phis in (0, pi/2) of n
+    qubits, drawn theta then phi node by node."""
+    pairs = [(rng.uniform(margin, math.pi - margin), rng.uniform(0.0, math.pi / 2))
+             for _ in range(n)]
+    return np.array(pairs).reshape(n, 2).T
+
+
+def exact_probability(bloch, basis: str) -> float:
+    """Infinite-shot limit of p0 for the chosen measurement circuit, of the
+    qubit with Bloch components `bloch` = (x, y, z)."""
     return float(0.5 * (1.0 + _clamped(_component(bloch, basis))))
 
 
-def _gate_level_p0(bloch: BlochVector, basis: str) -> float:
-    """Apply the actual basis-change circuit to the 2x2 state, then read the
-    Z-basis 0 probability: the oracle for the closed form p0 = (1 + e)/2."""
-    rho = 0.5 * np.array(
-        [[1.0 + bloch.z, bloch.x - 1j * bloch.y],
-         [bloch.x + 1j * bloch.y, 1.0 - bloch.z]],
-        dtype=complex,
-    )
+def _gate_level_p0(bloch, basis: str) -> float:
+    """Apply the actual basis-change circuit to the 2x2 state with Bloch
+    components `bloch` = (x, y, z), then read the Z-basis 0 probability: the
+    oracle for the closed form p0 = (1 + e)/2."""
+    x, y, z = bloch
+    rho = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
     if basis == "X":
         u = _H
     elif basis == "Y":

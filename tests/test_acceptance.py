@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import (bloch_rhs, exact_probability, pauli_on, phase_rhs, random_connected_graph,
-                     rz_jump, swap_jump)
+from oracles import (bloch_rhs, exact_probability, pauli_on, phase_rhs, polar_bloch,
+                     random_angles, random_connected_graph, rz_jump, swap_jump)
 from qsdcsim.cli import fitted_decay_rate
 from qsdcsim.consensus import (
     MixingEvent,
@@ -25,7 +25,6 @@ from qsdcsim.consensus import (
     run_consensus,
 )
 from qsdcsim.engine import (
-    PureQubitSpec,
     _rk4,
     build_jump_set,
     evolve,
@@ -109,7 +108,7 @@ def test_criterion_2_backend_equivalence():
                 worst_xyz,
                 float(np.max(np.abs(fx - bx))),
                 float(np.max(np.abs(fy - by))),
-                max(abs(local_bloch(full.rho, i).z - z_want[i]) for i in range(n)),
+                float(np.max(np.abs(local_bloch(full.rho)[:, 2] - z_want))),
             )
             worst_phi = max(worst_phi, float(np.max(np.abs(
                 states["full"].phis - states["phase"].phis))))
@@ -130,18 +129,18 @@ def test_criterion_3_theorem_rate_identity():
         phis = rng.uniform(0.1, 1.4, n)
         thetas = rng.uniform(0.4, PI - 0.4, n)
         pinners = rng.uniform(0.1, 1.4, n)
-        rho = product_state(
-            [PureQubitSpec(theta=t, phi=p) for t, p in zip(thetas, phis)])
+        rho = product_state(thetas, phis)
         jumps = build_jump_set(g, pinners - phis)
         h = 1e-6
         mid = evolve(rho, jumps, h, 1)
         end = evolve(mid, jumps, h, 1)
 
         def node_phi(state):
-            return np.array([local_bloch(state, i).phi for i in range(n)])
+            x, y, _ = local_bloch(state).T
+            return np.arctan2(y, x)
 
         fd = (node_phi(end) - node_phi(rho)) / (2.0 * h)
-        s_mid = np.array([local_bloch(mid, i).s for i in range(n)])
+        s_mid = np.hypot(*local_bloch(mid)[:, :2].T)
         pred = phase_rhs(node_phi(mid), s_mid, pinners, g)
         rel = float(np.max(np.abs(fd - pred) / np.maximum(np.abs(pred), 1e-6)))
         worst = max(worst, rel)
@@ -151,9 +150,7 @@ def test_criterion_3_theorem_rate_identity():
 
 
 def test_criterion_4_measurement_histogram():
-    from qsdcsim.engine import BlochVector
-
-    bloch = BlochVector.from_polar(1.0, PI / 2, PI / 6)
+    bloch = polar_bloch(1.0, PI / 2, PI / 6)
     p0 = exact_probability(bloch, "X")
     assert p0 == pytest.approx(0.9330127018922194, abs=1e-9)
     sigma = math.sqrt(p0 * (1.0 - p0) / 2000.0)
@@ -168,8 +165,9 @@ def test_criterion_4_measurement_histogram():
 
 def test_criterion_5_eve_bias_and_z_randomness():
     thetas = stream_rng(7, 4).uniform(0.0, PI, 30000)
-    stream = constant_phase_stream(PI / 6, thetas)
-    exact = eve_intercept(stream, bases_policy="cycle", seed=7, exact=True)
+    stream = constant_phase_stream(PI / 6, thetas, 1.0)
+    exact = eve_intercept(stream, bases_policy="cycle", shots_per_step=1, seed=7,
+                          exact=True)
     bias = abs(exact.naive_phi - PI / 6)
     assert bias >= 0.3
     assert exact.naive_phi == pytest.approx(0.987, abs=0.02)
@@ -301,9 +299,7 @@ def test_criterion_10_engine_invariant_fuzz():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.6]
         g = build_graph(n, edges)
-        rho = product_state(
-            [PureQubitSpec(theta=rng.uniform(0.1, PI - 0.1),
-                           phi=rng.uniform(0.0, PI / 2)) for _ in range(n)])
+        rho = product_state(*random_angles(rng, n))
         jumps = build_jump_set(g, rng.uniform(-PI / 2, PI / 2, n))
         out = evolve(rho, jumps, float(rng.uniform(0.005, 0.05)),
                      int(rng.integers(1, 5)))

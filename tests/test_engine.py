@@ -4,23 +4,20 @@ import numpy as np
 import pytest
 
 from oracles import (PAULI_X, PAULI_Y, PAULI_Z, JumpSet, explicit, from_matrix, lindblad_rhs,
-                     pauli_on, rz_jump, swap_jump)
+                     partial_trace_single, pauli_on, polar_bloch, random_angles, rz_jump,
+                     swap_jump)
 from qsdcsim.engine import (
     MAX_DENSE_QUBITS,
-    BlochVector,
     CapacityError,
     DensityMatrix,
     IntegrationDivergedError,
-    PureQubitSpec,
     StateValidationError,
     _rk4,
     _swap_perm,
-    bloch_of,
     build_jump_set,
     depolarize_local,
     evolve,
     local_bloch,
-    partial_trace_single,
     product_state,
     rk4_coefficients,
 )
@@ -31,9 +28,7 @@ PAPER_PHIS = (0.0, math.pi / 8, math.pi / 2)
 
 
 def three_node_state():
-    return product_state(
-        [PureQubitSpec(theta=t, phi=p) for t, p in zip(PAPER_THETAS, PAPER_PHIS)]
-    )
+    return product_state(PAPER_THETAS, PAPER_PHIS)
 
 
 def purity(rho):
@@ -41,24 +36,26 @@ def purity(rho):
 
 
 def rand_product(rng, n):
-    return product_state(
-        [PureQubitSpec(theta=rng.uniform(0.1, math.pi - 0.1),
-                       phi=rng.uniform(0.0, math.pi / 2)) for _ in range(n)]
-    )
+    return product_state(*random_angles(rng, n))
+
+
+def ket(theta, phi):
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, in scalar arithmetic."""
+    return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)],
+                    dtype=complex)
 
 
 # -- states ------------------------------------------------------------------
 
 
-def test_pure_qubit_spec_ranges():
-    with pytest.raises(ValueError):
-        PureQubitSpec(theta=0.0, phi=0.1)
-    with pytest.raises(ValueError):
-        PureQubitSpec(theta=math.pi, phi=0.1)
-    with pytest.raises(ValueError):
-        PureQubitSpec(theta=1.0, phi=-0.1)
-    with pytest.raises(ValueError):
-        PureQubitSpec(theta=1.0, phi=math.pi / 2 + 0.1)
+def test_product_state_ranges():
+    # the bad qubit is the second one: every node is checked
+    for theta, phi, message in ((0.0, 0.1, r"theta must lie in \(0, pi\), got 0\.0"),
+                                (math.pi, 0.1, "theta"), (math.nan, 0.1, "got nan"),
+                                (1.0, -0.1, r"phi must lie in \[0, pi/2\], got -0\.1"),
+                                (1.0, math.pi / 2 + 0.1, "phi"), (1.0, math.nan, "phi")):
+        with pytest.raises(ValueError, match=message):
+            product_state([1.2, theta], [0.3, phi])
 
 
 def test_product_state_three_node_example():
@@ -69,36 +66,34 @@ def test_product_state_three_node_example():
 
 
 def test_product_state_plus_state():
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0)])
+    rho = product_state([math.pi / 2], [0.0])
     assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 def test_product_state_partial_trace_oracle():
-    spec = PureQubitSpec(theta=math.pi / 2, phi=math.pi / 6)
-    rho = product_state([spec, spec])
+    rho = product_state([math.pi / 2] * 2, [math.pi / 6] * 2)
     for i in (0, 1):
-        b = local_bloch(rho, i)
-        assert abs(b.x - math.cos(math.pi / 6)) < 1e-12
-        assert abs(b.y - math.sin(math.pi / 6)) < 1e-12
-        assert abs(b.z) < 1e-12
+        x, y, z = local_bloch(rho)[i]
+        assert abs(x - math.cos(math.pi / 6)) < 1e-12
+        assert abs(y - math.sin(math.pi / 6)) < 1e-12
+        assert abs(z) < 1e-12
 
 
 def test_product_state_matches_kron_chain_bitwise():
     rng = np.random.default_rng(14)
     for n in range(1, 7):
         for _ in range(3):
-            specs = [PureQubitSpec(theta=rng.uniform(0.1, math.pi - 0.1),
-                                   phi=rng.uniform(0.0, math.pi / 2)) for _ in range(n)]
-            psi = specs[0].ket()
-            for spec in specs[1:]:
-                psi = np.kron(psi, spec.ket())
-            assert np.array_equal(product_state(specs).matrix, np.outer(psi, psi.conj()))
+            thetas, phis = random_angles(rng, n)
+            psi = ket(thetas[0], phis[0])
+            for theta, phi in zip(thetas[1:], phis[1:]):
+                psi = np.kron(psi, ket(theta, phi))
+            assert np.array_equal(product_state(thetas, phis).matrix, np.outer(psi, psi.conj()))
 
 
 def test_product_state_capacity():
-    specs = [PureQubitSpec(theta=1.0, phi=0.1)] * (MAX_DENSE_QUBITS + 1)
+    n = MAX_DENSE_QUBITS + 1
     with pytest.raises(CapacityError, match="bloch"):
-        product_state(specs)
+        product_state([1.0] * n, [0.1] * n)
 
 
 # -- jump operators ----------------------------------------------------------
@@ -123,8 +118,8 @@ def test_swap_exchanges_product_factors():
     rho = three_node_state()
     c = swap_jump(0, 1, 3)
     swapped = c @ rho.matrix @ c.conj().T
-    specs = [PureQubitSpec(theta=PAPER_THETAS[i], phi=PAPER_PHIS[i]) for i in (1, 0, 2)]
-    expected = product_state(specs)
+    order = [1, 0, 2]
+    expected = product_state(np.array(PAPER_THETAS)[order], np.array(PAPER_PHIS)[order])
     assert np.max(np.abs(swapped - expected.matrix)) <= 1e-12
 
 
@@ -159,11 +154,11 @@ def test_rz_zero_angle_is_identity():
 
 
 def test_rz_rotates_bloch_about_z():
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0)])
+    rho = product_state([math.pi / 2], [0.0])
     c = rz_jump(0, math.pi / 2, 1)
     rotated = from_matrix(c @ rho.matrix @ c.conj().T)
-    b = bloch_of(rotated)
-    assert abs(b.x) < 1e-12 and abs(b.y - 1.0) < 1e-12 and abs(b.z) < 1e-12
+    x, y, z = local_bloch(rotated)[0]
+    assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12 and abs(z) < 1e-12
 
 
 def test_rz_preserves_z_components():
@@ -199,7 +194,7 @@ def test_swap_conjugation_maps_local_observables():
 
 def test_rhs_single_node_pin_example():
     # Bloch (1,0,0), pin angle pi/2: d<sx>/dt = -1, d<sy>/dt = +1
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0)])
+    rho = product_state([math.pi / 2], [0.0])
     jumps = build_jump_set(build_graph(1, []), [math.pi / 2])
     rhs = lindblad_rhs(rho, jumps)
     assert abs(np.trace(rhs @ PAULI_X).real - (-1.0)) < 1e-12
@@ -208,8 +203,7 @@ def test_rhs_single_node_pin_example():
 
 def test_rhs_swap_coupling_example():
     # x-components (1, 0): dx1 = -1, dx2 = +1
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=0.0),
-                         PureQubitSpec(theta=math.pi / 2, phi=math.pi / 2)])
+    rho = product_state([math.pi / 2] * 2, [0.0, math.pi / 2])
     jumps = JumpSet(pin_ops=[], swap_ops=[(swap_jump(0, 1, 2), 1.0)])
     rhs = lindblad_rhs(rho, jumps)
     assert abs(np.trace(rhs @ pauli_on(0, "x", 2)).real - (-1.0)) < 1e-12
@@ -217,8 +211,7 @@ def test_rhs_swap_coupling_example():
 
 
 def test_rhs_consensus_fixed_point():
-    spec = PureQubitSpec(theta=1.3, phi=0.9)
-    rho = product_state([spec, spec, spec])
+    rho = product_state([1.3] * 3, [0.9] * 3)
     jumps = build_jump_set(build_graph(3, [(0, 1), (1, 2), (0, 2)]), [0.0, 0.0, 0.0])
     rhs = lindblad_rhs(rho, jumps)
     for i in range(3):
@@ -258,7 +251,7 @@ def test_rhs_unitary_shortcut_identity():
 
 def test_rhs_dimension_mismatch():
     jumps = build_jump_set(build_graph(2, [(0, 1)]), [0.0, 0.0])
-    rho = product_state([PureQubitSpec(theta=1.0, phi=0.0)])
+    rho = product_state([1.0], [0.0])
     with pytest.raises(ValueError, match="dimension"):
         lindblad_rhs(rho, jumps)
 
@@ -298,16 +291,17 @@ def test_evolve_no_jumps_is_identity():
 def test_evolve_phase_advances_at_pinning_rate():
     # single node, fixed pin angle, small dt: dphi ~ sin(phi_t - phi) dt
     phi0, phi_t, dt = 0.4, 1.2, 1e-3
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=phi0)])
+    rho = product_state([math.pi / 2], [phi0])
     jumps = build_jump_set(build_graph(1, []), [phi_t - phi0])
     out = evolve(rho, jumps, dt, 1)
-    dphi = bloch_of(partial_trace_single(out, 0)).phi - phi0
+    x, y, _ = local_bloch(out)[0]
+    dphi = math.atan2(y, x) - phi0
     expected = math.sin(phi_t - phi0) * dt
     assert abs(dphi - expected) <= 1e-3 * abs(expected)
 
 
 def test_evolve_trace_drift_long_run():
-    rho = product_state([PureQubitSpec(theta=1.0, phi=0.3)])
+    rho = product_state([1.0], [0.3])
     jumps = build_jump_set(build_graph(1, []), [0.2])
     m = rho
     for _ in range(10000):
@@ -317,8 +311,7 @@ def test_evolve_trace_drift_long_run():
 
 
 def test_evolve_divergence_error():
-    rho = product_state([PureQubitSpec(theta=1.0, phi=0.3),
-                         PureQubitSpec(theta=1.2, phi=0.4)])
+    rho = product_state([1.0, 1.2], [0.3, 0.4])
     jumps = build_jump_set(build_graph(2, [(0, 1)]), [0.5, -0.5])
     with pytest.raises(IntegrationDivergedError, match="substeps") as exc:
         evolve(rho, jumps, 5.0, 1)
@@ -354,7 +347,7 @@ def test_positivity_check_matches_eigvalsh_oracle(tol):
 
 
 def test_evolve_argument_validation():
-    rho = product_state([PureQubitSpec(theta=1.0, phi=0.3)])
+    rho = product_state([1.0], [0.3])
     jumps = build_jump_set(build_graph(1, []), [0.0])
     with pytest.raises(ValueError):
         evolve(rho, jumps, -0.1, 1)
@@ -362,16 +355,28 @@ def test_evolve_argument_validation():
         evolve(rho, jumps, 0.1, 0)
 
 
-# -- partial trace / bloch ---------------------------------------------------
+# -- local Bloch read ----------------------------------------------------------
+
+
+def per_node_bloch(rho):
+    """The reference read: `partial_trace_single` and the 2x2 Bloch formulas,
+    one node at a time."""
+    rows = []
+    for i in range(rho.qubit_count):
+        m = partial_trace_single(rho, i).matrix
+        rows.append([(m[0, 1] + m[1, 0]).real, (1j * (m[0, 1] - m[1, 0])).real,
+                     (m[0, 0] - m[1, 1]).real])
+    return np.array(rows)
 
 
 def test_partial_trace_product_factors():
     rho = three_node_state()
+    got = local_bloch(rho)
     for i in range(3):
         red = partial_trace_single(rho, i)
-        expected = product_state([PureQubitSpec(theta=PAPER_THETAS[i],
-                                                phi=PAPER_PHIS[i])])
+        expected = product_state([PAPER_THETAS[i]], [PAPER_PHIS[i]])
         assert np.max(np.abs(red.matrix - expected.matrix)) <= 1e-12
+        assert np.max(np.abs(got[i] - polar_bloch(1.0, PAPER_THETAS[i], PAPER_PHIS[i]))) <= 1e-12
 
 
 def test_partial_trace_bell_state():
@@ -381,13 +386,14 @@ def test_partial_trace_bell_state():
     for i in (0, 1):
         red = partial_trace_single(rho, i)
         assert np.max(np.abs(red.matrix - 0.5 * np.eye(2))) <= 1e-12
+    assert np.max(np.abs(local_bloch(rho))) <= 1e-12
 
 
 def test_partial_trace_three_node_example_node1():
-    b = local_bloch(three_node_state(), 1)
-    assert abs(b.x - math.sin(1.49) * math.cos(math.pi / 8)) < 1e-12
-    assert abs(b.y - math.sin(1.49) * math.sin(math.pi / 8)) < 1e-12
-    assert abs(b.z - math.cos(1.49)) < 1e-12
+    x, y, z = local_bloch(three_node_state())[1]
+    assert abs(x - math.sin(1.49) * math.cos(math.pi / 8)) < 1e-12
+    assert abs(y - math.sin(1.49) * math.sin(math.pi / 8)) < 1e-12
+    assert abs(z - math.cos(1.49)) < 1e-12
 
 
 def test_partial_trace_index_error():
@@ -395,24 +401,41 @@ def test_partial_trace_index_error():
         partial_trace_single(three_node_state(), 3)
 
 
-def test_bloch_of_examples():
-    assert bloch_of(from_matrix(0.5 * np.eye(2))).r == 0.0
-    b = bloch_of(product_state([PureQubitSpec(theta=math.pi / 2, phi=math.pi / 6)]))
-    assert abs(b.x - math.cos(math.pi / 6)) < 1e-12
-    assert abs(b.y - 0.5) < 1e-12
-    assert abs(b.z) < 1e-12
-    b2 = bloch_of(product_state([PureQubitSpec(theta=1.96, phi=0.0)]))
-    assert abs(b2.x - math.sin(1.96)) < 1e-12
-    assert abs(b2.z - math.cos(1.96)) < 1e-12
-    assert abs(b2.r - 1.0) < 1e-9
+def test_local_bloch_examples():
+    assert np.array_equal(local_bloch(from_matrix(0.5 * np.eye(2))), np.zeros((1, 3)))
+    x, y, z = local_bloch(product_state([math.pi / 2], [math.pi / 6]))[0]
+    assert abs(x - math.cos(math.pi / 6)) < 1e-12
+    assert abs(y - 0.5) < 1e-12
+    assert abs(z) < 1e-12
+    b2 = local_bloch(product_state([1.96], [0.0]))[0]
+    assert abs(b2[0] - math.sin(1.96)) < 1e-12
+    assert abs(b2[2] - math.cos(1.96)) < 1e-12
+    assert abs(np.linalg.norm(b2) - 1.0) < 1e-9
 
 
-def test_bloch_vector_polar_roundtrip():
-    b = BlochVector.from_polar(0.8, 1.1, 0.6)
-    assert abs(b.r - 0.8) < 1e-12
-    assert abs(b.theta - 1.1) < 1e-12
-    assert abs(b.phi - 0.6) < 1e-12
-    assert abs(b.s - 0.8 * math.sin(1.1)) < 1e-12
+def test_local_bloch_matches_per_node_partial_traces_bitwise():
+    # x and y to the bit, signs of zeros included: the phase estimate is
+    # atan2(y, x), which tells -0.0 from +0.0 when x < 0
+    rng = np.random.default_rng(34)
+    for n in range(1, 11):
+        for _ in range(3):
+            # at most three edges: a swap index takes 8 * 4^n bytes (8 MiB at n = 10)
+            pairs = [sorted(map(int, rng.choice(n, 2, replace=False))) for _ in range(3 * (n > 1))]
+            edges = sorted({tuple(pair) for pair in pairs})
+            g = build_graph(n, edges, rng.uniform(0.3, 2.0, len(edges)))
+            jumps = build_jump_set(g, rng.uniform(-1.5, 1.5, n))
+            rho = evolve(product_state(*random_angles(rng, n)), jumps, 0.05, 2)
+            got, want = local_bloch(rho), per_node_bloch(rho)
+            assert got.shape == (n, 3)
+            assert np.array_equal(got[:, :2], want[:, :2])
+            assert np.array_equal(np.signbit(got[:, :2]), np.signbit(want[:, :2]))
+            assert np.max(np.abs(got[:, 2] - want[:, 2])) <= 1e-15
+    # Re rho_01 one ulp below Re rho_10 and no imaginary part: y is -0.0, x < 0
+    rho = DensityMatrix(matrix=np.array([[0.5, -0.5], [-0.5 + 2.0**-54, 0.5]], dtype=complex),
+                        qubit_count=1)
+    got = local_bloch(rho)
+    assert got[0, 0] < 0.0 and got[0, 1] == 0.0 and math.copysign(1.0, got[0, 1]) == -1.0
+    assert np.array_equal(np.signbit(got), np.signbit(per_node_bloch(rho)))
 
 
 # -- depolarizing channel ----------------------------------------------------
@@ -425,7 +448,7 @@ def test_depolarize_p0_identity():
 
 
 def test_depolarize_full_mixing():
-    rho = product_state([PureQubitSpec(theta=1.1, phi=0.4)])
+    rho = product_state([1.1], [0.4])
     out = depolarize_local(rho, 0, 0.75)
     assert np.max(np.abs(out.matrix - 0.5 * np.eye(2))) <= 1e-12
 
@@ -435,22 +458,20 @@ def test_depolarize_shrink_factor_and_locality():
     p = 0.15
     out = depolarize_local(rho, 1, p)
     out.check()
-    before = local_bloch(rho, 1)
-    after = local_bloch(out, 1)
+    before, after = local_bloch(rho), local_bloch(out)
     factor = 1.0 - 4.0 * p / 3.0
-    assert abs(after.r - factor * before.r) <= 1e-12
-    assert abs(after.phi - before.phi) <= 1e-12
-    for i in (0, 2):
-        a, b = local_bloch(rho, i), local_bloch(out, i)
-        assert max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z)) <= 1e-12
+    assert abs(np.linalg.norm(after[1]) - factor * np.linalg.norm(before[1])) <= 1e-12
+    assert abs(math.atan2(after[1, 1], after[1, 0])
+               - math.atan2(before[1, 1], before[1, 0])) <= 1e-12
+    assert np.max(np.abs(after[[0, 2]] - before[[0, 2]])) <= 1e-12
 
 
 def test_depolarize_single_qubit_equator_example():
-    rho = product_state([PureQubitSpec(theta=math.pi / 2, phi=math.pi / 3)])
+    rho = product_state([math.pi / 2], [math.pi / 3])
     out = depolarize_local(rho, 0, 0.15)
-    b = bloch_of(out)
-    assert abs(b.r - 0.8) <= 1e-12
-    assert abs(b.phi - math.pi / 3) <= 1e-12
+    x, y, z = local_bloch(out)[0]
+    assert abs(math.sqrt(x**2 + y**2 + z**2) - 0.8) <= 1e-12
+    assert abs(math.atan2(y, x) - math.pi / 3) <= 1e-12
     # cross-check by explicit matrix arithmetic
     m = rho.matrix
     explicit = 0.85 * m + 0.05 * (PAULI_X @ m @ PAULI_X + PAULI_Y @ m @ PAULI_Y
@@ -476,10 +497,8 @@ def entangled_state(rng, n):
     """Random product state sent through a partial swap of nodes 0 and n-1,
     exp(-i t SWAP) = cos t I - i sin t SWAP, which entangles the pair."""
     psi = np.ones(1, dtype=complex)
-    for _ in range(n):
-        spec = PureQubitSpec(theta=rng.uniform(0.2, math.pi - 0.2),
-                             phi=rng.uniform(0.0, math.pi / 2))
-        psi = np.kron(psi, spec.ket())
+    for theta, phi in zip(*random_angles(rng, n, margin=0.2)):
+        psi = np.kron(psi, ket(theta, phi))
     if n > 1:
         t = rng.uniform(0.3, 1.2)
         psi = math.cos(t) * psi - 1j * math.sin(t) * (swap_jump(0, n - 1, n) @ psi)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import _gate_level_p0, exact_probability
+from oracles import _gate_level_p0, exact_probability, polar_bloch
 from qsdcsim import measurement
-from qsdcsim.engine import BlochVector
 from qsdcsim.measurement import (
     _EVE_SCHEDULE,
     _STREAM_TAG,
@@ -28,7 +27,7 @@ from qsdcsim.measurement import (
 
 
 def equator(phi, r=1.0):
-    return BlochVector.from_polar(r, math.pi / 2, phi)
+    return polar_bloch(r, math.pi / 2, phi)
 
 
 def estimate_from_counts(cx, cy):
@@ -57,12 +56,12 @@ def test_exact_probability_pi6_x():
 
 
 def test_exact_probability_z_example():
-    b = BlochVector.from_polar(1.0, math.pi / 3, 0.0)
+    b = polar_bloch(1.0, math.pi / 3, 0.0)
     assert exact_probability(b, "Z") == pytest.approx(0.75, abs=1e-12)
 
 
 def test_sample_maximally_mixed_near_half():
-    b = BlochVector(0.0, 0.0, 0.0)
+    b = (0.0, 0.0, 0.0)
     for basis in "XYZ":
         h = sample_basis(b, basis, 2000, seed=9)
         sigma = math.sqrt(0.25 / 2000)
@@ -71,7 +70,7 @@ def test_sample_maximally_mixed_near_half():
 
 def test_sample_rejects_invalid_state():
     with pytest.raises(InvalidStateError):
-        exact_probability(BlochVector(1.2, 0.0, 0.0), "X")
+        exact_probability((1.2, 0.0, 0.0), "X")
 
 
 def test_sample_rejects_bad_inputs():
@@ -84,9 +83,8 @@ def test_sample_rejects_bad_inputs():
 def test_gate_level_path_matches_closed_form():
     rng = np.random.default_rng(12)
     for _ in range(50):
-        b = BlochVector.from_polar(rng.uniform(0.0, 1.0),
-                                   rng.uniform(0.0, math.pi),
-                                   rng.uniform(0.0, math.pi / 2))
+        b = polar_bloch(rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi),
+                        rng.uniform(0.0, math.pi / 2))
         for basis in "XYZ":
             assert _gate_level_p0(b, basis) == pytest.approx(
                 exact_probability(b, basis), abs=1e-12
@@ -254,7 +252,7 @@ def test_estimator_error_scales_as_inverse_sqrt_shots():
 
 def test_eve_succeeds_against_equator_scheme():
     # theta pinned to pi/2 (legacy mode): arccos works for Eve
-    stream = constant_phase_stream(math.pi / 6, np.full(2000, math.pi / 2))
+    stream = constant_phase_stream(math.pi / 6, np.full(2000, math.pi / 2), 1.0)
     rep = eve_intercept(stream, bases_policy="x", shots_per_step=1, seed=1)
     assert abs(rep.naive_phi - math.pi / 6) <= 0.03
     assert rep.shots_total == 2000
@@ -264,8 +262,8 @@ def test_eve_naive_estimator_biased_under_theta_randomization():
     # theta ~ U(0, pi): E[p0 - p1] = (2/pi) cos(phi) -> naive estimate 0.987
     rng = stream_rng(7, 4)
     thetas = rng.uniform(0.0, math.pi, 30000)
-    stream = constant_phase_stream(math.pi / 6, thetas)
-    rep = eve_intercept(stream, bases_policy="cycle", seed=7, exact=True)
+    stream = constant_phase_stream(math.pi / 6, thetas, 1.0)
+    rep = eve_intercept(stream, bases_policy="cycle", shots_per_step=1, seed=7, exact=True)
     assert rep.naive_phi == pytest.approx(0.9868, abs=0.02)
     assert abs(rep.naive_phi - math.pi / 6) >= 0.3
     # the informed atan2 estimator is not defeated (documented honestly)
@@ -275,7 +273,7 @@ def test_eve_naive_estimator_biased_under_theta_randomization():
 def test_eve_z_outcomes_indistinguishable_from_coin():
     rng = stream_rng(7, 4)
     thetas = rng.uniform(0.0, math.pi, 30000)
-    stream = constant_phase_stream(math.pi / 6, thetas)
+    stream = constant_phase_stream(math.pi / 6, thetas, 1.0)
     rep = eve_intercept(stream, bases_policy="cycle", shots_per_step=1, seed=7)
     z = rep.histograms["Z"]
     assert z.shots == 10000
@@ -286,8 +284,8 @@ def test_eve_z_outcomes_indistinguishable_from_coin():
 def test_eve_z_expectation_near_half_exact():
     rng = stream_rng(3, 4)
     thetas = rng.uniform(0.0, math.pi, 20000)
-    stream = constant_phase_stream(0.9, thetas)
-    rep = eve_intercept(stream, bases_policy="z", seed=3, exact=True)
+    stream = constant_phase_stream(0.9, thetas, 1.0)
+    rep = eve_intercept(stream, bases_policy="z", shots_per_step=1, seed=3, exact=True)
     sigma = math.sqrt(0.5 / len(thetas))  # var(cos theta) = 1/2 under U(0,pi)
     assert abs(rep.exact_p0["Z"] - 0.5) <= 3 * sigma
 
@@ -295,7 +293,7 @@ def test_eve_z_expectation_near_half_exact():
 def test_eve_entropy_bounds_and_json():
     rng = stream_rng(2, 4)
     thetas = rng.uniform(0.2, math.pi - 0.2, 999)
-    rep = eve_intercept(constant_phase_stream(0.4, thetas), bases_policy="cycle",
+    rep = eve_intercept(constant_phase_stream(0.4, thetas, 1.0), bases_policy="cycle",
                         shots_per_step=3, seed=2)
     for bits in rep.entropy_bits.values():
         assert 0.0 <= bits <= 1.0
@@ -314,7 +312,7 @@ def test_eve_entropy_bounds_and_json():
 ])
 @pytest.mark.parametrize("exact", [False, True])
 def test_eve_unmeasured_estimates_are_null(policy, null_fields, exact):
-    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300))
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300), 1.0)
     d = eve_intercept(stream, bases_policy=policy, shots_per_step=5, seed=7,
                       exact=exact).to_json_dict()
     fields = {"naive_phi": d["naive_phi"], "informed_phi": d["informed_phi"],
@@ -325,7 +323,7 @@ def test_eve_unmeasured_estimates_are_null(policy, null_fields, exact):
 
 
 def test_eve_deterministic_given_seed():
-    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300))
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300), 1.0)
     a = eve_intercept(stream, bases_policy="all", shots_per_step=5, seed=13)
     b = eve_intercept(stream, bases_policy="all", shots_per_step=5, seed=13)
     assert a.to_json_dict() == b.to_json_dict()
@@ -344,7 +342,7 @@ def test_eve_basis_totals_follow_policy(monkeypatch, policy, measured):
         return np.random.default_rng(list(key))
 
     monkeypatch.setattr(measurement, "stream_rng", counted)
-    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 7))
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 7), 1.0)
     rep = eve_intercept(stream, bases_policy=policy, shots_per_step=5, seed=4)
     assert {b: h.shots for b, h in rep.histograms.items()} == {
         b: 5 * steps for b, steps in measured.items()}
@@ -354,22 +352,22 @@ def test_eve_basis_totals_follow_policy(monkeypatch, policy, measured):
 
 def test_eve_empty_stream_rejected():
     with pytest.raises(ValueError):
-        eve_intercept([])
+        eve_intercept([], "cycle", 1, 0)
 
 
 def test_eve_transposed_stream_rejected():
     # a (3, steps) stack is not (steps, 3) rows read in another order
-    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12))
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12), 1.0)
     with pytest.raises(ValueError, match="stream"):
-        eve_intercept(stream.T)
+        eve_intercept(stream.T, "cycle", 1, 0)
 
 
 @pytest.mark.parametrize("shots", [0, -1])
 def test_eve_sampling_needs_a_shot_per_step(shots):
-    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12))
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 12), 1.0)
     with pytest.raises(ValueError, match="shots_per_step"):
-        eve_intercept(stream, shots_per_step=shots)
-    assert eve_intercept(stream, shots_per_step=shots, exact=True).shots_total == 0
+        eve_intercept(stream, "cycle", shots, 0)
+    assert eve_intercept(stream, "cycle", shots, 0, exact=True).shots_total == 0
 
 
 def test_eve_schedule_names_each_basis_in_at_most_one_slot():
@@ -419,7 +417,7 @@ def test_eve_matches_the_masked_reference_exactly(policy, exact):
     for steps in (1, 2, 4, 7, 3001):
         thetas = stream_rng(5, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, steps)
         for stream in (constant_phase_stream(0.6, thetas, r=0.9),
-                       constant_phase_stream(math.pi, np.zeros(steps))):
+                       constant_phase_stream(math.pi, np.zeros(steps), 1.0)):
             got = eve_intercept(stream, policy, shots_per_step=3, seed=11, exact=exact)
             want = masked_eve_report(stream, policy, 3, 11, exact)
             assert got.to_json_dict() == want.to_json_dict()

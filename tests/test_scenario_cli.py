@@ -320,6 +320,18 @@ def test_cli_rate_rejects_bad_epsilon(tmp_path, capsys):
     assert "epsilon" in err
 
 
+def test_cli_rate_file_epsilon_outside_the_region_exits_1_with_its_path(tmp_path, capsys):
+    # the parse calls convergence_rate on the file's graph, which holds epsilon
+    doc = json.loads((SCENARIOS / "rate" / "ring5_weighted.json").read_text())
+    doc["rate"]["epsilon"] = 2.0
+    path = tmp_path / "ring5_eps.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["rate", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 1
+    assert err.strip() == ("validation error: $.rate.epsilon: epsilon must lie in [0, pi/2) "
+                           "for the invariant set to hold, got 2.0")
+
+
 def test_cli_rate_without_graph_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["rate", "--scenario", str(SCENARIOS / "eve_pi6.json"),

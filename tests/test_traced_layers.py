@@ -4,8 +4,9 @@ and be reached where the benchmark expects it.
 `perfbench/tracer.py` finds each function by the name its caller looks up
 and reports a missing one as absent, which the benchmark would read as a
 layer with 0 calls.  These tests fail instead when a rename or a removal
-drops a traced name, or when a plant step, a sampled consensus step or an
-eve run stops calling a layer through the name the tracer wraps.
+drops a traced name, or when a plant step, a sampled consensus step, a
+dense step or an eve run stops calling a layer through the name the tracer
+wraps.
 """
 
 import importlib.util
@@ -78,6 +79,23 @@ def test_every_per_step_sampled_layer_runs_once_per_step(monkeypatch):
                 "consensus.ThetaConfig.draw"]
     assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 50)
     assert calls["measurement.stream_rng"] == 4
+
+
+def test_every_dense_layer_runs_once_per_step():
+    # a full step builds rho from all nodes' angles in one call and reads
+    # every node's Bloch vector back in one call
+    ring = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cfg = consensus.ProtocolConfig(dt=0.01, backend="full")
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        consensus.run_consensus([0.2, 0.9, 1.3, 0.5], 0.6, ring, cfg, horizon=0.1)
+    finally:
+        t.uninstall()
+    calls = {name: layer["calls"] for name, layer in t.layers().items()}
+    per_step = ["engine.product_state", "engine.build_jump_set", "engine.evolve",
+                "engine.local_bloch"]
+    assert {name: calls[name] for name in per_step} == dict.fromkeys(per_step, 10)
 
 
 def test_an_eve_run_calls_each_eve_layer(tmp_path, monkeypatch):
