@@ -8,7 +8,9 @@ also takes --shots or --exact, and --seed; rate bounds the convergence rate
 over the graph of any scenario that has one and also takes --epsilon.
 consensus, ac and dc are one command, `cmd_run`: it writes the run's
 `consensus.Trajectory` as CSV and its `summarize` summary as JSON.
-Identical scenario + seed produce byte-identical CSV/JSON outputs.
+Identical scenario + seed produce byte-identical CSV/JSON outputs.  A file
+field that a command does not read is a validation error (exit 1), as an
+option it does not read is a usage error (exit 2).
 
 Each command runs only the modules it uses; `consensus`, `engine` and
 `microgrid` are lazy modules (see the package docstring) until then.  Every
@@ -36,7 +38,7 @@ import numpy as np
 from . import __version__, consensus, engine, microgrid
 from .measurement import (_STREAM_TAG, MeasurementError, constant_phase_stream, eve_intercept,
                           stream_rng)
-from .netgraph import GraphValidationError, build_graph
+from .netgraph import GraphValidationError
 from .scenario import Scenario, ScenarioError, _check_option, parse_scenario
 
 _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
@@ -44,17 +46,9 @@ _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
 
 def settling_time(times: np.ndarray, err: np.ndarray, tol: float):
     """First time the error drops below tol and stays there; None if never."""
-    below = err < tol
-    if not below.any():
-        return None
-    # last index where the error is still at/above tol
-    above = np.flatnonzero(~below)
-    if len(above) == 0:
-        return float(times[0])
-    idx = above[-1] + 1
-    if idx >= len(times):
-        return None
-    return float(times[idx])
+    above = np.flatnonzero(~(err < tol))  # a nan error counts as unsettled
+    idx = above[-1] + 1 if len(above) else 0
+    return float(times[idx]) if idx < len(times) else None
 
 
 def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
@@ -238,13 +232,10 @@ def cmd_eve(args, sc: Scenario) -> int:
 
 
 def cmd_rate(args, sc: Scenario) -> int:
-    graph = sc.graph()
-    rate_sec = sc.raw.get("rate", {})
-    epsilon = args.epsilon if args.epsilon is not None else rate_sec.get("epsilon")
+    graph = sc.rate_graph()
+    epsilon = args.epsilon if args.epsilon is not None else sc.raw.get("rate", {}).get("epsilon")
     if epsilon is None:
         raise ScenarioError("rate needs --epsilon or a rate.epsilon field")
-    if "weights" in rate_sec:
-        graph = build_graph(graph.node_count, graph.edges, rate_sec["weights"])
     mu = consensus.convergence_rate(graph, float(epsilon))
     print(f"mu = {mu:.4f} (epsilon = {float(epsilon):.6g}, n = {graph.node_count})")
     if args.format in ("json", "both"):

@@ -249,15 +249,6 @@ def _measure_node(w: np.ndarray, config: ProtocolConfig, step: int):
     return e[0], (np.full(len(w), np.nan) if legacy else e[1])
 
 
-def _mixing_factors(n: int, events, t: float, dt: float) -> np.ndarray:
-    f = np.ones(n)
-    for ev in events:
-        if ev.active(t, dt):
-            for i in ev.nodes:
-                f[i] *= ev.bloch_shrink
-    return f
-
-
 class StepPlan:
     """The topology every `qsdc_step` of a run or plant segment takes: the
     bool mask `online` over `graph`'s nodes (None: all online), the offline
@@ -320,23 +311,22 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
+    mixed = [(i, ev) for ev in events if ev.active(t_now, config.dt) for i in ev.nodes]
 
     if config.backend == "full":
         rho = engine.product_state(thetas, phis)
         jumps = engine.build_jump_set(plan.graph, alphas, plan.swaps)
         rho = engine.evolve(rho, jumps, config.dt, config.substeps)
-        for ev in events:
-            if ev.active(t_now, config.dt):
-                for i in ev.nodes:
-                    rho = engine.depolarize_local(rho, i, ev.p)
+        for i, ev in mixed:
+            rho = engine.depolarize_local(rho, i, ev.p)
         # a view of the x and y columns: x + 1j*y would turn a y of -0.0 into +0.0
         w = engine.local_bloch(rho)[:, :2].view(complex)[:, 0]
         final_rho = rho
     else:  # bloch and phase: w' = A w, w = x + i*y
         stages = plan.stages(config.dt / config.substeps, alphas)
         w = _rk4(np.sin(thetas) * np.exp(1j * phis), stages, config.substeps)
-        if events:
-            w *= _mixing_factors(n, events, t_now, config.dt)
+        for i, ev in mixed:
+            w[i] *= ev.bloch_shrink
         final_rho = None
 
     s_after = np.hypot(w.real, w.imag)

@@ -18,13 +18,16 @@ normalizes it.
 
 Each rule has one home.  The schema holds the file format: types, keys and
 the ranges no runtime object needs (`seed >= 0`, `horizon > 0`, the eve
-fields).  The constructors hold the rest: ProtocolConfig (dt, substeps, shots,
-backend, mode), ThetaConfig (bounds, values, one per node), MixingEvent (p,
-window), AcDer and DcDer (positivity), Event (kinds), pinner_gain, build_graph,
-convergence_rate (the rate epsilon).
+fields).  Its per-kind `allOf` branches list the top-level keys each kind
+reads, and a file with any other key is rejected; an eve file's protocol
+holds only its seed.  The constructors hold the rest: ProtocolConfig (dt,
+substeps, shots, backend, mode), ThetaConfig (bounds, values, one per node),
+MixingEvent (p, window), AcDer and DcDer (positivity), Event (kinds),
+pinner_gain, build_graph, convergence_rate (the rate epsilon).
 `_physics_checks` builds them, and checks the rules that tie fields together.
-Defaults are the dataclass fields; an eve file that sets no protocol field but
-the seed loads no `consensus`.  `ac.voltage_nominal` is accepted and unused.
+`Scenario.rate_graph` holds the rule that `rate.weights` replace the graph's
+weights in the rate bound.  Defaults are the dataclass fields.
+`ac.voltage_nominal` is accepted and unused.
 """
 
 from __future__ import annotations
@@ -96,6 +99,15 @@ class Scenario:
                                g.get("weights"))
         except GraphValidationError as exc:
             raise ScenarioError(f"$.graph.{exc.field}: {exc}") from exc
+
+    def rate_graph(self) -> CommGraph:
+        """The graph the rate bound takes: `graph()`, with the file's
+        `rate.weights`, when it has them, in place of the graph's weights."""
+        graph, weights = self.graph(), self.raw.get("rate", {}).get("weights")
+        try:
+            return graph if weights is None else build_graph(graph.node_count, graph.edges, weights)
+        except GraphValidationError as exc:
+            raise ScenarioError(f"$.rate.weights: {exc}") from exc
 
     def mixing_events(self) -> list[consensus.MixingEvent]:
         section = self.raw.get(self.kind, {})
@@ -185,15 +197,16 @@ def _integers(schema: dict, inst):
 def _apply_defaults(doc: dict) -> dict:
     # a deep copy; the schema admits no tuples, so the round trip changes nothing else
     doc = _integers(_SCHEMA, json.loads(json.dumps(doc)))
-    kind, proto = doc["kind"], doc.setdefault("protocol", {})
-    if proto.get("shots") is not None and proto.get("exact"):
-        raise ScenarioError("$.protocol.exact: exact=true excludes shots")
-    proto["exact"] = proto.get("shots") is None and proto.get("exact", True)
+    kind = doc["kind"]
     if kind == "eve":
-        proto.setdefault("seed", 0)  # an eve run reads only the seed
+        doc.setdefault("protocol", {}).setdefault("seed", 0)
         doc["eve"] = {"r": 1.0, "theta": {"kind": "uniform", "lo": 0.0, "hi": math.pi},
                       "shots_per_step": 1, "bases_policy": "cycle", **doc["eve"]}
-    else:
+    elif kind != "rate":
+        proto = doc.setdefault("protocol", {})
+        if proto.get("shots") is not None and proto.get("exact"):
+            raise ScenarioError("$.protocol.exact: exact=true excludes shots")
+        proto["exact"] = proto.get("shots") is None and proto.get("exact", True)
         defaults = dataclasses.asdict(consensus.ProtocolConfig())
         defaults["theta"] = {k: v for k, v in defaults["theta"].items() if v is not None}
         doc["protocol"] = {**defaults, **proto}
@@ -214,13 +227,12 @@ def _physics_checks(sc: Scenario) -> None:
     def fail(path: str, msg: str):
         raise ScenarioError(f"{path}: {msg}")
 
-    if kind != "eve" or doc["protocol"].keys() - {"seed", "exact"}:
-        sc.protocol()
     if kind in ("consensus", "ac", "dc"):
+        sc.protocol()
         n = doc["graph"]["nodes"] if kind == "consensus" else len(doc[kind]["ders"])
         if doc["protocol"]["theta"]["kind"] == "fixed":
             _built("$.protocol.theta.values", _theta(doc["protocol"]["theta"]).draw, 0, 0, n)
-    sc.mixing_events()
+        sc.mixing_events()
 
     if kind == "consensus":
         sec = doc["consensus"]
@@ -265,13 +277,8 @@ def _physics_checks(sc: Scenario) -> None:
             fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
 
     rate = doc.get("rate", {})
-    if "weights" in rate and "graph" in doc:
-        try:
-            graph = build_graph(doc["graph"]["nodes"], doc["graph"]["edges"], rate["weights"])
-        except GraphValidationError as exc:
-            fail("$.rate.weights" if exc.field == "weights" else f"$.graph.{exc.field}", str(exc))
-    elif kind == "rate":
-        graph = sc.graph()
+    if kind == "rate" or ("weights" in rate and "graph" in doc):
+        graph = sc.rate_graph()
     if kind == "rate" and "epsilon" in rate:
         _built("$.rate", consensus.convergence_rate, graph, epsilon=rate["epsilon"])
 

@@ -553,6 +553,26 @@ def test_full_step_matches_bloch_step_to_rounding():
                 assert out["bloch"].phis[offline] == phis[offline]
 
 
+def test_overlapping_mixing_events_shrink_full_and_bloch_alike():
+    # two events active on node 1 at once: `full` depolarizes it twice and
+    # `bloch` shrinks its w twice, so both backends take the product of the shrinks
+    events = (MixingEvent(nodes=(0, 1), t_start=0.0, t_end=1.0, p=0.1),
+              MixingEvent(nodes=(1, 2), t_start=0.0, t_end=1.0, p=0.3))
+    out = {}
+    for backend in ("full", "bloch"):
+        cfg = exact_cfg(backend, theta=PAPER_THETA, seed=5)
+        out[backend] = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)), StepPlan(TRIANGLE),
+                                 cfg, np.full(3, 1.0), events)
+    for name in ("phis", "s"):
+        gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
+        assert gap <= 1e-12, (name, gap)
+    alone = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)), StepPlan(TRIANGLE),
+                      exact_cfg("bloch", theta=PAPER_THETA, seed=5), np.full(3, 1.0))
+    shrinks = [events[0].bloch_shrink, events[0].bloch_shrink * events[1].bloch_shrink,
+               events[1].bloch_shrink]
+    assert np.allclose(out["bloch"].s, alone.s * shrinks, rtol=1e-14, atol=0.0)
+
+
 def test_phase_matches_bloch_at_low_coherence():
     # theta_0 = 1e-6 starts node 0 at the pole with coherence 1e-6; its
     # neighbours lift it to about 0.018 within the step.  A polar (phi, s)

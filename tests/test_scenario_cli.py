@@ -20,6 +20,7 @@ from qsdcsim.scenario import (
     ScenarioError,
     parse_scenario,
     scenario_from_dict,
+    validate_scenario,
 )
 
 PI = math.pi
@@ -193,6 +194,9 @@ def test_settling_time_basics():
     assert settling_time(t, np.array([1e-3] * 4), 1e-2) == 0.0
     assert settling_time(t, np.array([1.0, 1.0, 1.0, 1.0]), 1e-2) is None
     assert settling_time(t, np.array([1e-3, 1.0, 1e-3, 1e-3]), 1e-2) == 2.0
+    assert settling_time(t, np.array([1e-3, math.nan, 1e-3, 1e-3]), 1e-2) == 2.0
+    assert settling_time(t, np.array([1e-3, 1e-3, 1e-3, math.nan]), 1e-2) is None
+    assert settling_time(t[:0], t[:0], 1e-2) is None
 
 
 def test_summarize_constant_trajectory():
@@ -332,6 +336,15 @@ def test_cli_rate_file_epsilon_outside_the_region_exits_1_with_its_path(tmp_path
                            "for the invariant set to hold, got 2.0")
 
 
+def test_rate_file_graph_weights_are_checked_even_with_rate_weights():
+    # rate.weights replace the graph's weights in the bound; the graph's own
+    # weights still have to be valid
+    doc = json.loads((SCENARIOS / "rate" / "ring5_weighted.json").read_text())
+    doc["graph"]["weights"][0] = 0
+    with pytest.raises(ScenarioError, match=r"^\$\.graph\.weights: non-positive weight"):
+        validate_scenario(doc)
+
+
 def test_cli_rate_without_graph_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["rate", "--scenario", str(SCENARIOS / "eve_pi6.json"),
@@ -429,7 +442,7 @@ def test_cli_shots_with_exact_is_a_usage_error(tmp_path, capsys, command, scenar
 def edited_scenario(tmp_path, scenario, edit):
     doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     edit(doc)
-    path = tmp_path / f"{scenario}_edited.json"
+    path = tmp_path / f"{Path(scenario).name}_edited.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -508,7 +521,7 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(exact=False), [],
                  "$.protocol.exact: exact=false requires shots", id="protocol-exact-no-shots"),
     pytest.param("eve", "eve_pi6", lambda d: d.setdefault("protocol", {}).update(exact=False),
-                 [], "$.protocol.exact: exact=false requires shots",
+                 [], "$.protocol: Additional properties are not allowed ('exact' was unexpected)",
                  id="eve-protocol-exact-no-shots"),
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(t_start=5.0, t_end=3.0), [],
@@ -529,7 +542,7 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(dt=0.5), [],
                  "$.protocol.dt: dt must lie in (0, 0.1], got 0.5", id="protocol-dt-range"),
     pytest.param("eve", "eve_pi6", lambda d: d["protocol"].update(substeps=0), [],
-                 "$.protocol.substeps: substeps must be an integer >= 1, got 0",
+                 "$.protocol: Additional properties are not allowed ('substeps' was unexpected)",
                  id="eve-protocol-substeps"),
     pytest.param("ac", "ac15", lambda d: d["protocol"].update(backend="gpu"), [],
                  "$.protocol.backend: backend must be one of ('full', 'bloch', 'phase'), "
@@ -543,6 +556,26 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3_mixed",
                  lambda d: d["consensus"]["mixing"][0].update(p=1.5), [],
                  "$.consensus.mixing[0].p: p must lie in [0, 1], got 1.5", id="mixing-p"),
+    # a field that the command does not read
+    pytest.param("consensus", "consensus3",
+                 lambda d: d.update(ac=json.loads((SCENARIOS / "ac15.json").read_text())["ac"]),
+                 [], "$: Additional properties are not allowed ('ac' was unexpected)",
+                 id="consensus-ac-section"),
+    pytest.param("eve", "eve_pi6", lambda d: d.update(horizon=10.0), [],
+                 "$: Additional properties are not allowed ('horizon' was unexpected)",
+                 id="eve-horizon"),
+    pytest.param("eve", "eve_pi6", lambda d: d["protocol"].update(exact=True), [],
+                 "$.protocol: Additional properties are not allowed ('exact' was unexpected)",
+                 id="eve-protocol-exact"),
+    pytest.param("eve", "eve_pi6", lambda d: d["protocol"].update(shots=5), [],
+                 "$.protocol: Additional properties are not allowed ('shots' was unexpected)",
+                 id="eve-protocol-shots"),
+    pytest.param("rate", "rate/ring5_weighted", lambda d: d.update(protocol={"seed": 1}), [],
+                 "$: Additional properties are not allowed ('protocol' was unexpected)",
+                 id="rate-protocol"),
+    pytest.param("rate", "rate/ring5_weighted", lambda d: d.update(horizon=10.0), [],
+                 "$: Additional properties are not allowed ('horizon' was unexpected)",
+                 id="rate-horizon"),
 ])
 def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, scenario,
                                                   edit, args, message):

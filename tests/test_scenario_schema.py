@@ -6,6 +6,11 @@ The differential tests require the reference's accept/reject decision from
 `jsonschema.exceptions.best_match` from `_reference_error`, on every bundled
 scenario, on the benchmark's generated documents and on corpora of one- and
 two-field mutations of them.
+
+`PYTHONPATH=src python tests/test_scenario_schema.py OUT.json` writes the
+parse outcome of every single-field mutant of the bundled, generated (seeds
+0-1) and `scenarios/rate/` documents, as `{"<doc>|<path>|<change>": "ok" or
+"<$.path of the error>"}`, so that two trees' outcomes can be compared.
 """
 
 import copy
@@ -41,6 +46,11 @@ def load_workloads():
 def bundled_documents() -> dict:
     paths = sorted(SCENARIOS.glob("*.json")) + [ROOT / "perfbench" / "ac15_pnp.json"]
     return {f"{p.parent.name}/{p.name}": json.loads(p.read_text()) for p in paths}
+
+
+def rate_documents() -> dict:
+    return {f"scenarios/rate/{p.name}": json.loads(p.read_text())
+            for p in sorted((SCENARIOS / "rate").glob("*.json"))}
 
 
 def generated_documents(seeds=range(5)) -> dict:
@@ -170,8 +180,7 @@ def test_validate_scenario_leaves_doc_unchanged():
     *((f"{name} as floats", as_floats(doc)) for name, doc in bundled_documents().items()),
     *generated_documents().items(),
     # last, so that a file there renumbers no other case's id
-    *((f"scenarios/rate/{p.name}", json.loads(p.read_text()))
-      for p in sorted((SCENARIOS / "rate").glob("*.json"))),
+    *rate_documents().items(),
 ])
 def test_valid_documents_match_reference(reference, name, doc):
     assert reference(doc) is None
@@ -240,3 +249,20 @@ def test_rejected_file_explains_itself_in_a_fresh_interpreter(tmp_path):
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.returncode == 1
     assert out.stderr == "validation error: $.protocol.dt: 'x' is not of type 'number'\n"
+
+
+def parse_outcome(doc) -> str:
+    """"ok", or the JSON path that `validate_scenario`'s error names."""
+    try:
+        validate_scenario(doc)
+    except ValueError as exc:
+        return str(exc).split(": ", 1)[0]
+    return "ok"
+
+
+if __name__ == "__main__":
+    docs = {**bundled_documents(), **generated_documents(range(2)), **rate_documents()}
+    outcomes = {f"{name}|{'/'.join(map(str, path))}|{change!r}":
+                parse_outcome(mutant(doc, path, change))
+                for name, doc in docs.items() for path, _, change in mutations(doc)}
+    Path(sys.argv[1]).write_text(json.dumps(outcomes, indent=1, sort_keys=True) + "\n")
