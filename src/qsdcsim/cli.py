@@ -74,7 +74,7 @@ def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
 def summarize(record: consensus.Trajectory) -> dict:
     """Summary statistics of a run record: kind, backend, mode, seed, dt and
     the warning count, then the consensus, AC or DC block over the final
-    10% of the run."""
+    10% of the run.  It holds one run-length (T, n) float temporary at most."""
     meta, times, data = record.meta, record.times, record.data
     if len(times) < 10:
         raise ValueError("series too short for a steady-state window (need >= 10 samples)")
@@ -82,7 +82,8 @@ def summarize(record: consensus.Trajectory) -> dict:
     out = {key: meta[key] for key in ("kind", "backend", "mode", "seed", "dt")}
     out["warnings"] = len(record.warnings)
     if meta["kind"] == "consensus":
-        zeta = np.max(np.abs(data["phi"] - data["pinner"]), axis=1)
+        zeta = data["phi"] - data["pinner"]
+        zeta = np.max(np.abs(zeta, out=zeta), axis=1)
         out.update({
             "settling_time": settling_time(times, zeta, 1e-2),
             "steady_phi": [float(v) for v in data["phi"][win].mean(axis=0)],
@@ -93,19 +94,19 @@ def summarize(record: consensus.Trajectory) -> dict:
     online_rows = data["online"] > 0.5
     if meta["kind"] == "ac":
         omega = data["omega"]
-        err = np.max(np.abs(omega - meta["omega_nominal"]), axis=1, where=online_rows,
-                     initial=0.0)
+        err = omega - meta["omega_nominal"]
+        err = np.max(np.abs(err, out=err), axis=1, where=online_rows, initial=0.0)
         out["settling_time_s"] = settling_time(times, err, 1e-3)
         out["steady_freq_hz"] = float(np.mean(omega[win], axis=1, where=online_rows[win]).mean())
-        sharing = data["pinner"] / meta["k"]  # recovers n_i * P_i
+        sharing = data["pinner"][win] / meta["k"]  # recovers n_i * P_i
     else:
         vbus = data["vbus"]
         out["settling_time_s"] = settling_time(times, np.abs(vbus - meta["v_nominal"]), 1e-2)
         out["steady_vbus_v"] = float(vbus[win].mean())
-        sharing = data["pinner"] / meta["c"]  # recovers m_i * I_i
+        sharing = data["pinner"][win] / meta["c"]  # recovers m_i * I_i
     # the worst relative spread (%) of the online DERs' shares over the
     # window; a row whose mean share is not above 1e-9 counts as 0
-    shares = np.where(online_rows[win], sharing[win], np.nan)
+    shares = np.where(online_rows[win], sharing, np.nan)
     spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
     mean_share = np.nanmean(shares, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -84,6 +84,8 @@ MODES = ("qsdc", "qdc_legacy")
 S_FLOOR = 1e-3
 # Steps per theta stream: one Generator serves this many steps' thetas.
 THETA_BLOCK = 1024
+# Rows per CSV block: 64 x 77 float64 stays under glibc's 128 KiB mmap threshold.
+CSV_CHUNK = 64
 
 
 class RateRegionError(ValueError):
@@ -368,8 +370,10 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
 def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> np.ndarray:
     """V = 1/2 sum_i (phi_i - phi*)^2 of every row of phis over the nodes
     that the bool mask `online` marks, with phi* the mean of their pinners
-    (the scalar reference `lyapunov` is in `tests/oracles.py`)."""
-    z = np.where(online, phis - np.mean(pinners, axis=1, where=online, keepdims=True), 0.0)
+    (the scalar reference `lyapunov` is in `tests/oracles.py`).  Its one
+    run-length float temporary is (T, n), beside the mask's negation."""
+    z = phis - np.mean(pinners, axis=1, where=online, keepdims=True)
+    np.copyto(z, 0.0, where=~online)
     return 0.5 * np.einsum("ij,ij->i", z, z)
 
 
@@ -396,7 +400,8 @@ class Trajectory:
 
     `data` maps a series name to its (T,) or (T, n) rows: a consensus run
     records "phi" and "pinner" (row 0 holds the initial phases at t = 0), a
-    plant run adds its plant signals and "online" (rows from t = dt).
+    plant run adds its plant signals and bool "online" (rows from t = dt).
+    `write_csv` makes no run-length copy (see `write_csv_rows`).
     `lyapunov` is V per row, `meta` holds kind, backend, mode, seed and dt
     (a plant run adds omega_nominal, v_nominal, k and c), and `warnings`
     and `events_applied` are prefixed with their time.
@@ -420,16 +425,18 @@ class Trajectory:
             arr = self.data[name]
             cols += [name] if arr.ndim == 1 else [f"{name}_{i}" for i in range(arr.shape[1])]
             series.append(arr)
-        write_csv_rows(fh, cols + ["V"], np.column_stack(series + [self.lyapunov]))
+        write_csv_rows(fh, cols + ["V"], *series, self.lyapunov)
 
 
-def write_csv_rows(fh, cols, block: np.ndarray) -> None:
-    """The header, then one line per row of `block`, each value as %.9g;
-    every CSV the package writes goes through here."""
+def write_csv_rows(fh, cols, *series: np.ndarray) -> None:
+    """The header, then one line per row of the (T,) or (T, k) `series` side
+    by side, each value as %.9g (a bool as 1 or 0), stacked CSV_CHUNK rows at
+    a time so that no temporary is longer; every CSV the package writes."""
     fh.write(",".join(cols) + "\n")
-    line = ",".join(["%.9g"] * block.shape[1]) + "\n"
-    for row in block:
-        fh.write(line % tuple(row.tolist()))
+    line = ",".join(["%.9g"] * len(cols)) + "\n"
+    for start in range(0, len(series[0]), CSV_CHUNK):
+        for row in np.column_stack([s[start:start + CSV_CHUNK] for s in series]):
+            fh.write(line % tuple(row.tolist()))
 
 
 def step_count(horizon: float, dt: float) -> int:

@@ -186,9 +186,11 @@ def _solve_passive_buses(deltas, buses):
 
 
 def _record(kind: str, rows: int, n: int) -> dict:
-    """Unfilled output arrays of `rows` steps: vbus (rows,), the rest (rows, n)."""
+    """Unfilled output arrays of `rows` steps: vbus (rows,), online (rows, n)
+    bool, the rest (rows, n) float."""
     names = ("omega", "power") if kind == "ac" else ("vbus", "current", "vref")
-    return {name: np.empty((rows,) if name == "vbus" else (rows, n))
+    return {name: np.empty((rows,) if name == "vbus" else (rows, n),
+                           dtype=bool if name == "online" else float)
             for name in names + ("phi", "pinner", "online")}
 
 

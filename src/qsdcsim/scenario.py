@@ -277,7 +277,7 @@ def _physics_checks(sc: Scenario) -> None:
             fail("$.eve.theta.values", f"fixed theta {vals[0]} outside [0, pi]")
 
     rate = doc.get("rate", {})
-    if kind == "rate" or ("weights" in rate and "graph" in doc):
+    if "graph" in doc:  # a bad graph fails at parse, whichever command reads it
         graph = sc.rate_graph()
     if kind == "rate" and "epsilon" in rate:
         _built("$.rate", consensus.convergence_rate, graph, epsilon=rate["epsilon"])

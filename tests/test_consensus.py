@@ -9,6 +9,7 @@ import pytest
 from oracles import bloch_rhs, lyapunov, phase_rhs, random_connected_graph
 from qsdcsim import consensus
 from qsdcsim.consensus import (
+    CSV_CHUNK,
     MixingEvent,
     ProtocolConfig,
     ProtocolState,
@@ -773,6 +774,27 @@ def test_csv_number_format_is_pinned():
     write_csv_rows(fh, ["a", "b", "c"],
                    np.array([[1 / 3, 60.000007598933855, 1e-17], [-0.0, 1e21, 3.0]]))
     assert fh.getvalue() == "a,b,c\n0.333333333,60.0000076,1e-17\n-0,1e+21,3\n"
+
+
+def one_block_csv(cols, *series):
+    """The reference writer: the whole run stacked at once, then one line per row."""
+    block = np.column_stack(series)
+    line = ",".join(["%.9g"] * block.shape[1]) + "\n"
+    return ",".join(cols) + "\n" + "".join(line % tuple(row.tolist()) for row in block)
+
+
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 3 * CSV_CHUNK + 5])
+def test_chunked_csv_matches_the_one_block_writer(rows):
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-20, 21, (rows, 4))
+    floats[0] = [-0.0, math.nan, math.inf, 1 / 3]
+    series = (np.arange(rows) * 0.01, floats, rng.random((rows, 3)) < 0.5)
+    cols = ["t", "x_0", "x_1", "x_2", "x_3", "on_0", "on_1", "on_2"]
+    want = one_block_csv(cols, *series)
+    for args in (series, (np.column_stack(series),)):
+        fh = io.StringIO()
+        write_csv_rows(fh, cols, *args)
+        assert fh.getvalue() == want
 
 
 # -- convergence rate --------------------------------------------------------

@@ -250,6 +250,7 @@ def test_plant_csv_matches_per_value_writer():
     block = np.column_stack([ts.times] + [ts.data[name] for name in sorted(ts.data)]
                             + [ts.lyapunov])
     assert header.startswith("t,omega_0,") and block.shape == (300, 77)
+    assert ts.data["online"].dtype == bool and not ts.data["online"][150, 3]
     want = header + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in block)
     assert len({text, want}) == 1  # not text == want: a diff of two CSVs takes minutes
 

@@ -345,6 +345,15 @@ def test_rate_file_graph_weights_are_checked_even_with_rate_weights():
         validate_scenario(doc)
 
 
+@pytest.mark.parametrize("scenario", ["consensus3", "ac15", "dc9", "eve_pi6"])
+def test_a_bad_graph_fails_at_parse_whichever_kind_holds_it(scenario):
+    # an eve file's graph is read only by `qsdcsim rate`; it is checked all the same
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    doc.setdefault("graph", {"nodes": 3, "edges": []})["edges"].append([0, 99])
+    with pytest.raises(ScenarioError, match=r"^\$\.graph\.edges: edge \(0,99\) out of range"):
+        validate_scenario(doc)
+
+
 def test_cli_rate_without_graph_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["rate", "--scenario", str(SCENARIOS / "eve_pi6.json"),
@@ -561,6 +570,8 @@ def edited_scenario(tmp_path, scenario, edit):
                  lambda d: d.update(ac=json.loads((SCENARIOS / "ac15.json").read_text())["ac"]),
                  [], "$: Additional properties are not allowed ('ac' was unexpected)",
                  id="consensus-ac-section"),
+    pytest.param("eve", "eve_pi6", lambda d: d.update(graph={"nodes": 3, "edges": [[0, 7]]}),
+                 [], "$.graph.edges: edge (0,7) out of range for n=3", id="eve-graph-edges"),
     pytest.param("eve", "eve_pi6", lambda d: d.update(horizon=10.0), [],
                  "$: Additional properties are not allowed ('horizon' was unexpected)",
                  id="eve-horizon"),
