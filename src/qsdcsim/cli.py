@@ -91,7 +91,7 @@ def summarize(record: consensus.Trajectory) -> dict:
             "fitted_decay_rate": fitted_decay_rate(times, record.lyapunov),
         })
         return out
-    online_rows = data["online"] > 0.5
+    online_rows = data["online"]
     if meta["kind"] == "ac":
         omega = data["omega"]
         err = omega - meta["omega_nominal"]

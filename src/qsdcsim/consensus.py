@@ -7,9 +7,11 @@ master equation for dt, apply any active mixing event, measure, and feed the
 twin-qubit estimate atan2(<Y>, <X>) back as the next phi_i.
 
 Backends:
-  full  - dense density matrix driven by the jump operators, applied as a
-          phase mask (rotation-Z) and a flat gather per edge (swap, 8 * 4^n
-          bytes of index per edge) with no 2^n x 2^n operator; its
+  full  - dense density matrix driven by the jump operators, applied to its
+          packed upper triangle (the flow keeps rho Hermitian, so the lower
+          one is its conjugate) as a phase mask (rotation-Z) and a gather
+          per edge (swap, 8 * K bytes of packed index per edge with
+          K = 2^n (2^n + 1) / 2) with no 2^n x 2^n operator; its
           explicit-matrix oracle is in `tests/oracles.py`.  A step builds
           rho from the theta and phi arrays in one call and reads every
           node's x and y back in one gather (`engine.local_bloch`), with w
@@ -256,7 +258,7 @@ class StepPlan:
     bool mask `online` over `graph`'s nodes (None: all online), the offline
     nodes' indices, `graph` without their edges, and what its steps reuse.
 
-    For `full`, `swaps`: the flat swap indices of the pruned graph
+    For `full`, `swaps`: the packed swap indices of the pruned graph
     (`engine.swap_groups`), built on first use.  For `bloch` and `phase`,
     the read-only core -L (n x n, complex) of the pruned graph, and per
     RK4 substep h the four stage matrices c * (core + diag(e^{i*alpha} - 1))
@@ -313,22 +315,23 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
-    mixed = [(i, ev) for ev in events if ev.active(t_now, config.dt) for i in ev.nodes]
+    mixing = [ev for ev in events if ev.active(t_now, config.dt)]
 
     if config.backend == "full":
         rho = engine.product_state(thetas, phis)
         jumps = engine.build_jump_set(plan.graph, alphas, plan.swaps)
         rho = engine.evolve(rho, jumps, config.dt, config.substeps)
-        for i, ev in mixed:
-            rho = engine.depolarize_local(rho, i, ev.p)
+        for ev in mixing:
+            rho = engine.depolarize_local(rho, ev.nodes, ev.p)
         # a view of the x and y columns: x + 1j*y would turn a y of -0.0 into +0.0
         w = engine.local_bloch(rho)[:, :2].view(complex)[:, 0]
         final_rho = rho
     else:  # bloch and phase: w' = A w, w = x + i*y
         stages = plan.stages(config.dt / config.substeps, alphas)
         w = _rk4(np.sin(thetas) * np.exp(1j * phis), stages, config.substeps)
-        for i, ev in mixed:
-            w[i] *= ev.bloch_shrink
+        for ev in mixing:
+            for i in ev.nodes:
+                w[i] *= ev.bloch_shrink
         final_rho = None
 
     s_after = np.hypot(w.real, w.imag)
@@ -455,7 +458,7 @@ def run_record(kind: str, times, data: dict, config: ProtocolConfig, noted,
     online nodes (every node when `data` has no "online"), the meta of
     `config` plus `meta`, and the warnings of the (step, warnings) pairs
     `noted`, each prefixed with its step's start time."""
-    online = data["online"] > 0.5 if "online" in data else np.ones(data["phi"].shape, dtype=bool)
+    online = data["online"] if "online" in data else np.ones(data["phi"].shape, dtype=bool)
     return Trajectory(
         times=times, data=data, lyapunov=lyapunov_rows(data["phi"], data["pinner"], online),
         meta={"kind": kind, "backend": config.backend, "mode": config.mode,

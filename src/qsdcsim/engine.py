@@ -21,28 +21,46 @@ conjugations are index operations on rho, so the production path builds no
       rho[a, b].  All pins fold into one phase mask per step,
       M = sum_i outer(e_i, conj(e_i)) - W_total with e_i = exp(i alpha_i bit_i)
       and W_total the summed pin and edge weights;
-  swap on edge (i, j): rho[p][:, p] with p the bit exchange (`_swap_perm`),
-      one gather of the flattened rho through the flat index p[a] 2^n + p[b].
+  swap on edge (i, j): rho[p][:, p] with p the bit exchange (`_swap_perm`).
 
-So the RHS is M * rho + sum_e w_e swap_e(rho) (`IndexJumpSet`), at
-O((n+m) 4^n) per evaluation instead of O((n+m) 8^n), with 8 * 4^n bytes of
-flat index per edge (32 KiB at n = 6, 8 MiB at the 10-qubit cap), built once
-per `consensus.StepPlan` and shared by the jump sets of its steps.  The local
-depolarizing channel is a partial trace and replace.  The explicit-matrix
-form (`rz_jump`, `swap_jump`, `pauli_on` and `lindblad_rhs`, the full
-anticommutator form) lives in `tests/oracles.py`, the oracle the tests check
-the index form against.
+Why half of rho suffices: M is Hermitian (M[b, a] = conj(M[a, b])) and a
+swap is a unitary conjugation, so the RHS maps a Hermitian rho to a
+Hermitian matrix, and so does each RK4 stage, a real multiple of it plus a
+Hermitian input.  The entries below the diagonal are therefore the
+conjugates of those above at every step, and carry nothing of their own.
+The engine evolves only the upper triangle a <= b, packed row by row into a
+vector v of K = 2^n (2^n + 1) / 2 entries (`pack`, `unpack`; the flat
+positions of the triangle and of its transpose are cached per n,
+`_triangle`, 16 * K bytes), and the unpacked state is exactly Hermitian by
+construction, where evolving both triangles let them drift apart at
+rounding level.  The mask is packed the same way, and a swap's packed entry
+(a, b) is rho[p(a), p(b)]: v at (p(a), p(b)) when p(a) <= p(b), else the
+conjugate of v at (p(b), p(a)).  One gather of concatenate((v, conj(v)))
+through a packed index per edge (`swap_groups`) reads both cases.
 
-`_rk4` is the package's one integrator: `evolve` runs it on rho, the
+So the RHS is M * v + sum_e w_e swap_e(v) (`IndexJumpSet`), at
+O((n+m) 4^n / 2) per evaluation instead of O((n+m) 8^n), with 8 * K bytes
+of packed index per edge (16.25 KiB at n = 6, 4 MiB at the 10-qubit cap),
+built once per `consensus.StepPlan` and shared by the jump sets of its
+steps.  `evolve` packs rho once, runs the RK4 steps on v and unpacks the
+result to a matrix whose lower triangle is conj(upper) bit for bit, with a
+real diagonal.  The whole-matrix flat gather it replaces, `flat_gather_rhs`,
+and the explicit-matrix form (`rz_jump`, `swap_jump`, `pauli_on` and
+`lindblad_rhs`, the full anticommutator form) live in `tests/oracles.py`,
+the oracles the tests check the packed form against.  The local
+depolarizing channel is a partial trace and replace on the unpacked matrix,
+one copy per call however many nodes it takes.
+
+`_rk4` is the package's one integrator: `evolve` runs it on packed rho, the
 `bloch`/`phase` core of `consensus` on w' = A w with A the n x n matrix of
 the `StepPlan` that a run or an event segment builds.  On a linear flow
 one RK4 step is the degree-4 Taylor polynomial of e^{hA}, evaluated in
 Horner form y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))); `_rk4` takes its four
 stages as maps u -> cAu, so the bloch core passes pre-scaled matrices and
 `evolve` scales `rhs` in place.  The master equation's A maps
-Hermitian matrices to traceless Hermitian ones, so trace and Hermiticity
-hold to rounding with no re-projection between substeps, and the final
-`DensityMatrix.check` in `evolve` (Cholesky: lambda_min > -1e-6) guards it.
+Hermitian matrices to traceless ones, so the trace holds to rounding with
+no re-projection between substeps, and the final `DensityMatrix.check` in
+`evolve` (Cholesky: lambda_min > -1e-6) guards positivity.
 
 Tensor-factor convention: node 0 is the leftmost Kronecker factor, i.e. the
 most significant bit of the computational-basis index.
@@ -156,25 +174,67 @@ def _swap_perm(i: int, j: int, n: int) -> np.ndarray:
     return perm
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle(n: int) -> tuple:
+    """(upper, lower): the flat positions in a 2^n x 2^n matrix of its upper
+    triangle a <= b, row by row (the packed order), and of their transposes.
+    The rows and columns are formed arithmetically, with no N x N mask."""
+    dim = 2**n
+    a = np.arange(dim)
+    rows = np.repeat(a, dim - a)
+    cols = np.arange(len(rows)) - (rows * (2 * dim - rows - 1)) // 2
+    upper, lower = rows * dim + cols, cols * dim + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+def pack(m: np.ndarray) -> np.ndarray:
+    """The upper triangle a <= b of a 2^n x 2^n matrix, row by row."""
+    return m.take(_triangle(len(m).bit_length() - 1)[0])
+
+
+def unpack(v: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose packed upper triangle is `v`: its lower
+    triangle is conj(upper), bit for bit, and its diagonal is real."""
+    dim = (math.isqrt(8 * len(v) + 1) - 1) // 2
+    upper, lower = _triangle(dim.bit_length() - 1)
+    out = np.empty((dim, dim), dtype=v.dtype)
+    flat = out.reshape(-1)
+    flat[lower] = v.conj()
+    flat[upper] = v
+    flat[::dim + 1].imag = 0.0
+    return out
+
+
 def swap_groups(n: int, edges, weights) -> list:
-    """The flat swap index of every edge (8 * 4^n bytes each), grouped by
-    edge weight in edge order, so rho is scaled once per weight."""
+    """The packed swap index of every edge (8 * K bytes each, K = 2^n (2^n + 1)
+    / 2 the packed length), grouped by edge weight in edge order, so the
+    state is scaled once per weight.  Packed entry (a, b) of a swap reads
+    (p(a), p(b)) of `concatenate((v, conj(v)))`: at its packed position when
+    p(a) <= p(b), else at K plus that of (p(b), p(a))."""
+    dim = 2**n
+    rows, cols = np.divmod(_triangle(n)[0], dim)
+    size = len(rows)
     groups: dict[float, list] = {}
     for (i, j), w in zip(edges, weights):
         p = _swap_perm(i, j, n)
-        groups.setdefault(w, []).append((p[:, np.newaxis] * len(p) + p).ravel())
+        pr, pc = p[rows], p[cols]
+        # (lo, hi) sits at lo (2 dim - lo - 1) / 2 + hi in the packed order
+        lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
+        groups.setdefault(w, []).append(lo * (2 * dim - 1 - lo) // 2 + hi + size * (pr > pc))
     return list(groups.items())
 
 
 class IndexJumpSet:
-    """The protocol's jumps in index form: a rotation-Z pin of angle alpha_i
-    and weight 1 on every node, a swap of weight w_e on every edge.
+    """The protocol's jumps in index form on the packed upper triangle `v` of
+    rho (`pack`): a rotation-Z pin of angle alpha_i and weight 1 on every
+    node, a swap of weight w_e on every edge.
 
-    `rhs` applies them as one phase mask and, per edge, one gather of the
-    flattened rho through its flat index: `swaps`, the `swap_groups` of the
-    edges, shared if given, else built on first use and held by the set.
-    `tests/oracles.py` builds the explicit operators from the public `n`,
-    `pin_angles`, `edges` and `weights`.
+    `rhs` applies them as one packed phase mask and, per edge, one gather of
+    `concatenate((v, conj(v)))` through its packed index: `swaps`, the
+    `swap_groups` of the edges, shared if given, else built on first use and
+    held by the set.  `tests/oracles.py` builds the explicit operators from
+    the public `n`, `pin_angles`, `edges` and `weights`.
     """
 
     def __init__(self, n: int, pin_angles, edges, weights, swaps=None):
@@ -192,19 +252,21 @@ class IndexJumpSet:
     @functools.cached_property
     def _mask(self) -> np.ndarray:
         e = np.exp(1j * _node_bits(self.n) * self.pin_angles)
-        return e @ e.conj().T - self.total_weight
+        return pack(e @ e.conj().T) - self.total_weight
 
     @functools.cached_property
     def _swap_groups(self) -> list:
         return swap_groups(self.n, self.edges, self.weights)
 
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        out = self._mask * rho
-        flat = out.reshape(-1)  # a view: out is C-ordered, as the mask is
+    def rhs(self, v: np.ndarray) -> np.ndarray:
+        out = self._mask * v
+        both = np.empty(2 * len(v), dtype=v.dtype)
+        both[:len(v)] = v
+        np.conjugate(v, out=both[len(v):])
         for w, indices in self._swap_groups:
-            scaled = rho if w == 1.0 else w * rho
+            scaled = both if w == 1.0 else w * both
             for index in indices:
-                flat += scaled.take(index)
+                out += scaled.take(index)
         return out
 
 
@@ -247,17 +309,22 @@ def _scaled_stage(rhs, c: float):
 
 def evolve(rho: DensityMatrix, jumps: IndexJumpSet, dt: float,
            substeps: int = 1) -> DensityMatrix:
-    """`_rk4` on the matrix ODE with step dt/substeps, each stage `jumps.rhs`
-    scaled in place, not re-Hermitized between substeps; the final `check`
-    (eigenvalues above -1e-6) raises IntegrationDivergedError when the step
-    left the state space."""
+    """`_rk4` on the packed upper triangle of rho (`pack`) with step
+    dt/substeps, each stage `jumps.rhs` scaled in place, not re-Hermitized
+    between substeps; the result is unpacked to an exactly Hermitian matrix,
+    whose final `check` (eigenvalues above -1e-6) raises
+    IntegrationDivergedError when the step left the state space.
+
+    The upper triangle of rho.matrix defines the state: its lower triangle is
+    not read, so a non-Hermitian input evolves as the Hermitian matrix with
+    the same upper triangle, and `check` cannot flag it."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     stages = [_scaled_stage(jumps.rhs, c) for c in rk4_coefficients(dt / substeps)]
-    m = _rk4(rho.matrix, stages, substeps)
-    out = DensityMatrix(matrix=m, qubit_count=rho.qubit_count)
+    v = _rk4(pack(rho.matrix), stages, substeps)
+    out = DensityMatrix(matrix=unpack(v), qubit_count=rho.qubit_count)
     try:
         out.check(eigen_tol=1e-6)
     except StateValidationError as exc:
@@ -291,11 +358,12 @@ def local_bloch(rho: DensityMatrix) -> np.ndarray:
     return np.column_stack(((r01 + r10).real, (1j * (r01 - r10)).real, (r00 - r11).real))
 
 
-def depolarize_local(rho: DensityMatrix, i: int, p: float) -> DensityMatrix:
-    """Local depolarizing channel on node i.
+def depolarize_local(rho: DensityMatrix, nodes, p: float) -> DensityMatrix:
+    """Local depolarizing channel of strength p on each node of the sequence
+    `nodes`, in its order, written into one copy of rho.
 
-    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z), applied as
-    (1 - 4p/3) rho + (2p/3) Tr_i(rho) (x) I_i; the node's Bloch vector
+    rho -> (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) on node i, applied
+    as (1 - 4p/3) rho + (2p/3) Tr_i(rho) (x) I_i; the node's Bloch vector
     shrinks by 1 - 4p/3, other nodes are untouched.
     """
     if not (0.0 <= p <= 1.0):
@@ -303,12 +371,14 @@ def depolarize_local(rho: DensityMatrix, i: int, p: float) -> DensityMatrix:
     if p == 0.0:
         return rho
     n = rho.qubit_count
-    if not (0 <= i < n):
-        raise IndexError(f"node {i} out of range for {n} qubits")
-    factor = (2**i, 2, 2 ** (n - i - 1))
-    t = rho.matrix.reshape(factor + factor)
-    traced = (2.0 * p / 3.0) * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
-    out = (1.0 - 4.0 * p / 3.0) * t
-    out[:, 0, :, :, 0, :] += traced
-    out[:, 1, :, :, 1, :] += traced
-    return DensityMatrix(matrix=out.reshape(rho.matrix.shape), qubit_count=n)
+    m = rho.matrix.copy()
+    for i in nodes:
+        if not (0 <= i < n):
+            raise IndexError(f"node {i} out of range for {n} qubits")
+        factor = (2**i, 2, 2 ** (n - i - 1))
+        t = m.reshape(factor + factor)
+        traced = (2.0 * p / 3.0) * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t *= 1.0 - 4.0 * p / 3.0
+        t[:, 0, :, :, 0, :] += traced
+        t[:, 1, :, :, 1, :] += traced
+    return DensityMatrix(matrix=m, qubit_count=n)

@@ -1,6 +1,8 @@
 """Test oracles, which no run executes: the master equation on explicit
 2^n x 2^n operators (`lindblad_rhs`, against which the index form of
-`engine.IndexJumpSet` is checked through `explicit`), the per-node partial
+`engine.IndexJumpSet` is checked through `explicit`), the index form on the
+whole matrix (`flat_gather_rhs`, whose upper triangle the packed form must
+reproduce bit for bit), the per-node partial
 trace (`partial_trace_single`, against which the one-gather
 `engine.local_bloch` is checked), the instantaneous-pinner reference
 equations of the `bloch`/`phase` core, and the gate-level measurement
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsdcsim.engine import DensityMatrix, IndexJumpSet, StateValidationError, _swap_perm
+from qsdcsim.engine import (DensityMatrix, IndexJumpSet, StateValidationError, _node_bits,
+                            _swap_perm, pack, unpack)
 from qsdcsim.measurement import BASES, _clamped, _component
 from qsdcsim.netgraph import CommGraph, adjacency_matrix, build_graph
 
@@ -71,7 +74,8 @@ class JumpSet:
     Each entry is (operator, rate weight).  Operators must be unitary; edge
     weights act as dissipator rates so weighted graphs reduce to the weighted
     coupling a_ij (x_j - x_i) on Bloch components.  `rhs` is the full
-    anticommutator form, which `engine.evolve` runs as it runs the index form.
+    anticommutator form on the packed upper triangle (`engine.pack`), which
+    `engine.evolve` runs as it runs the index form.
     """
 
     pin_ops: list
@@ -92,8 +96,8 @@ class JumpSet:
     def total_weight(self) -> float:
         return sum(w for _, w in self.all_ops())
 
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        return _rhs_raw(rho, self.all_ops())
+    def rhs(self, v: np.ndarray) -> np.ndarray:
+        return pack(_rhs_raw(unpack(v), self.all_ops()))
 
 
 def explicit(jumps: IndexJumpSet) -> JumpSet:
@@ -103,6 +107,22 @@ def explicit(jumps: IndexJumpSet) -> JumpSet:
         pin_ops=[(rz_jump(i, float(a), n), 1.0) for i, a in enumerate(jumps.pin_angles)],
         swap_ops=[(swap_jump(i, j, n), w) for (i, j), w in zip(jumps.edges, jumps.weights)],
     )
+
+
+def flat_gather_rhs(jumps: IndexJumpSet, rho: np.ndarray) -> np.ndarray:
+    """The index form on the whole 2^n x 2^n rho: the phase mask, then per
+    weight group (in order of first appearance) w * rho gathered through each
+    edge's flat index p[a] 2^n + p[b]."""
+    e = np.exp(1j * _node_bits(jumps.n) * jumps.pin_angles)
+    out = (e @ e.conj().T - jumps.total_weight) * rho
+    flat = out.reshape(-1)  # a view: out is C-ordered
+    for w in dict.fromkeys(jumps.weights):
+        scaled = rho if w == 1.0 else w * rho
+        for (i, j), we in zip(jumps.edges, jumps.weights):
+            if we == w:
+                p = _swap_perm(i, j, jumps.n)
+                flat += scaled.take((p[:, np.newaxis] * len(p) + p).ravel())
+    return out
 
 
 def _rhs_raw(rho: np.ndarray, ops) -> np.ndarray:

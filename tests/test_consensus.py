@@ -615,9 +615,9 @@ def test_full_backend_builds_no_dense_operator(monkeypatch):
     calls = []
     depolarize = engine.depolarize_local
 
-    def counting_depolarize(rho, i, p):
-        calls.append(i)
-        return depolarize(rho, i, p)
+    def counting_depolarize(rho, nodes, p):
+        calls.append(nodes)
+        return depolarize(rho, nodes, p)
 
     monkeypatch.setattr(engine, "depolarize_local", counting_depolarize)
     n = 7
@@ -627,7 +627,7 @@ def test_full_backend_builds_no_dense_operator(monkeypatch):
     traj = run_consensus(np.linspace(0.1, 1.4, n), 0.8, ring, cfg, 0.03, (event,))
     assert traj.phis.shape == (4, n)
     assert np.all(np.isfinite(traj.phis))
-    assert calls == [3, 3, 3]
+    assert calls == [(3,), (3,), (3,)]  # one call per active event
 
 
 # -- full runs ---------------------------------------------------------------

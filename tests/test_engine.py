@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (PAULI_X, PAULI_Y, PAULI_Z, JumpSet, explicit, from_matrix, lindblad_rhs,
-                     partial_trace_single, pauli_on, polar_bloch, random_angles, rz_jump,
-                     swap_jump)
+from oracles import (PAULI_X, PAULI_Y, PAULI_Z, JumpSet, explicit, flat_gather_rhs, from_matrix,
+                     lindblad_rhs, partial_trace_single, pauli_on, polar_bloch, random_angles,
+                     rz_jump, swap_jump)
 from qsdcsim.engine import (
     MAX_DENSE_QUBITS,
     CapacityError,
@@ -18,8 +18,10 @@ from qsdcsim.engine import (
     depolarize_local,
     evolve,
     local_bloch,
+    pack,
     product_state,
     rk4_coefficients,
+    unpack,
 )
 from qsdcsim.netgraph import build_graph
 
@@ -443,20 +445,20 @@ def test_local_bloch_matches_per_node_partial_traces_bitwise():
 
 def test_depolarize_p0_identity():
     rho = three_node_state()
-    out = depolarize_local(rho, 1, 0.0)
+    out = depolarize_local(rho, (1,), 0.0)
     assert np.max(np.abs(out.matrix - rho.matrix)) == 0.0
 
 
 def test_depolarize_full_mixing():
     rho = product_state([1.1], [0.4])
-    out = depolarize_local(rho, 0, 0.75)
+    out = depolarize_local(rho, (0,), 0.75)
     assert np.max(np.abs(out.matrix - 0.5 * np.eye(2))) <= 1e-12
 
 
 def test_depolarize_shrink_factor_and_locality():
     rho = three_node_state()
     p = 0.15
-    out = depolarize_local(rho, 1, p)
+    out = depolarize_local(rho, (1,), p)
     out.check()
     before, after = local_bloch(rho), local_bloch(out)
     factor = 1.0 - 4.0 * p / 3.0
@@ -468,7 +470,7 @@ def test_depolarize_shrink_factor_and_locality():
 
 def test_depolarize_single_qubit_equator_example():
     rho = product_state([math.pi / 2], [math.pi / 3])
-    out = depolarize_local(rho, 0, 0.15)
+    out = depolarize_local(rho, (0,), 0.15)
     x, y, z = local_bloch(out)[0]
     assert abs(math.sqrt(x**2 + y**2 + z**2) - 0.8) <= 1e-12
     assert abs(math.atan2(y, x) - math.pi / 3) <= 1e-12
@@ -482,7 +484,7 @@ def test_depolarize_single_qubit_equator_example():
 def test_depolarize_range_error():
     rho = three_node_state()
     with pytest.raises(ValueError):
-        depolarize_local(rho, 0, 1.2)
+        depolarize_local(rho, (0,), 1.2)
 
 
 # -- index form against the explicit-matrix oracle ---------------------------
@@ -518,7 +520,7 @@ def test_index_form_matches_explicit_oracle():
             oracle_set = explicit(index)
             assert index.total_weight == oracle_set.total_weight
             oracle = lindblad_rhs(rho, oracle_set)
-            assert np.max(np.abs(index.rhs(rho.matrix) - oracle)) <= 1e-12
+            assert np.max(np.abs(unpack(index.rhs(pack(rho.matrix))) - oracle)) <= 1e-12
             assert np.max(np.abs(lindblad_rhs(rho, index) - oracle)) <= 1e-12
             fast = evolve(rho, index, 0.05, 2)
             slow = evolve(rho, oracle_set, 0.05, 2)
@@ -533,15 +535,62 @@ def test_index_rhs_is_mask_plus_weighted_swaps_bitwise():
         weights = rng.choice([0.5, 1.0, 2.0, 0.75], len(edges))
         g = build_graph(n, edges, weights)
         jumps = build_jump_set(g, rng.uniform(-1.5, 1.5, n))
-        rho = entangled_state(rng, n).matrix
-        expected = jumps._mask * rho
+        rho = unpack(pack(entangled_state(rng, n).matrix))  # exactly Hermitian
+        expected = jumps._mask * pack(rho)
         # rhs adds the swaps grouped by weight, in order of first appearance
         for w in dict.fromkeys(g.weights):
             for (i, j), we in zip(g.edges, g.weights):
                 if we == w:
                     p = _swap_perm(i, j, n)
-                    expected = expected + w * rho[p][:, p]
-        assert np.array_equal(jumps.rhs(rho), expected)
+                    expected = expected + w * pack(rho[p][:, p])
+        assert np.array_equal(jumps.rhs(pack(rho)), expected)
+
+
+def test_packed_rhs_is_upper_triangle_of_flat_gather_bitwise():
+    rng = np.random.default_rng(16)
+    for n in range(1, 7):
+        for _ in range(4):
+            g = random_weighted_graph(rng, n)
+            # non-unit weight groups: some edges share a weight, one keeps 1.0
+            weights = rng.choice([0.5, 1.0, 1.75], len(g.edges))
+            jumps = build_jump_set(build_graph(n, g.edges, weights), rng.uniform(-1.5, 1.5, n))
+            size = 2**n * (2**n + 1) // 2
+            v = pack(unpack(rng.normal(size=size) + 1j * rng.normal(size=size)))  # real diagonal
+            assert np.array_equal(jumps.rhs(v), pack(flat_gather_rhs(jumps, unpack(v))))
+
+
+def test_pack_is_the_upper_triangle_and_unpack_is_hermitian():
+    rng = np.random.default_rng(17)
+    for n in range(1, 6):
+        dim = 2**n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert np.array_equal(pack(m), m[np.triu_indices(dim)])
+        h = unpack(pack(m))
+        assert np.array_equal(h, h.conj().T)
+        upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+        assert np.array_equal(h[upper], m[upper])
+        assert np.array_equal(h.diagonal(), m.diagonal().real)
+
+
+def test_evolve_returns_exactly_hermitian_matrix():
+    rng = np.random.default_rng(18)
+    for n in range(1, 7):
+        g = random_weighted_graph(rng, n)
+        rho = entangled_state(rng, n)
+        out = evolve(rho, build_jump_set(g, rng.uniform(-1.5, 1.5, n)), 0.05, 2).matrix
+        assert np.array_equal(out, out.conj().T)
+
+
+def test_evolve_reads_only_the_upper_triangle():
+    # a non-Hermitian input evolves as the Hermitian matrix with its upper
+    # triangle: the final check cannot flag it
+    rng = np.random.default_rng(19)
+    rho = entangled_state(rng, 3)
+    jumps = build_jump_set(random_weighted_graph(rng, 3), rng.uniform(-1.5, 1.5, 3))
+    skewed = rho.matrix.copy()
+    skewed[np.tril_indices(8, -1)] += 0.5
+    out = evolve(DensityMatrix(matrix=skewed, qubit_count=3), jumps, 0.05, 2)
+    assert np.array_equal(out.matrix, evolve(rho, jumps, 0.05, 2).matrix)
 
 
 # -- the shared RK4 stepper --------------------------------------------------
@@ -582,9 +631,10 @@ def test_rk4_is_taylor_polynomial_on_dense_state():
     n = 4
     rho = entangled_state(rng, n)
     jumps = build_jump_set(random_weighted_graph(rng, n), rng.uniform(-1.5, 1.5, n))
-    out = _rk4(rho.matrix, [lambda u, c=c: c * jumps.rhs(u) for c in rk4_coefficients(0.1)], 2)
-    assert rel_gap(out, taylor4(jumps.rhs, rho.matrix, 0.2, 2)) <= 1e-13
-    assert np.array_equal(evolve(rho, jumps, 0.2, 2).matrix, out)
+    v = pack(rho.matrix)
+    out = _rk4(v, [lambda u, c=c: c * jumps.rhs(u) for c in rk4_coefficients(0.1)], 2)
+    assert rel_gap(out, taylor4(jumps.rhs, v, 0.2, 2)) <= 1e-13
+    assert np.array_equal(evolve(rho, jumps, 0.2, 2).matrix, unpack(out))
 
 
 def test_depolarize_matches_pauli_oracle():
@@ -598,10 +648,32 @@ def test_depolarize_matches_pauli_oracle():
             for which in ("x", "y", "z"):
                 sigma = pauli_on(i, which, n)
                 explicit = explicit + (p / 3.0) * (sigma @ m @ sigma)
-            out = depolarize_local(rho, i, p)
+            out = depolarize_local(rho, (i,), p)
             assert np.max(np.abs(out.matrix - explicit)) <= 1e-12
+
+
+def test_depolarize_node_list_is_one_call_per_node_bitwise():
+    rng = np.random.default_rng(14)
+    rho = entangled_state(rng, 4)
+    nodes, p = (2, 0, 3, 2), 0.3
+    one_by_one = rho.matrix
+    for i in nodes:  # one new scaled matrix per node
+        factor = (2**i, 2, 2 ** (4 - i - 1))
+        t = one_by_one.reshape(factor + factor)
+        traced = (2.0 * p / 3.0) * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
+        t = (1.0 - 4.0 * p / 3.0) * t
+        t[:, 0, :, :, 0, :] += traced
+        t[:, 1, :, :, 1, :] += traced
+        one_by_one = t.reshape(rho.matrix.shape)
+    before = rho.matrix.copy()
+    out = depolarize_local(rho, nodes, p)
+    assert np.array_equal(out.matrix, one_by_one)
+    assert np.array_equal(rho.matrix, before)  # the input is not written
+    assert np.array_equal(depolarize_local(rho, (), p).matrix, before)
 
 
 def test_depolarize_index_error():
     with pytest.raises(IndexError):
-        depolarize_local(three_node_state(), 3, 0.1)
+        depolarize_local(three_node_state(), (3,), 0.1)
+    with pytest.raises(IndexError):
+        depolarize_local(three_node_state(), (0, 3), 0.1)

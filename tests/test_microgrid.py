@@ -625,3 +625,54 @@ def test_timeseries_csv(tmp_path):
     assert lines[0].startswith("t,")
     assert lines[0].endswith(",V")
     assert len(lines) == len(ts.times) + 1
+
+
+# -- the dense oracle in the closed loop -------------------------------------
+
+
+def random_plant(kind, rng, n):
+    """A seeded n-DER plant on a weighted ring-plus-chords communication
+    graph (so one unplugged DER leaves it connected), with a step load, an
+    unplug and a plug of one DER, and a mixing window on two nodes."""
+    edges = {(i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i) for i in range(n)}
+    while len(edges) < n + 2:
+        a, b = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        edges.add((a, b))
+    edges = sorted(edges)
+    comm = build_graph(n, edges, rng.choice([0.5, 1.0, 1.5], len(edges)))
+    if kind == "ac":
+        ders = [AcDer(droop=float(rng.uniform(2e-3, 6e-3)), rated_kw=40.0) for _ in range(n)]
+        net = AcNetwork(lines=tuple((i, (i + 1) % n, float(rng.uniform(150.0, 250.0)))
+                                    for i in range(n)),
+                        bus_loads=rng.uniform(10.0, 25.0, n))
+        step_load = Event(time=0.3, kind="step_load", payload={"node": 0, "delta_kw": 6.0})
+    else:
+        ders = [DcDer(droop=float(rng.uniform(0.8, 1.25)), line_r=0.002, rated_current=6.0)
+                for _ in range(n)]
+        net = DcNetwork(v_nominal=48.0, r_load=float(rng.uniform(20.0, 60.0)))
+        step_load = Event(time=0.3, kind="step_load", payload={"r_load": 10.0})
+    node = int(rng.integers(1, n))
+    events = [step_load, Event(time=0.6, kind="unplug", payload={"node": node}),
+              Event(time=1.2, kind="plug", payload={"node": node})]
+    mixed = tuple(int(v) for v in rng.choice(n, 2, replace=False))
+    mixing = [MixingEvent(nodes=mixed, t_start=0.4, t_end=1.0, p=0.1)]
+    return ders, net, comm, events, mixing
+
+
+@pytest.mark.parametrize("kind, n, seed", [("dc", 5, 41), ("ac", 6, 42)])
+def test_full_closed_loop_matches_bloch(kind, n, seed):
+    # the dense engine is the oracle of the bloch core inside a plant too:
+    # the online mask, the unplug/plug segments, a step load and mixing
+    ders, net, comm, events, mixing = random_plant(kind, np.random.default_rng(seed), n)
+    runs = {backend: run_plant(kind, ders, net, comm,
+                               ProtocolConfig(dt=0.01, substeps=2, backend=backend, seed=seed),
+                               horizon=1.5, events=events, mixing=mixing)
+            for backend in ("full", "bloch")}
+    full, bloch = runs["full"], runs["bloch"]
+    assert not full.data["online"].all()  # the unplug is inside the run
+    assert list(full.data) == list(bloch.data)
+    assert np.array_equal(full.data.pop("online"), bloch.data.pop("online"))
+    series = dict(full.data, V=full.lyapunov)
+    for name, want in dict(bloch.data, V=bloch.lyapunov).items():
+        gap = np.max(np.abs(series[name] - want))
+        assert gap <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, gap)

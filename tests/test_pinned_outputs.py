@@ -5,8 +5,9 @@ A change that moves outputs on purpose regenerates the table in the same
 commit, with `PYTHONPATH=src python tests/test_pinned_outputs.py`, so that the
 table's diff names every output that moved.  A failure names each moved file
 and prints the text of each moved JSON summary.  The digests hold for the
-numpy and BLAS build recorded in the table; a mismatch under another build
-says so.
+numeric platform recorded in the table: the numpy and BLAS build and numpy's
+active SIMD dispatch.  A mismatch on another platform names each of these
+fields that differs.
 """
 
 import hashlib
@@ -37,9 +38,26 @@ for command, scenario, extra in [
     RUNS[" ".join([scenario, *extra])] = (command, scenario, extra)
 
 
-def build() -> str:
+def build() -> dict:
+    """The numeric platform: the numpy and BLAS build, and numpy's SIMD
+    dispatch as `np.show_runtime` reports it (the baseline and the found
+    extensions; NPY_DISABLE_CPU_FEATURES takes extensions out of it)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    return {"build": f"numpy {np.__version__}, {blas['name']} {blas['version']}",
+            "simd": f"baseline {' '.join(umath.__cpu_baseline__)}; found {' '.join(found)}"}
+
+
+def platform_note(table: dict) -> str:
+    """Each field of `build()` that differs from the table's, or ""."""
+    differs = [f"{field} is {value!r} here, {table.get(field)!r} in the table"
+               for field, value in build().items() if value != table.get(field)]
+    return f" (the numeric platform differs: {'; '.join(differs)})" if differs else ""
 
 
 def run_digests(key: str, out_dir: Path) -> dict:
@@ -62,12 +80,20 @@ def test_bundled_outputs_match_pinned_digests(key, tmp_path, monkeypatch):
     got = run_digests(key, tmp_path)
     moved = sorted(name for name in want.keys() | got.keys()
                    if want.get(name) != got.get(name))
-    note = ("" if build() == table["build"] else
-            f" (this build is {build()}; the table was recorded under {table['build']})")
+    note = platform_note(table)
     texts = "".join(f"\n{name}:\n{(tmp_path / name).read_text()}" for name in moved
                     if name.endswith(".json") and (tmp_path / name).exists())
     assert not moved, (f"{key}: outputs differ from the pinned digests: "
                        f"{', '.join(moved)}{note}{texts}")
+
+
+def test_platform_note_names_the_differing_field():
+    table = json.loads(TABLE.read_text())
+    assert set(build()) <= set(table)  # the table records every platform field
+    here = build()
+    assert platform_note(here) == ""
+    note = platform_note(dict(here, simd="baseline X86_V2; found X86_V3"))
+    assert "simd is " in note and "build" not in note
 
 
 if __name__ == "__main__":
@@ -76,5 +102,4 @@ if __name__ == "__main__":
     for key in RUNS:
         with tempfile.TemporaryDirectory() as d:
             runs[key] = run_digests(key, Path(d))
-    TABLE.write_text(json.dumps({"build": build(), "runs": runs}, indent=1, sort_keys=True)
-                     + "\n")
+    TABLE.write_text(json.dumps({**build(), "runs": runs}, indent=1, sort_keys=True) + "\n")

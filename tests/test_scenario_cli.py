@@ -229,7 +229,7 @@ def test_summarize_ac_zero_shares_is_finite():
     steps, n = 20, 3
     ts = Trajectory(
         times=np.linspace(0.0, 0.19, steps),
-        data={"omega": np.full((steps, n), 60.0), "online": np.ones((steps, n)),
+        data={"omega": np.full((steps, n), 60.0), "online": np.ones((steps, n), dtype=bool),
               "pinner": np.zeros((steps, n))},
         lyapunov=np.zeros(steps),
         meta={"kind": "ac", "backend": "phase", "mode": "qsdc", "seed": 0, "dt": 0.01,
