@@ -46,8 +46,9 @@ _EVE_THETA_TAG = _STREAM_TAG["eve_theta"]
 
 def settling_time(times: np.ndarray, err: np.ndarray, tol: float):
     """First time the error drops below tol and stays there; None if never."""
-    above = np.flatnonzero(~(err < tol))  # a nan error counts as unsettled
-    idx = above[-1] + 1 if len(above) else 0
+    settled = err < tol  # a nan error counts as unsettled
+    # one past the last unsettled row: the first False of the reversed mask
+    idx = 0 if settled.all() else len(settled) - int(np.argmin(settled[::-1]))
     return float(times[idx]) if idx < len(times) else None
 
 
@@ -56,6 +57,9 @@ def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
 
     Fits ln(v) over the span from the start until v falls below 1e-10 of its
     initial value (the fit window excludes the floating-point noise floor).
+    The slope of a fitted line has a closed form, two dot products of the
+    centered series; a LAPACK least-squares call (`np.polyfit`) would add
+    about 1 MiB of workspace to the run's peak memory.
     """
     v0 = values[0]
     if v0 <= 0.0:
@@ -65,16 +69,33 @@ def fitted_decay_rate(times: np.ndarray, values: np.ndarray) -> float:
     end = int(np.argmin(mask)) if not mask.all() else len(values)
     if end < 3:
         return 0.0
-    t = times[:end]
+    t = times[:end] - times[:end].mean()
     logs = np.log(values[:end])
-    slope = np.polyfit(t, logs, 1)[0]
-    return float(-slope)
+    logs -= logs.mean()
+    return float(-t.dot(logs) / t.dot(t))
+
+
+def _max_abs_gap(a: np.ndarray, b, where=True) -> np.ndarray:
+    """max |a - b| of each row over the entries `where` marks (0 if none)."""
+    gap = a - b
+    return np.max(np.abs(gap, out=gap), axis=1, where=where, initial=0.0)
+
+
+def _relative_spread(shares: np.ndarray, online: np.ndarray) -> np.ndarray:
+    """The relative spread of each row's online shares; a row whose mean
+    share is not above 1e-9 counts as 0."""
+    shares = np.where(online, shares, np.nan)
+    spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
+    mean_share = np.nanmean(shares, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(mean_share > 1e-9, spread / mean_share, 0.0)
 
 
 def summarize(record: consensus.Trajectory) -> dict:
     """Summary statistics of a run record: kind, backend, mode, seed, dt and
     the warning count, then the consensus, AC or DC block over the final
-    10% of the run.  It holds one run-length (T, n) float temporary at most."""
+    10% of the run.  Each reduction over nodes walks the rows one chunk at a
+    time (`consensus.per_row`), so no temporary is longer than a (T,) series."""
     meta, times, data = record.meta, record.times, record.data
     if len(times) < 10:
         raise ValueError("series too short for a steady-state window (need >= 10 samples)")
@@ -82,8 +103,7 @@ def summarize(record: consensus.Trajectory) -> dict:
     out = {key: meta[key] for key in ("kind", "backend", "mode", "seed", "dt")}
     out["warnings"] = len(record.warnings)
     if meta["kind"] == "consensus":
-        zeta = data["phi"] - data["pinner"]
-        zeta = np.max(np.abs(zeta, out=zeta), axis=1)
+        zeta = consensus.per_row(_max_abs_gap, data["phi"], data["pinner"])
         out.update({
             "settling_time": settling_time(times, zeta, 1e-2),
             "steady_phi": [float(v) for v in data["phi"][win].mean(axis=0)],
@@ -93,24 +113,22 @@ def summarize(record: consensus.Trajectory) -> dict:
         return out
     online_rows = data["online"]
     if meta["kind"] == "ac":
-        omega = data["omega"]
-        err = omega - meta["omega_nominal"]
-        err = np.max(np.abs(err, out=err), axis=1, where=online_rows, initial=0.0)
-        out["settling_time_s"] = settling_time(times, err, 1e-3)
-        out["steady_freq_hz"] = float(np.mean(omega[win], axis=1, where=online_rows[win]).mean())
-        sharing = data["pinner"][win] / meta["k"]  # recovers n_i * P_i
+        omega, nominal = data["omega"], meta["omega_nominal"]
+        # the (T,) error series is freed before the window's reductions run
+        out["settling_time_s"] = settling_time(times, consensus.per_row(
+            lambda om, on: _max_abs_gap(om, nominal, on), omega, online_rows), 1e-3)
+        row_freq = consensus.per_row(lambda om, on: np.mean(om, axis=1, where=on),
+                                     omega[win], online_rows[win])
+        out["steady_freq_hz"] = float(row_freq.mean())
+        scale = meta["k"]  # pinner / k recovers n_i * P_i
     else:
         vbus = data["vbus"]
         out["settling_time_s"] = settling_time(times, np.abs(vbus - meta["v_nominal"]), 1e-2)
         out["steady_vbus_v"] = float(vbus[win].mean())
-        sharing = data["pinner"][win] / meta["c"]  # recovers m_i * I_i
-    # the worst relative spread (%) of the online DERs' shares over the
-    # window; a row whose mean share is not above 1e-9 counts as 0
-    shares = np.where(online_rows[win], sharing, np.nan)
-    spread = np.nanmax(shares, axis=1) - np.nanmin(shares, axis=1)
-    mean_share = np.nanmean(shares, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(mean_share > 1e-9, spread / mean_share, 0.0)
+        scale = meta["c"]  # pinner / c recovers m_i * I_i
+    # the worst relative spread (%) of the online DERs' shares over the window
+    rel = consensus.per_row(lambda pin, on: _relative_spread(pin / scale, on),
+                            data["pinner"][win], online_rows[win])
     out["sharing_spread_pct"] = float(100.0 * np.max(rel))
     out["events_applied"] = record.events_applied
     return out

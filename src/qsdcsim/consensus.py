@@ -86,7 +86,8 @@ MODES = ("qsdc", "qdc_legacy")
 S_FLOOR = 1e-3
 # Steps per theta stream: one Generator serves this many steps' thetas.
 THETA_BLOCK = 1024
-# Rows per CSV block: 64 x 77 float64 stays under glibc's 128 KiB mmap threshold.
+# Rows per chunk of a pass over a record (`row_chunks`): a 64 x 77 float64
+# CSV block stays under glibc's 128 KiB mmap threshold.
 CSV_CHUNK = 64
 
 
@@ -335,10 +336,12 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
         final_rho = None
 
     s_after = np.hypot(w.real, w.imag)
-    # the exact flow keeps s_i <= sin(theta_i) <= 1.  A list's max is the
-    # cheaper reduction at these sizes; "not <=" fails a nan that it returns,
-    # as after an overflow, which turns every connected node to nan
-    if not max(s_after.tolist()) <= 1.0 + 1e-9:
+    # the exact flow keeps s_i <= sin(theta_i) <= 1.  A list's max and sum
+    # are the cheaper reductions at these sizes.  An overflow turns the
+    # connected nodes to nan, but not an isolated one; max skips a nan that
+    # is not first, so the sum catches it
+    coherences = s_after.tolist()
+    if not max(coherences) <= 1.0 + 1e-9 or math.isnan(sum(coherences)):
         raise engine.IntegrationDivergedError(
             f"step {state.step}: integration left the Bloch ball (coherence "
             f"{s_after.max():.3g}); use more substeps")
@@ -373,11 +376,17 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
 def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> np.ndarray:
     """V = 1/2 sum_i (phi_i - phi*)^2 of every row of phis over the nodes
     that the bool mask `online` marks, with phi* the mean of their pinners
-    (the scalar reference `lyapunov` is in `tests/oracles.py`).  Its one
-    run-length float temporary is (T, n), beside the mask's negation."""
-    z = phis - np.mean(pinners, axis=1, where=online, keepdims=True)
-    np.copyto(z, 0.0, where=~online)
-    return 0.5 * np.einsum("ij,ij->i", z, z)
+    (the scalar reference `lyapunov` is in `tests/oracles.py`), one chunk of
+    rows at a time (`per_row`): its one run-length array is its output."""
+    def v(phis, pinners, online):
+        # np.mean's own sum and count, called directly: half its cost a chunk
+        ref = np.add.reduce(pinners, axis=1, where=online, keepdims=True)
+        ref /= np.add.reduce(online, axis=1, dtype=np.intp, keepdims=True)
+        z = phis - ref
+        np.copyto(z, 0.0, where=~online)
+        return 0.5 * np.einsum("ij,ij->i", z, z)
+
+    return per_row(v, phis, pinners, online)
 
 
 def convergence_rate(graph: CommGraph, epsilon: float) -> float:
@@ -404,7 +413,8 @@ class Trajectory:
     `data` maps a series name to its (T,) or (T, n) rows: a consensus run
     records "phi" and "pinner" (row 0 holds the initial phases at t = 0), a
     plant run adds its plant signals and bool "online" (rows from t = dt).
-    `write_csv` makes no run-length copy (see `write_csv_rows`).
+    `write_csv`, `lyapunov_rows` and `cli.summarize` pass over the rows one
+    chunk of `row_chunks` at a time, so no (T, n) temporary is made.
     `lyapunov` is V per row, `meta` holds kind, backend, mode, seed and dt
     (a plant run adds omega_nominal, v_nominal, k and c), and `warnings`
     and `events_applied` are prefixed with their time.
@@ -431,14 +441,29 @@ class Trajectory:
         write_csv_rows(fh, cols + ["V"], *series, self.lyapunov)
 
 
+def row_chunks(length: int) -> list:
+    """Slices of CSV_CHUNK consecutive rows that cover range(length): how
+    every pass over a whole record walks it, so that no temporary is longer."""
+    return [slice(start, start + CSV_CHUNK) for start in range(0, length, CSV_CHUNK)]
+
+
+def per_row(func, *series: np.ndarray) -> np.ndarray:
+    """The (T,) floats that `func` returns for the rows of the (T, ...)
+    `series`, called on each chunk of `row_chunks` in turn."""
+    out = np.empty(len(series[0]))
+    for rows in row_chunks(len(out)):
+        out[rows] = func(*(s[rows] for s in series))
+    return out
+
+
 def write_csv_rows(fh, cols, *series: np.ndarray) -> None:
     """The header, then one line per row of the (T,) or (T, k) `series` side
-    by side, each value as %.9g (a bool as 1 or 0), stacked CSV_CHUNK rows at
-    a time so that no temporary is longer; every CSV the package writes."""
+    by side, each value as %.9g (a bool as 1 or 0), stacked one chunk of
+    `row_chunks` at a time; every CSV the package writes."""
     fh.write(",".join(cols) + "\n")
     line = ",".join(["%.9g"] * len(cols)) + "\n"
-    for start in range(0, len(series[0]), CSV_CHUNK):
-        for row in np.column_stack([s[start:start + CSV_CHUNK] for s in series]):
+    for rows in row_chunks(len(series[0])):
+        for row in np.column_stack([s[rows] for s in series]):
             fh.write(line % tuple(row.tolist()))
 
 

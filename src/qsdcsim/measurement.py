@@ -133,14 +133,17 @@ def _component(bloch, basis: str) -> float:
 
 def _clamped(e) -> np.ndarray:
     """Bloch components clamped to [-1, 1]; one beyond it by more than 1e-9
-    is not a state."""
+    is not a state.
+
+    Two reductions test the range, so input that needs no clip comes back
+    itself, with no copy and no mask: no caller writes to the result."""
     e = np.asarray(e, dtype=float)
-    c = e.clip(-1.0, 1.0)
-    if (c != e).any():  # some |e| > 1, or a nan, which passes through
-        bad = np.abs(e) > 1.0 + 1e-9
-        if bad.any():
-            raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
-    return c
+    if not e.size or e.min() >= -1.0 and e.max() <= 1.0:  # a nan fails both
+        return e
+    bad = np.abs(e) > 1.0 + 1e-9
+    if bad.any():
+        raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
+    return e.clip(-1.0, 1.0)
 
 
 def _sample_zeros(rng: np.random.Generator, shots: int, e):

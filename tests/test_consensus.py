@@ -747,6 +747,18 @@ def test_step_that_leaves_the_bloch_ball_fails(backend, weight):
                 state = qsdc_step(state, StepPlan(graph), cfg, PI / 3)
 
 
+@pytest.mark.parametrize("backend", ["bloch", "phase"])
+def test_step_fails_on_a_nan_coherence_behind_an_isolated_node(backend):
+    # the overflow turns the connected nodes 1-3 to nan, while offline node
+    # 0 keeps a finite coherence ahead of them: a list's max skips the nans
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)], [1e80] * 4)
+    cfg = exact_cfg(backend, theta=ThetaConfig.fixed(1.0), dt=0.1, substeps=1)
+    state = ProtocolState(phis=np.array([0.3, 0.1, 1.2, 0.5]))
+    with pytest.raises(IntegrationDivergedError, match="coherence nan"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            qsdc_step(state, StepPlan(graph, [False, True, True, True]), cfg, 0.8)
+
+
 def test_stiff_but_stable_step_runs():
     # weight 5 at dt 0.1 stays inside the stability region: no false alarm
     graph = build_graph(3, [(0, 1), (1, 2), (0, 2)], [5.0] * 3)
@@ -843,6 +855,17 @@ def test_lyapunov_rows_match_scalar_form():
     for k in range(50):
         on = online[k]
         assert abs(rows[k] - lyapunov(phis[k, on], pinners[k, on].mean())) <= 1e-15
+
+
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 3 * CSV_CHUNK + 5])
+def test_lyapunov_rows_in_chunks_equal_the_whole_array_form_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    phis, pinners = rng.uniform(0.0, PI / 2, (2, rows, 15))
+    online = rng.random((rows, 15)) < 0.8
+    z = phis - np.mean(pinners, axis=1, where=online, keepdims=True)
+    z[~online] = 0.0
+    whole = 0.5 * np.einsum("ij,ij->i", z, z)
+    assert lyapunov_rows(phis, pinners, online).tobytes() == whole.tobytes()
 
 
 def test_run_lyapunov_column_is_v_against_mean_pinner():

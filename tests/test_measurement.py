@@ -150,6 +150,15 @@ def test_clamped_is_np_clip_and_raises_exactly_beyond_tolerance():
                 assert measurement._clamped(view).tobytes() == np.clip(view, -1.0, 1.0).tobytes()
 
 
+def test_clamped_returns_input_in_range_without_a_copy():
+    e = np.array([0.25, 1.0, -1.0, -0.0, 0.75])
+    grid = np.zeros((5, 6))
+    grid[:, 3] = e
+    for view in (e, grid[:, 3], np.stack((e, e[::-1])).T, e[::-2]):
+        assert np.shares_memory(measurement._clamped(view), view)
+    assert measurement._clamped(np.array([0.5, 1 + 5e-10])).tolist() == [0.5, 1.0]
+
+
 @pytest.mark.parametrize("step", [0, 1, 1023])
 def test_step_streams_are_not_shifted_copies(step):
     # numpy's Philox adds 1 to counter word 0 every 4 outputs: with the step

@@ -1,18 +1,19 @@
 """Memory bounds of a run's output path: `lyapunov_rows`, `summarize` and
-`Trajectory.write_csv` on a 6000-step, 15-DER AC record, measured with
-tracemalloc (numpy reports its array buffers to it)."""
+`Trajectory.write_csv` on a 6000-step, 15-DER AC record, and of
+`eve_intercept` on a 60000-step stream, measured with tracemalloc (numpy
+reports its array buffers to it)."""
 
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qsdcsim import cli, consensus, microgrid
+from qsdcsim import cli, consensus, measurement, microgrid
 
 STEPS, NODES = 6000, 15
-FLOAT_SERIES = STEPS * NODES * 8  # one (T, n) float64 array: 0.69 MiB
-MASK = STEPS * NODES  # its (T, n) bool mask
+MASK = STEPS * NODES  # a (T, n) bool mask, the smallest (T, n) array: 88 KiB
 
 
 def traced_peak(call) -> int:
@@ -45,9 +46,17 @@ def test_write_csv_makes_no_run_length_copy(ac_record):
         assert traced_peak(lambda: ac_record.write_csv(fh)) < 0.5 * 2**20
 
 
-def test_lyapunov_and_summary_hold_one_float_series(ac_record):
+def test_lyapunov_and_summary_hold_no_run_length_node_array(ac_record):
+    # each holds its (T,) float series (47 KiB) and one chunk's temporaries
     data = ac_record.data
-    bound = FLOAT_SERIES + MASK + 128 * 2**10  # two float series would be 1.37 MiB
     assert traced_peak(lambda: consensus.lyapunov_rows(
-        data["phi"], data["pinner"], data["online"])) < bound
-    assert traced_peak(lambda: cli.summarize(ac_record)) < bound
+        data["phi"], data["pinner"], data["online"])) < MASK
+    assert traced_peak(lambda: cli.summarize(ac_record)) < MASK
+
+
+def test_eve_intercept_holds_no_copy_of_its_stream():
+    # each basis's shots are drawn from a strided view of the stream
+    thetas = np.random.default_rng(3).uniform(0.0, math.pi, 60000)
+    stream = measurement.constant_phase_stream(math.pi / 6, thetas, r=1.0)
+    peak = traced_peak(lambda: measurement.eve_intercept(stream, "cycle", 1, seed=7))
+    assert peak < stream.nbytes / 2

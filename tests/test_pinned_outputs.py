@@ -5,11 +5,12 @@ A change that moves outputs on purpose regenerates the table in the same
 commit, with `PYTHONPATH=src python tests/test_pinned_outputs.py`, so that the
 table's diff names every output that moved.  A failure names each moved file
 and prints the text of each moved JSON summary.  The digests hold for the
-numeric platform recorded in the table: the numpy and BLAS build and numpy's
-active SIMD dispatch.  A mismatch on another platform names each of these
-fields that differs.
+numeric platform recorded in the table: the numpy and BLAS build, numpy's
+active SIMD dispatch and the OpenBLAS core.  A mismatch on another platform
+names each of these fields that differs.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -38,10 +39,32 @@ for command, scenario, extra in [
     RUNS[" ".join([scenario, *extra])] = (command, scenario, extra)
 
 
+def blas_core() -> str:
+    """The core whose kernels OpenBLAS runs (OPENBLAS_CORETYPE overrides it),
+    read through ctypes from the OpenBLAS library of a numpy wheel, which
+    numpy has loaded; "unknown" when it cannot be read."""
+    numpy_dir = Path(np.__file__).parent
+    libs = sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                   *numpy_dir.glob(".dylibs/*openblas*")])
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # the symbol's prefix and suffix depend on how OpenBLAS was built
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+
 def build() -> dict:
-    """The numeric platform: the numpy and BLAS build, and numpy's SIMD
-    dispatch as `np.show_runtime` reports it (the baseline and the found
-    extensions; NPY_DISABLE_CPU_FEATURES takes extensions out of it)."""
+    """The numeric platform: the numpy and BLAS build, numpy's SIMD dispatch
+    as `np.show_runtime` reports it (the baseline and the found extensions;
+    NPY_DISABLE_CPU_FEATURES takes extensions out of it) and `blas_core`."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
@@ -50,7 +73,8 @@ def build() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
     return {"build": f"numpy {np.__version__}, {blas['name']} {blas['version']}",
-            "simd": f"baseline {' '.join(umath.__cpu_baseline__)}; found {' '.join(found)}"}
+            "simd": f"baseline {' '.join(umath.__cpu_baseline__)}; found {' '.join(found)}",
+            "blas_core": blas_core()}
 
 
 def platform_note(table: dict) -> str:
@@ -94,6 +118,14 @@ def test_platform_note_names_the_differing_field():
     assert platform_note(here) == ""
     note = platform_note(dict(here, simd="baseline X86_V2; found X86_V3"))
     assert "simd is " in note and "build" not in note
+
+
+def test_platform_note_names_the_blas_core():
+    here = build()
+    assert here["blas_core"]  # a core name, or "unknown"
+    note = platform_note(dict(here, blas_core="Prescott"))
+    assert f"blas_core is {here['blas_core']!r} here, 'Prescott' in the table" in note
+    assert "simd" not in note and "build" not in note
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import shutil
@@ -239,6 +240,27 @@ def test_summarize_ac_zero_shares_is_finite():
         warnings.simplefilter("error", RuntimeWarning)
         s = summarize(ts)
     assert s["sharing_spread_pct"] == 0.0
+
+
+@pytest.mark.parametrize("steps, rate, cut", [(3, 0.5, False), (40, 2.0, False),
+                                              (2001, 0.7, False), (2001, 30.0, True),
+                                              (6000, 12.0, True)])
+def test_fitted_rate_is_the_least_squares_slope_without_lapack(steps, rate, cut, monkeypatch):
+    rng = np.random.default_rng(steps)
+    times = np.arange(steps) * 0.01
+    values = np.exp(-rate * times + rng.normal(0.0, 0.05, steps))
+    head = values > values[0] * 1e-10
+    end = int(np.argmin(head)) if not head.all() else steps
+    assert (end < steps) == cut  # the 1e-10 floor cuts the fit window
+    want = -np.polyfit(times[:end], np.log(values[:end]), 1)[0]
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    # np.polyfit calls the lstsq that its own module imported
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    monkeypatch.setitem(inspect.unwrap(np.polyfit).__globals__, "lstsq", no_lapack)
+    assert fitted_decay_rate(times, values) == pytest.approx(want, rel=1e-12)
 
 
 def test_fitted_rate_matches_convergence_bound():
