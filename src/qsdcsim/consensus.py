@@ -33,12 +33,12 @@ see it isolated.
 
 Random streams are keyed per step, not per node (`measurement.stream_rng`
 lists the keys): with shots the stream (seed, shots tag, step) draws the X
-and Y counts of all n nodes in one (2, n) binomial draw, entry i for physical
-node i.  Thetas come in blocks of THETA_BLOCK steps: the stream
-(seed, theta tag, step // THETA_BLOCK) draws a (THETA_BLOCK, n) block and
-step reads its row step % THETA_BLOCK, so the thetas stay a pure function of
-(seed, step, n, lo, hi).  Offline and aborted nodes draw and discard, so no
-node's draws depend on another node's state.
+and Y counts of all n nodes in one (2, n) draw of `measurement._sample_zeros`,
+entry i for physical node i.  Thetas come in blocks of THETA_BLOCK steps:
+the stream (seed, theta tag, step // THETA_BLOCK) draws a (THETA_BLOCK, n)
+block and step reads its row step % THETA_BLOCK, so the thetas stay a pure
+function of (seed, step, n, lo, hi).  Offline and aborted nodes draw and
+discard, so no node's draws depend on another node's state.
 
 Within a step the rotation angle stays frozen (it is set once per step from
 the measured phase), so the flow is one n x n matrix on w:
@@ -237,11 +237,11 @@ def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> n
 def _measure_node(w: np.ndarray, config: ProtocolConfig, step: int):
     """Measured <X> and <Y> of all n nodes, from w = <X> + i*<Y>.
 
-    Exact mode returns (w.real, w.imag).  With shots, one binomial draw from
-    the stream (seed, shots tag, step) takes config.shots shots in X (row 0)
-    and in Y (row 1) on every node; the rows are a strided (2, n) view of
-    w's own memory, not a copy.  qdc_legacy measures X only, a (1, n) draw,
-    and reads <Y> as nan.
+    Exact mode returns (w.real, w.imag).  With shots, one `_sample_zeros`
+    draw from the stream (seed, shots tag, step) takes config.shots shots
+    in X (row 0) and in Y (row 1) on every node, one uniform per entry at
+    one shot; the rows are a strided (2, n) view of w's own memory, not a
+    copy.  qdc_legacy measures X only, a (1, n) draw, and reads <Y> as nan.
     """
     if config.exact:
         return w.real, w.imag

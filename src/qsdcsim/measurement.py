@@ -10,12 +10,13 @@ X, Y or Z component (Hadamard for X, S-dagger then Hadamard for Y, nothing
 for Z).  `_gate_level_p0` in `tests/oracles.py` applies the actual 2x2
 circuit, the oracle of the closed form.
 
-Everything measures arrays: one binomial draw takes the counts of all nodes
-in every measured basis of a protocol step, or of all intercepted steps in
-one basis, and a node that is offline or aborted draws and discards, never
-shifting another's draws.  Every random stream is a Philox counter-based
-generator (Salmon et al., SC'11) whose key and counter `stream_rng` lists,
-so each is a pure function of (seed, tag, step).
+Everything measures arrays: one draw of `_sample_zeros` (numpy's binomial
+draw, made at one shot from one uniform per entry) takes the counts of all
+nodes in every measured basis of a protocol step, or of all intercepted
+steps in one basis, and a node that is offline or aborted draws and
+discards, never shifting another's draws.  Every random stream is a Philox
+counter-based generator (Salmon et al., SC'11) whose key and counter
+`stream_rng` lists, so each is a pure function of (seed, tag, step).
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def stream_rng(seed: int, tag: int, step: int = 0) -> np.random.Generator:
 
       (seed, T["theta"], step // B)  protocol thetas of all n nodes for B
                                      steps, one row per step (row step % B);
-      (seed, T["shots"], step)       protocol shots of one step: one draw of
-                                     shape (2, n), row 0 in X and row 1 in Y
+      (seed, T["shots"], step)       protocol shots of one step: one
+                                     `_sample_zeros` draw of shape (2, n),
+                                     row 0 in X and row 1 in Y
                                      (qdc_legacy: (1, n), X only), made by
                                      the generator `rekeyed_rng` returns;
       (seed, T["eve_theta"], 0)      polar angles of the `qsdcsim eve` stream;
@@ -132,15 +134,15 @@ def _component(bloch, basis: str) -> float:
 
 
 def _clamped(e) -> np.ndarray:
-    """Bloch components clamped to [-1, 1]; one beyond it by more than 1e-9
-    is not a state.
+    """Bloch components clamped to [-1, 1]; one beyond it by more than 1e-9,
+    or a nan, is not a state.
 
     Two reductions test the range, so input that needs no clip comes back
     itself, with no copy and no mask: no caller writes to the result."""
     e = np.asarray(e, dtype=float)
     if not e.size or e.min() >= -1.0 and e.max() <= 1.0:  # a nan fails both
         return e
-    bad = np.abs(e) > 1.0 + 1e-9
+    bad = ~(np.abs(e) <= 1.0 + 1e-9)  # a nan is bad
     if bad.any():
         raise InvalidStateError(f"Bloch component {e[bad].flat[0]} lies outside [-1, 1]")
     return e.clip(-1.0, 1.0)
@@ -148,8 +150,35 @@ def _clamped(e) -> np.ndarray:
 
 def _sample_zeros(rng: np.random.Generator, shots: int, e):
     """Zero outcomes of `shots` shots on each qubit whose component in the
-    measured basis is `e`, in one binomial draw: the package's one sampler."""
-    return rng.binomial(shots, 0.5 * (1.0 + _clamped(e)))
+    measured basis is `e`: the package's one sampler.  It draws what
+    `rng.binomial(shots, p)` draws, p = 0.5 * (1.0 + e), one count per entry.
+
+    At one shot (a bool per entry) it makes binomial's own event from the
+    same uniforms without binomial's per-entry cost: numpy inverts the CDF
+    (Kachitvichyanukul and Schmeiser, CACM 31(2), 1988) from one uniform U
+    per entry in C order, but caches its set-up per (n, p), so each new p
+    pays a log, an exp and a sqrt.  With q = 1.0 - p, an entry is a zero
+    when U > q for p <= 0.5, and when U <= 1.0 - q for p > 0.5, where
+    1.0 - q is p itself (both subtractions are exact there); an entry with
+    p == 0 is no zero and takes no uniform.  `rng.random` gives the same U
+    from the same stream position.  numpy compares U with exp(log(t)) for
+    the threshold t, which can lie an ulp from t, so an outcome can differ
+    only when U falls between the two: about 1e-16 per draw."""
+    p = _clamped(e) + 1.0
+    p *= 0.5  # bitwise 0.5 * (1.0 + e)
+    if shots != 1:
+        return rng.binomial(shots, p)
+    p = np.asarray(p)  # a 0-d e made p a scalar; the threshold is written in p
+    if p.all():
+        u = rng.random(p.shape)
+    else:
+        u = np.zeros(p.shape)
+        u[p != 0.0] = rng.random(np.count_nonzero(p))
+    high = p > 0.5
+    np.subtract(1.0, p, out=p, where=~high)  # the threshold: q, or p above 0.5
+    zeros = u > p
+    zeros ^= high  # above 0.5 a zero is U <= p
+    return zeros
 
 
 def sample_basis(bloch, basis: str, shots: int, seed) -> CountHistogram:

@@ -273,6 +273,20 @@ def test_sampled_run_draws_once_per_step(monkeypatch):
     assert draws == [(2, 3)] * 50
 
 
+def test_one_shot_run_equals_the_binomial_reference_bitwise(monkeypatch):
+    # one shot per basis and node takes the sampler's one-shot path
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    cfg = ProtocolConfig(dt=0.01, substeps=2, shots=1, seed=9, backend="bloch",
+                         theta=ThetaConfig.uniform(0.3, 2.8))
+    init = [0.1, 0.5, 0.9, 1.2, 1.5]
+    got = run_consensus(init, PI / 3, g, cfg, horizon=1.0)
+    monkeypatch.setattr(consensus, "_sample_zeros",
+                        lambda rng, shots, e: rng.binomial(shots, 0.5 * (1.0 + np.clip(e, -1, 1))))
+    want = run_consensus(init, PI / 3, g, cfg, horizon=1.0)
+    assert got.phis.tobytes() == want.phis.tobytes()
+    assert got.warnings == want.warnings
+
+
 def test_shot_draws_are_a_pure_function_of_seed_and_step():
     # (seed, shots tag, step)'s fresh stream, whatever was measured before
     xs, ys = np.linspace(-0.9, 0.9, 5), np.linspace(0.8, -0.2, 5)

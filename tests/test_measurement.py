@@ -135,15 +135,15 @@ def test_rekey_in_place_leaks_no_state_between_streams():
 
 
 def test_clamped_is_np_clip_and_raises_exactly_beyond_tolerance():
-    # one clip pass; the tolerance test runs only when the clip moved
-    # something, with the same verdicts: -0.0 and nan pass through
+    # in range, or within 1e-9 of it, the result is np.clip's bitwise (-0.0
+    # stays -0.0); beyond the tolerance, or at a nan, it raises
     edge = [1.0, -1.0, 1 + 5e-10, -(1 + 5e-10), 1 + 2e-9, -(1 + 2e-9), -0.0, math.nan]
     for value in edge:
         e = np.array([0.25, value, -0.5, 0.75])
         grid = np.zeros((4, 6))
         grid[:, 3] = e
         for view in (e, grid[:, 3], np.stack((e, e[::-1])).T, e[::-2]):
-            if (np.abs(view) > 1 + 1e-9).any():
+            if not (np.abs(view) <= 1 + 1e-9).all():
                 with pytest.raises(InvalidStateError, match="lies outside"):
                     measurement._clamped(view)
             else:
@@ -157,6 +157,82 @@ def test_clamped_returns_input_in_range_without_a_copy():
     for view in (e, grid[:, 3], np.stack((e, e[::-1])).T, e[::-2]):
         assert np.shares_memory(measurement._clamped(view), view)
     assert measurement._clamped(np.array([0.5, 1 + 5e-10])).tolist() == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("shots", [1, 16])
+def test_sampler_rejects_a_nan_component(shots):
+    # one shot would read a nan as a one, binomial as "p contains NaNs"
+    for e in ([0.2, math.nan], np.array([[0.5, -0.1], [math.nan, 1.0]]).T, math.nan):
+        with pytest.raises(InvalidStateError, match="nan"):
+            _sample_zeros(stream_rng(1, 0), shots, e)
+    with pytest.raises(InvalidStateError, match="nan"):
+        sample_basis((math.nan, 0.0, 0.0), "X", shots, seed=1)
+
+
+def one_shot_edges():
+    """Components whose p = 0.5 * (1.0 + e) sits at an edge of numpy's
+    inversion: 0 (no uniform taken), 1, 0.5 and both its neighbours, and the
+    smallest p above 0 and the largest below 1.  No component gives a p
+    between 0 and 2**-54, such as 1e-300: 1.0 + e rounds it to 0."""
+    e = np.array([-1.0, 1.0, 0.0, -2.0**-53, 2.0**-52, -1.0 + 2.0**-53, 1.0 - 2.0**-52,
+                  -0.0, 1e-300 - 1.0])
+    p = 0.5 * (1.0 + e)
+    assert p.tolist() == [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                          2.0**-54, np.nextafter(1.0, 0.0), 0.5, 0.0]
+    return e
+
+
+def test_one_shot_draws_are_numpys_binomial_draws():
+    # the edges, the eve stream's three components at phi = pi/6 and uniform
+    # components, shuffled: each entry and the stream position after the
+    # draw equal binomial(1, p)'s, for a contiguous and a strided (2, m) e
+    rng = np.random.default_rng(33)
+    stream = constant_phase_stream(math.pi / 6, rng.uniform(0.0, math.pi, 2000), 1.0)
+    e = np.concatenate((np.repeat(one_shot_edges(), 300), stream.ravel(),
+                        rng.uniform(-1.0, 1.0, 4000)))
+    rng.shuffle(e)
+    rows = np.zeros((e.size // 2, 3))
+    rows[:, 2] = e[: e.size // 2]
+    rows[:, 0] = e[e.size // 2:]
+    for seed in range(8):
+        for comps in (e, rows[:, ::2].T):
+            got, want = stream_rng(seed, 5), stream_rng(seed, 5)
+            zeros = _sample_zeros(got, 1, comps)
+            assert zeros.shape == comps.shape
+            assert np.array_equal(zeros, want.binomial(1, 0.5 * (1.0 + comps)))
+            assert got.random() == want.random()
+            # more shots stay numpy's binomial, bitwise and in dtype
+            got, want = stream_rng(seed, 5), stream_rng(seed, 5)
+            zeros = _sample_zeros(got, 2, comps)
+            assert zeros.dtype == np.int64
+            assert np.array_equal(zeros, want.binomial(2, 0.5 * (1.0 + comps)))
+            assert got.random() == want.random()
+
+
+def test_one_shot_basis_sample_is_numpys_binomial_draw():
+    # a single component, a 0-d draw, from a Generator and from an int seed
+    for seed in range(4):
+        for e in one_shot_edges().tolist() + [0.3, -0.7]:
+            got, want = stream_rng(seed, 5), stream_rng(seed, 5)
+            h = sample_basis((0.0, e, 0.0), "Y", 1, got)
+            assert h.zeros == want.binomial(1, 0.5 * (1.0 + e))
+            assert got.random() == want.random()
+            assert sample_basis((0.0, 0.0, e), "Z", 1, seed).zeros == \
+                stream_rng(seed, _STREAM_TAG["Z"]).binomial(1, 0.5 * (1.0 + e))
+
+
+def binomial_sampler(rng, shots, e):
+    """The sampler as one binomial draw, the one-shot path's reference."""
+    return rng.binomial(shots, 0.5 * (1.0 + _clamped(e)))
+
+
+def test_one_shot_eve_report_equals_the_binomial_reference(monkeypatch):
+    thetas = stream_rng(2, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, 9001)
+    stream = constant_phase_stream(math.pi / 6, thetas, 1.0)
+    got = eve_intercept(stream, "cycle", shots_per_step=1, seed=4)
+    monkeypatch.setattr(measurement, "_sample_zeros", binomial_sampler)
+    want = eve_intercept(stream, "cycle", shots_per_step=1, seed=4)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 @pytest.mark.parametrize("step", [0, 1, 1023])
@@ -357,6 +433,15 @@ def test_eve_basis_totals_follow_policy(monkeypatch, policy, measured):
         b: 5 * steps for b, steps in measured.items()}
     assert rep.shots_total == 5 * sum(measured.values())
     assert len(calls) == len(measured)  # one stream per measured basis, at most 3
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_eve_rejects_a_nan_component(exact):
+    # exact mode reported informed_phi and a mean of nan
+    stream = constant_phase_stream(0.4, np.full(7, 1.0), 1.0)
+    stream[4, 1] = math.nan
+    with pytest.raises(InvalidStateError, match="nan"):
+        eve_intercept(stream, "cycle", shots_per_step=1, seed=1, exact=exact)
 
 
 def test_eve_empty_stream_rejected():
