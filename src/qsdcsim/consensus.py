@@ -203,6 +203,8 @@ class MixingEvent:
         if not self.t_start <= self.t_end:  # also false for a nan end
             raise ValueError(f"event window [{self.t_start}, {self.t_end}) needs t_start <= t_end")
         object.__setattr__(self, "nodes", tuple(int(i) for i in self.nodes))
+        if min(self.nodes, default=0) < 0:  # -1 would index the last node
+            raise ValueError(f"nodes must be node indices >= 0, got {self.nodes}")
 
     def active(self, t: float, dt: float) -> bool:
         return self.t_start - 0.5 * dt <= t < self.t_end - 0.5 * dt

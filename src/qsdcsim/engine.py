@@ -232,9 +232,9 @@ class IndexJumpSet:
 
     `rhs` applies them as one packed phase mask and, per edge, one gather of
     `concatenate((v, conj(v)))` through its packed index: `swaps`, the
-    `swap_groups` of the edges, shared if given, else built on first use and
-    held by the set.  `tests/oracles.py` builds the explicit operators from
-    the public `n`, `pin_angles`, `edges` and `weights`.
+    `swap_groups` of the edges, shared if given, else built by the set.
+    `tests/oracles.py` builds the explicit operators from the public `n`,
+    `pin_angles`, `edges` and `weights`.
     """
 
     def __init__(self, n: int, pin_angles, edges, weights, swaps=None):
@@ -242,8 +242,7 @@ class IndexJumpSet:
         self.pin_angles = np.array(pin_angles, dtype=float)
         self.edges = tuple(edges)
         self.weights = tuple(weights)
-        if swaps is not None:
-            self._swap_groups = swaps
+        self.swaps = swap_groups(n, self.edges, self.weights) if swaps is None else swaps
 
     @property
     def total_weight(self) -> float:
@@ -254,16 +253,12 @@ class IndexJumpSet:
         e = np.exp(1j * _node_bits(self.n) * self.pin_angles)
         return pack(e @ e.conj().T) - self.total_weight
 
-    @functools.cached_property
-    def _swap_groups(self) -> list:
-        return swap_groups(self.n, self.edges, self.weights)
-
     def rhs(self, v: np.ndarray) -> np.ndarray:
         out = self._mask * v
         both = np.empty(2 * len(v), dtype=v.dtype)
         both[:len(v)] = v
         np.conjugate(v, out=both[len(v):])
-        for w, indices in self._swap_groups:
+        for w, indices in self.swaps:
             scaled = both if w == 1.0 else w * both
             for index in indices:
                 out += scaled.take(index)

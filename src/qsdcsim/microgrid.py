@@ -14,11 +14,12 @@ alternative is unstable for m_i >> R_i, which is exactly the regime the
 droop accuracy condition requires).
 
 `run_plant` splits the horizon at its events and builds one `PlantSegment`
-per part; `ac_step` and `dc_step` read the segment and write one row of the
-run's `_record`.  An offline DER keeps its index: `qsdc_step` runs on the
-segment's `StepPlan` of the full communication graph and the DERs' online
-flags, which isolates the DER and holds its phase.  It carries no current
-(DC); its bus is passive (AC).
+per part.  `ac_step` and `dc_step` read only that segment, take and return
+(protocol state, carry), the carry being the bus angles (AC) or the DER
+currents (DC), and write one row of the run's `_record`.  An offline DER
+keeps its index: `qsdc_step` runs on the segment's `StepPlan` of the full
+communication graph and the DERs' online flags, which isolates the DER and
+holds its phase.  It carries no current (DC); its bus is passive (AC).
 
 `run_plant` records a run in the same `consensus.Trajectory` as a consensus
 run, with the plant series beside "phi", "pinner" and "online".
@@ -194,56 +195,57 @@ def _record(kind: str, rows: int, n: int) -> dict:
             for name in names + ("phi", "pinner", "online")}
 
 
+def _gain(kind: str, ders, network) -> float:
+    """`pinner_gain` of the network's k (AC) or c (DC) and the DERs' spans."""
+    gain, rated = (network.k, "rated_kw") if kind == "ac" else (network.c, "rated_current")
+    return pinner_gain(gain, [d.droop * getattr(d, rated) for d in ders])
+
+
 class PlantSegment:
-    """What the steps up to the next event read: the `StepPlan` of the DERs'
-    online flags, their droops n_i or m_i and pinner gains k*n_i or c*m_i
-    (ValueError if the droops break `pinner_gain`'s bound), and copies of
-    the network arrays (AC: bus loads, line operators and the
-    `_passive_table` of the offline DERs' buses; DC: R_i + m_i and the
+    """All that the steps up to the next event read, taken at the segment
+    start: the `StepPlan` of the DERs' online flags, their droops n_i or m_i,
+    the gain k or c (`_gain`; ValueError if a droop breaks its bound), the
+    pinner gains k*n_i or c*m_i, the nominal frequency or voltage, and
+    copies of the network arrays (AC: bus loads, line operators and the
+    `_passive_table` of the offline DERs' buses; DC: R_i + m_i, R_L and the
     online DERs' indices)."""
 
     def __init__(self, kind: str, ders, network, comm: CommGraph):
         online = np.array([d.online for d in ders])
         self.plan = StepPlan(comm, online)
         self.droops = np.array([d.droop for d in ders])
-        gain, rated = (network.k, "rated_kw") if kind == "ac" else (network.c, "rated_current")
         # a droop_change can break the bound the run's gain met at its start
-        self.gains = pinner_gain(gain, [d.droop * getattr(d, rated) for d in ders]) * self.droops
+        self.gain = _gain(kind, ders, network)
+        self.pinner_gains = self.gain * self.droops
         if kind == "ac":
+            self.nominal = network.omega_nominal
             self.loads = network.bus_loads.copy()
             self.operators = _line_operators(network.lines, len(self.loads))
             self.buses = _passive_table(network.lines, self.loads, self.plan.offline.tolist())
         else:
+            self.nominal, self.r_load = network.v_nominal, network.r_load
             self.r_series = np.array([d.line_r for d in ders]) + self.droops
             self.online_idx = np.flatnonzero(online)
 
 
-@dataclass
-class AcPlantState:
-    deltas: np.ndarray
-    protocol: ProtocolState
-
-
-def ac_step(plant: AcPlantState, network: AcNetwork, config: ProtocolConfig, mixing,
-            segment: PlantSegment, record: dict, row: int) -> AcPlantState:
-    """One co-simulation step of dt on `segment`: power flow, consensus
-    update with pinners k*n_i*P_i, droop frequencies, angle integration.
-    The outputs go into row `row` of the `_record` `record`."""
-    nominal = network.omega_nominal
-
-    deltas = _solve_passive_buses(plant.deltas, segment.buses)
+def ac_step(protocol: ProtocolState, deltas: np.ndarray, config: ProtocolConfig, mixing,
+            segment: PlantSegment, record: dict, row: int) -> tuple[ProtocolState, np.ndarray]:
+    """One co-simulation step of dt on `segment` from bus angles `deltas`:
+    power flow, consensus update with pinners k*n_i*P_i, droop frequencies,
+    angle integration.  Writes row `row` of `record` but "online"."""
+    nominal = segment.nominal
+    deltas = _solve_passive_buses(deltas, segment.buses)
     power = ac_power_flow(deltas, segment.operators, segment.loads)
-    record["pinner"][row] = pinners = segment.gains * power
+    record["pinner"][row] = pinners = segment.pinner_gains * power
 
-    protocol = qsdc_step(plant.protocol, segment.plan, config, pinners, mixing)
+    protocol = qsdc_step(protocol, segment.plan, config, pinners, mixing)
 
-    omega = nominal - segment.droops * power + protocol.phis / network.k
+    omega = nominal - segment.droops * power + protocol.phis / segment.gain
     omega[segment.plan.offline] = nominal
     deltas = deltas + config.dt * 2.0 * math.pi * (omega - nominal)
 
     record["omega"][row], record["power"][row], record["phi"][row] = omega, power, protocol.phis
-    record["online"][row] = segment.plan.online
-    return AcPlantState(deltas=deltas, protocol=protocol)
+    return protocol, deltas
 
 
 def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]:
@@ -264,29 +266,24 @@ def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]
     return float(vb), currents
 
 
-@dataclass
-class DcPlantState:
-    protocol: ProtocolState
-    currents: np.ndarray
+def dc_step(protocol: ProtocolState, currents: np.ndarray, config: ProtocolConfig, mixing,
+            segment: PlantSegment, record: dict, row: int) -> tuple[ProtocolState, np.ndarray]:
+    """One co-simulation step from DER currents `currents`: consensus with
+    pinners c*m_i*I_i, then the droop-closed bus solve with the updated
+    phases; the rest as in `ac_step`."""
+    record["pinner"][row] = pinners = segment.pinner_gains * currents
 
-
-def dc_step(plant: DcPlantState, network: DcNetwork, config: ProtocolConfig, mixing,
-            segment: PlantSegment, record: dict, row: int) -> DcPlantState:
-    """One co-simulation step: consensus with pinners c*m_i*I_i, then the
-    droop-closed bus solve with the updated phases; the rest as in `ac_step`."""
-    record["pinner"][row] = pinners = segment.gains * plant.currents
-
-    protocol = qsdc_step(plant.protocol, segment.plan, config, pinners, mixing)
+    protocol = qsdc_step(protocol, segment.plan, config, pinners, mixing)
     phis = protocol.phis
 
-    v_src = network.v_nominal + phis / network.c
-    vb, currents = dc_solve(v_src, segment.r_series, network.r_load, segment.online_idx)
+    v_src = segment.nominal + phis / segment.gain
+    vb, currents = dc_solve(v_src, segment.r_series, segment.r_load, segment.online_idx)
     v_refs = v_src - segment.droops * currents
-    v_refs[segment.plan.offline] = network.v_nominal
+    v_refs[segment.plan.offline] = segment.nominal
 
     record["vbus"][row], record["current"][row], record["vref"][row] = vb, currents, v_refs
-    record["phi"][row], record["online"][row] = phis, segment.plan.online
-    return DcPlantState(protocol=protocol, currents=currents)
+    record["phi"][row] = phis
+    return protocol, currents
 
 
 def _check_comm_connected(comm: CommGraph, ders, when: str) -> None:
@@ -332,7 +329,8 @@ def run_plant(
     """Fixed-step co-simulation of an AC or DC scenario.
 
     Plant and protocol share the same dt; events snap to the nearest step
-    start, and one that snaps outside steps 0 .. steps - 1 raises ValueError.
+    start, and one that snaps outside steps 0 .. steps - 1 or names a node
+    outside 0 .. n - 1 raises ValueError.
     The run works on copies of `ders` and `network`, so events and the
     default k (AC) or c (DC) never reach the caller's objects.  The record
     holds one row per step from t = dt, the series of `_record`; its `meta`
@@ -341,13 +339,9 @@ def run_plant(
     n = len(ders)
     steps = step_count(horizon, config.dt)
     ders, network = copy.deepcopy((ders, network))
-    protocol = ProtocolState(phis=np.zeros(n))
-    if kind == "ac":
-        network.k = pinner_gain(network.k, [d.droop * d.rated_kw for d in ders])
-        plant, step = AcPlantState(deltas=np.zeros(n), protocol=protocol), ac_step
-    else:
-        network.c = pinner_gain(network.c, [d.droop * d.rated_current for d in ders])
-        plant, step = DcPlantState(protocol=protocol, currents=np.zeros(n)), dc_step
+    setattr(network, "k" if kind == "ac" else "c", _gain(kind, ders, network))
+    step = ac_step if kind == "ac" else dc_step
+    protocol, carry = ProtocolState(phis=np.zeros(n)), np.zeros(n)  # angles or currents
     _check_comm_connected(comm, ders, "initial topology")
 
     by_step: dict[int, list[Event]] = {}
@@ -355,6 +349,9 @@ def run_plant(
         idx = int(round(ev.time / config.dt))
         if not (0 <= idx < steps):  # step `steps` would start after the last row
             raise ValueError(f"event at t={ev.time} outside the horizon")
+        if "node" in ev.payload and int(ev.payload["node"]) not in range(n):
+            raise ValueError(f"event at t={ev.time} names node {ev.payload['node']} "
+                             f"outside 0 .. {n - 1}")
         by_step.setdefault(idx, []).append(ev)
 
     data = _record(kind, steps, n)
@@ -368,10 +365,11 @@ def run_plant(
             if ev.kind in ("plug", "unplug"):
                 _check_comm_connected(comm, ders, f"after {ev.kind} at t={ev.time:g}")
         segment = PlantSegment(kind, ders, network, comm)
+        data["online"][start:stop] = segment.plan.online
         for kstep in range(start, stop):
-            plant = step(plant, network, config, mixing, segment, data, kstep)
-            if plant.protocol.warnings:
-                noted.append((kstep, plant.protocol.warnings))
+            protocol, carry = step(protocol, carry, config, mixing, segment, data, kstep)
+            if protocol.warnings:
+                noted.append((kstep, protocol.warnings))
 
     return run_record(kind, np.arange(1, steps + 1) * config.dt, data, config, noted, applied,
                       **{key: getattr(network, key, None)

@@ -103,6 +103,13 @@ def test_mixing_event_rejects_a_nan_window_end(t_start, t_end):
         MixingEvent(nodes=(0,), t_start=t_start, t_end=t_end, p=0.1)
 
 
+def test_mixing_event_rejects_a_negative_node():
+    # node -1 used to shrink the last node on bloch and raise IndexError on full;
+    # the message starts with the field name, which scenario._built maps to a path
+    with pytest.raises(ValueError, match=r"^nodes must be node indices >= 0, got \(2, -1\)$"):
+        MixingEvent(nodes=(2, -1), t_start=0.0, t_end=1.0, p=0.1)
+
+
 def test_qdc_mode_forces_equator_theta():
     cfg = ProtocolConfig(mode="qdc_legacy", theta=ThetaConfig.uniform(0.3, 2.0))
     assert cfg.theta.kind == "fixed"

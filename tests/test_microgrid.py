@@ -18,10 +18,8 @@ from qsdcsim.consensus import (
 from qsdcsim.microgrid import (
     AcDer,
     AcNetwork,
-    AcPlantState,
     DcDer,
     DcNetwork,
-    DcPlantState,
     Event,
     MicrogridError,
     PartitionError,
@@ -59,13 +57,15 @@ def ac3():
     return ders, net, comm
 
 
-def one_step(kind, plant, ders, net, comm, cfg):
-    """A plant step on its own: the segment and one-row record a run would
-    build around it; returns the new state and that row."""
+def one_step(kind, protocol, carry, ders, net, comm, cfg):
+    """A plant step on its own from (protocol, carry): the segment and
+    one-row record a run would build around it, with the online row the run
+    fills; returns the step's (protocol, carry) and that row."""
     segment, record = PlantSegment(kind, ders, net, comm), _record(kind, 1, len(ders))
+    record["online"][0] = segment.plan.online
     step = ac_step if kind == "ac" else dc_step
-    plant = step(plant, net, cfg, (), segment, record, 0)
-    return plant, {name: arr[0] for name, arr in record.items()}
+    out = step(protocol, carry, cfg, (), segment, record, 0)
+    return out, {name: arr[0] for name, arr in record.items()}
 
 
 def dc3(r_load=100.0, line_r=0.002):
@@ -138,9 +138,8 @@ def test_passive_buses_inject_nothing_after_ac_step():
     net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
     ders[1].online = ders[3].online = False
     comm = build_graph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (2, 4)])
-    plant = AcPlantState(deltas=np.array([0.05, -0.02, 0.01, 0.03, -0.04]),
-                         protocol=ProtocolState(phis=np.full(5, 0.3)))
-    _, out = one_step("ac", plant, ders, net, comm, phase_cfg())
+    _, out = one_step("ac", ProtocolState(phis=np.full(5, 0.3)),
+                      np.array([0.05, -0.02, 0.01, 0.03, -0.04]), ders, net, comm, phase_cfg())
     assert np.max(np.abs(out["power"][[1, 3]])) <= 1e-9
     assert abs(out["power"].sum() - net.bus_loads.sum()) <= 1e-9
 
@@ -277,12 +276,11 @@ def test_ac_equilibrium_is_stationary():
     deltas = np.zeros(3)
     # reconstruct the angles by integrating the recorded frequencies
     deltas = 2.0 * PI * cfg.dt * np.sum(ts.data["omega"] - 60.0, axis=0)
-    plant = AcPlantState(deltas=deltas,
-                         protocol=ProtocolState(phis=ts.data["phi"][-1].copy()))
+    protocol = ProtocolState(phis=ts.data["phi"][-1].copy())
     net.k = ts.meta["k"]
-    plant2, out = one_step("ac", plant, ders, net, comm, cfg)
+    (protocol2, _), out = one_step("ac", protocol, deltas, ders, net, comm, cfg)
     assert np.max(np.abs(out["omega"] - 60.0)) <= 1e-4
-    assert np.max(np.abs(plant2.protocol.phis - plant.protocol.phis)) <= 1e-5
+    assert np.max(np.abs(protocol2.phis - protocol.phis)) <= 1e-5
 
 
 def test_ac_droop_change_resolves_common_value():
@@ -339,14 +337,13 @@ def test_offline_der_keeps_its_streams():
     ders[0].online = False
     net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=64, backend="phase", seed=4)
-    plant = AcPlantState(deltas=np.zeros(3),
-                         protocol=ProtocolState(phis=np.full(3, 0.5), step=7))
-    plant2, out = one_step("ac", plant, ders, net, comm, cfg)
-    assert np.array_equal(plant2.protocol.thetas[1:], cfg.theta.draw(4, 7, 3)[1:])
+    (protocol, _), out = one_step("ac", ProtocolState(phis=np.full(3, 0.5), step=7),
+                                  np.zeros(3), ders, net, comm, cfg)
+    assert np.array_equal(protocol.thetas[1:], cfg.theta.draw(4, 7, 3)[1:])
     isolated = qsdc_step(ProtocolState(phis=np.full(3, 0.5), step=7),
                          StepPlan(build_graph(3, [(1, 2)])), cfg, out["pinner"])
-    assert np.array_equal(plant2.protocol.phis[1:], isolated.phis[1:])
-    assert plant2.protocol.phis[0] == 0.5
+    assert np.array_equal(protocol.phis[1:], isolated.phis[1:])
+    assert protocol.phis[0] == 0.5
 
 
 def test_ac_partition_detected():
@@ -428,9 +425,8 @@ def test_dc_solve_is_the_closed_loop_oracle():
     ders, net, comm = dc3(r_load=8.0)
     ders[1].online = False
     net.c = pinner_gain(net.c, [d.droop * d.rated_current for d in ders])
-    state = DcPlantState(protocol=ProtocolState(phis=np.array([0.3, 0.5, 0.4])),
-                         currents=np.array([2.0, 0.0, 1.5]))
-    _, out = one_step("dc", state, ders, net, comm, phase_cfg(seed=3))
+    _, out = one_step("dc", ProtocolState(phis=np.array([0.3, 0.5, 0.4])),
+                      np.array([2.0, 0.0, 1.5]), ders, net, comm, phase_cfg(seed=3))
     vb, cur = dc_solve(out["vref"], [d.line_r for d in ders], net.r_load, [0, 2])
     assert abs(vb - out["vbus"]) <= 1e-9
     assert np.max(np.abs(cur - out["current"])) <= 1e-9
@@ -514,19 +510,16 @@ def chained_steps(kind, ders, net, comm, cfg, horizon, events):
     """run_plant's record, stepped by hand with a fresh segment every step."""
     ders, net = copy.deepcopy((ders, net))
     n = len(ders)
-    protocol = ProtocolState(phis=np.zeros(n))
     if kind == "ac":
         net.k = pinner_gain(net.k, [d.droop * d.rated_kw for d in ders])
-        plant = AcPlantState(deltas=np.zeros(n), protocol=protocol)
     else:
         net.c = pinner_gain(net.c, [d.droop * d.rated_current for d in ders])
-        plant = DcPlantState(protocol=protocol, currents=np.zeros(n))
-    rows = []
+    plant, rows = (ProtocolState(phis=np.zeros(n)), np.zeros(n)), []
     for k in range(int(round(horizon / cfg.dt))):
         for ev in events:
             if int(round(ev.time / cfg.dt)) == k:
                 microgrid._apply_event(ev, ders, net, kind)
-        plant, out = one_step(kind, plant, ders, net, comm, cfg)
+        plant, out = one_step(kind, *plant, ders, net, comm, cfg)
         rows.append(out)
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
@@ -552,6 +545,28 @@ def test_run_plant_matches_chained_steps(kind):
     for name, arr in want.items():
         assert ts.data[name].shape == arr.shape, name
         assert ts.data[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["ac", "dc"])
+def test_step_reads_its_segment_not_the_network(kind):
+    # a step's scalars are the segment's, taken at its start; a later change
+    # to the network reaches the next segment, not the running one
+    ders, net, comm = ac3() if kind == "ac" else dc3()
+    names = ("k", "omega_nominal") if kind == "ac" else ("c", "v_nominal", "r_load")
+    setattr(net, names[0], 0.1)
+
+    def row(segment):
+        record, step = _record(kind, 1, 3), ac_step if kind == "ac" else dc_step
+        step(ProtocolState(phis=np.full(3, 0.4)), np.array([0.01, 0.5, 0.2]), phase_cfg(),
+             (), segment, record, 0)
+        return {name: arr[0].tobytes() for name, arr in record.items() if name != "online"}
+
+    segment = PlantSegment(kind, ders, net, comm)
+    before = row(segment)
+    for name in names:
+        setattr(net, name, getattr(net, name) / 2)
+    assert row(segment) == before
+    assert row(PlantSegment(kind, ders, net, comm)) != before  # a new segment sees them
 
 
 def test_dc_droop_change_sets_the_pinner_gain_from_its_step():
@@ -613,6 +628,15 @@ def test_event_validation():
     events = [Event(time=99.0, kind="unplug", payload={"node": 0})]
     with pytest.raises(ValueError, match="horizon"):
         run_plant("ac", ders, net, comm, phase_cfg(), horizon=10.0, events=events)
+
+
+@pytest.mark.parametrize("node", [-1, 3])
+def test_event_node_outside_the_ders_raises(node):
+    # node -1 used to unplug the last DER and read "unplug node=-1"
+    ders, net, comm = ac3()
+    events = [Event(time=1.0, kind="unplug", payload={"node": node})]
+    with pytest.raises(ValueError, match=rf"^event at t=1.0 names node {node} outside 0 .. 2$"):
+        run_plant("ac", ders, net, comm, phase_cfg(), horizon=2.0, events=events)
 
 
 def test_timeseries_csv(tmp_path):
