@@ -6,30 +6,35 @@ One protocol step: draw fresh theta per node, prepare the product state from
 master equation for dt, apply any active mixing event, measure, and feed the
 twin-qubit estimate atan2(<Y>, <X>) back as the next phi_i.
 
+The flow.  Rotation-Z and swap conjugation map local Pauli observables to
+local Pauli observables, so with w_i = x_i + i*y_i the local expectations
+obey a closed linear flow.  The rotation angle alpha_i = pinner_i - phi_i is
+set once per step from the measured phase, so within a step the flow is one
+n x n matrix on w:
+
+    w' = A w,  A = diag(e^{i*alpha} - 1) - L,
+
+with L the weighted Laplacian.  The z components follow z' = -L z; z lives
+only in rho and no estimate reads it.  The reference equations, the
+instantaneous-pinner forms `bloch_rhs` and `phase_rhs` that coincide with
+the flow at the step start, are in `tests/oracles.py`.
+
 Backends:
-  full  - dense density matrix driven by the jump operators, applied to its
-          packed upper triangle (the flow keeps rho Hermitian, so the lower
-          one is its conjugate) as a phase mask (rotation-Z) and a gather
-          per edge (swap, 8 * K bytes of packed index per edge with
-          K = 2^n (2^n + 1) / 2) with no 2^n x 2^n operator; its
-          explicit-matrix oracle is in `tests/oracles.py`.  A step builds
-          rho from the theta and phi arrays in one call and reads every
-          node's x and y back in one gather (`engine.local_bloch`), with w
-          a view of those two columns;
-  bloch - the per-node local expectations.  Rotation-Z and swap conjugation
-          map local Pauli observables to local Pauli observables, so with
-          w_i = x_i + i*y_i they obey the closed linear flow
-
-              dw/dt = (e^{i*alpha} - 1) * w - L w,
-
-          with alpha_i = pinner_i - phi_i and L the weighted Laplacian.  The
-          z components follow dz/dt = -L z, which no estimate reads: only
-          the `full` oracle carries them, in rho;
+  full  - the dense density matrix under the master equation (`engine`:
+          its packed upper triangle, one phase mask per step and one gather
+          per edge, with no 2^n x 2^n operator).  A step builds rho from
+          the theta and phi arrays in one call and reads every node's x and
+          y back in one gather (`engine.local_bloch`), w a view of those
+          two columns;
+  bloch - w itself, stepped through A's RK4 stage matrices;
   phase - another name for the bloch core, kept for existing scenarios.
 
-Nodes keep their labels when some go offline (the online flags of the
-`StepPlan` a step takes): an offline node loses its edges, so both backends
-see it isolated.
+`full` and `bloch` share one integrator, `engine._rk4`, on rho and on w; it
+commutes with the linear map from rho to local Bloch vectors, so the two
+agree to rounding.  A run builds one `StepPlan` per segment (`run_plant`:
+per event segment), which holds its config, its mixing events, its online
+flags and the stage matrices; a step reads only the plan.  An offline node
+loses its edges, so both backends see it isolated, under its own label.
 
 Random streams are keyed per step, not per node (`measurement.stream_rng`
 lists the keys): with shots the stream (seed, shots tag, step) draws the X
@@ -39,17 +44,6 @@ the stream (seed, theta tag, step // THETA_BLOCK) draws a (THETA_BLOCK, n)
 block and step reads its row step % THETA_BLOCK, so the thetas stay a pure
 function of (seed, step, n, lo, hi).  Offline and aborted nodes draw and
 discard, so no node's draws depend on another node's state.
-
-Within a step the rotation angle stays frozen (it is set once per step from
-the measured phase), so the flow is one n x n matrix on w:
-w' = A w with A = diag(e^{i*alpha} - 1) - L.  A run builds one `StepPlan`
-per segment (`run_plant`: per event segment), which holds A's RK4 stage
-matrices with their fixed off-diagonal entries.  `full` and `bloch` share
-one integrator, `engine._rk4` (Horner-form RK4 over four stage maps
-u -> c*f(u)), on rho and on w; it commutes with the linear map from rho to
-local Bloch vectors, so the two agree to rounding.  The reference
-equations, the instantaneous-pinner forms `bloch_rhs` and `phase_rhs` that
-coincide with the flow at the step start, are in `tests/oracles.py`.
 
 Every run, consensus or plant (`microgrid.run_plant`), is recorded in one
 `Trajectory`, whose V, meta and time-prefixed warnings `run_record` builds.
@@ -73,12 +67,7 @@ from .measurement import (
     rekeyed_rng,
     stream_rng,
 )
-from .netgraph import (
-    CommGraph,
-    incidence_matrix,
-    lambda_min_sym,
-    laplacian,
-)
+from .netgraph import CommGraph, lambda_min_sym, laplacian
 
 BACKENDS = ("full", "bloch", "phase")
 MODES = ("qsdc", "qdc_legacy")
@@ -257,23 +246,26 @@ def _measure_node(w: np.ndarray, config: ProtocolConfig, step: int):
 
 
 class StepPlan:
-    """The topology every `qsdc_step` of a run or plant segment takes: the
-    bool mask `online` over `graph`'s nodes (None: all online), the offline
-    nodes' indices, `graph` without their edges, and what its steps reuse.
+    """All that every `qsdc_step` of a run or plant segment reads: the run's
+    `config` and `mixing` events (ValueError if one names a node at or above
+    n), the bool mask `online` over `graph`'s nodes (None: all online), the
+    offline nodes' indices, and `graph` without their edges.
 
     For `full`, `swaps`: the packed swap indices of the pruned graph
     (`engine.swap_groups`), built on first use.  For `bloch` and `phase`,
-    the read-only core -L (n x n, complex) of the pruned graph, and per
-    RK4 substep h the four stage matrices c * (core + diag(e^{i*alpha} - 1))
-    for c in `engine.rk4_coefficients(h)`, one (4, n, n) array built on
-    first use and rebuilt only when h changes.  Their off-diagonal entries
-    never change; a step writes only the four diagonals."""
+    the read-only core -L (n x n, complex) of the pruned graph and A's four
+    RK4 stage matrices c * (core + diag(e^{i*alpha} - 1)) for c in
+    `engine.rk4_coefficients(dt / substeps)`, whose off-diagonal entries
+    never change; a step writes only the four diagonals (`stages`)."""
 
-    def __init__(self, graph: CommGraph, online=None):
+    def __init__(self, graph: CommGraph, config: ProtocolConfig, online=None, mixing=()):
         n = graph.node_count
         online = np.ones(n, dtype=bool) if online is None else np.asarray(online, dtype=bool)
         if online.shape != (n,):
             raise ValueError(f"need {n} online flags, got shape {online.shape}")
+        if (top := max((i for ev in mixing for i in ev.nodes), default=0)) >= n:
+            raise ValueError(f"mixing node {top} outside 0 .. {n - 1}")
+        self.config, self.mixing = config, tuple(mixing)
         self.online, self.offline = online, np.flatnonzero(~online)
         kept = [k for k, (i, j) in enumerate(graph.edges) if online[i] and online[j]]
         self.graph = CommGraph(n, tuple(graph.edges[k] for k in kept),
@@ -281,27 +273,23 @@ class StepPlan:
         self.core = (-laplacian(self.graph)).astype(complex)
         self.core.setflags(write=False)
         self.shift = self.core.diagonal() - 1.0  # A's diagonal is e^{i*alpha} + shift
-        self.h = None
+        self.coef = np.array(engine.rk4_coefficients(config.dt / config.substeps))[:, None]
+        self.mats = self.coef[:, :, None] * self.core
+        self.diags = self.mats.reshape(4, n * n)[:, ::n + 1]
+        self.maps = tuple(m.dot for m in self.mats)
 
     @functools.cached_property
     def swaps(self) -> list:
         return engine.swap_groups(self.graph.node_count, self.graph.edges, self.graph.weights)
 
-    def stages(self, h: float, alphas: np.ndarray) -> tuple:
-        """The `_rk4` stages of one substep h with rotation angles alphas."""
-        if h != self.h:
-            n = len(self.core)
-            self.h, self.coef = h, np.array(engine.rk4_coefficients(h))[:, None]
-            self.mats = self.coef[:, :, None] * self.core
-            self.diags = self.mats.reshape(4, n * n)[:, ::n + 1]
-            self.maps = tuple(m.dot for m in self.mats)
+    def stages(self, alphas: np.ndarray) -> tuple:
+        """The `_rk4` stages of one substep with rotation angles alphas."""
         np.multiply(self.coef, np.exp(1j * alphas) + self.shift, out=self.diags)
         return self.maps
 
 
-def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinners,
-              events=()) -> ProtocolState:
-    """One full protocol iteration on `plan`; deterministic given config.seed.
+def qsdc_step(state: ProtocolState, plan: StepPlan, pinners) -> ProtocolState:
+    """One full protocol iteration on `plan`; deterministic given plan.config.seed.
 
     An offline node of `plan` has no edges; its measurement is discarded,
     no warning names it and its phase comes back unchanged.  Thetas and
@@ -309,7 +297,7 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
     indices.  An online node below S_FLOOR, or whose sampled <X> and <Y> are
     both zero, keeps its phase and gets a warning.
     """
-    online = plan.online
+    config, online = plan.config, plan.online
     n = len(online)
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
@@ -318,7 +306,7 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
     thetas = config.theta.draw(config.seed, state.step, n)
     alphas = pt - phis
     t_now = state.step * config.dt
-    mixing = [ev for ev in events if ev.active(t_now, config.dt)]
+    mixing = [ev for ev in plan.mixing if ev.active(t_now, config.dt)]
 
     if config.backend == "full":
         rho = engine.product_state(thetas, phis)
@@ -330,7 +318,7 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, config: ProtocolConfig, pinn
         w = engine.local_bloch(rho)[:, :2].view(complex)[:, 0]
         final_rho = rho
     else:  # bloch and phase: w' = A w, w = x + i*y
-        stages = plan.stages(config.dt / config.substeps, alphas)
+        stages = plan.stages(alphas)
         w = _rk4(np.sin(thetas) * np.exp(1j * phis), stages, config.substeps)
         for ev in mixing:
             for i in ev.nodes:
@@ -392,8 +380,8 @@ def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> 
 
 
 def convergence_rate(graph: CommGraph, epsilon: float) -> float:
-    """Exponential synchronization rate mu = lambda_min(s1*I + s2*B W B^T)
-    with s1 = sinc(eps), s2 = sinc(2*eps) and W the weights of `graph`,
+    """Exponential synchronization rate mu = lambda_min(s1*I + s2*L) with
+    s1 = sinc(eps), s2 = sinc(2*eps) and L the weighted Laplacian of `graph`,
     valid for initial deviations bounded by eps < pi/2.  Other weights are
     bounded on the graph `netgraph.build_graph` makes with them."""
     if not (0.0 <= epsilon < math.pi / 2):
@@ -403,9 +391,7 @@ def convergence_rate(graph: CommGraph, epsilon: float) -> float:
     # numpy sinc is sin(pi x)/(pi x); rescale and it handles 0 analytically.
     s1 = float(np.sinc(epsilon / math.pi))
     s2 = float(np.sinc(2.0 * epsilon / math.pi))
-    b = incidence_matrix(graph)
-    m = s1 * np.eye(graph.node_count) + s2 * (b @ np.diag(graph.weights) @ b.T)
-    return lambda_min_sym(m)
+    return lambda_min_sym(s1 * np.eye(graph.node_count) + s2 * laplacian(graph))
 
 
 @dataclass
@@ -519,9 +505,9 @@ def run_consensus(
     phis[0] = state.phis
     pinners[0] = pt
     noted: list = []
-    plan = StepPlan(graph)  # one segment: every node online throughout
+    plan = StepPlan(graph, config, mixing=events)  # one segment: every node online throughout
     for k in range(steps):
-        state = qsdc_step(state, plan, config, pt, events)
+        state = qsdc_step(state, plan, pt)
         if state.warnings:
             noted.append((k, state.warnings))
         phis[k + 1] = state.phis

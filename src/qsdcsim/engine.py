@@ -51,16 +51,15 @@ the oracles the tests check the packed form against.  The local
 depolarizing channel is a partial trace and replace on the unpacked matrix,
 one copy per call however many nodes it takes.
 
-`_rk4` is the package's one integrator: `evolve` runs it on packed rho, the
-`bloch`/`phase` core of `consensus` on w' = A w with A the n x n matrix of
-the `StepPlan` that a run or an event segment builds.  On a linear flow
-one RK4 step is the degree-4 Taylor polynomial of e^{hA}, evaluated in
+`_rk4` is the package's one integrator: `evolve` runs it on packed rho, and
+the `bloch` core on the linear flow that `consensus` states.  On a linear
+flow y' = Ay one RK4 step is the degree-4 Taylor polynomial of e^{hA}, in
 Horner form y + hA(y + h/2 A(y + h/3 A(y + h/4 Ay))); `_rk4` takes its four
-stages as maps u -> cAu, so the bloch core passes pre-scaled matrices and
-`evolve` scales `rhs` in place.  The master equation's A maps
-Hermitian matrices to traceless ones, so the trace holds to rounding with
-no re-projection between substeps, and the final `DensityMatrix.check` in
-`evolve` (Cholesky: lambda_min > -1e-6) guards positivity.
+stages as maps u -> cAu, and `evolve` scales `rhs` in place.  The master
+equation maps Hermitian matrices to traceless ones, so the trace holds to
+rounding with no re-projection between substeps, and the final
+`DensityMatrix.check` in `evolve` (Cholesky: lambda_min > -1e-6) guards
+positivity.
 
 Tensor-factor convention: node 0 is the leftmost Kronecker factor, i.e. the
 most significant bit of the computational-basis index.

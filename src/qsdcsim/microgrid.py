@@ -17,9 +17,9 @@ droop accuracy condition requires).
 per part.  `ac_step` and `dc_step` read only that segment, take and return
 (protocol state, carry), the carry being the bus angles (AC) or the DER
 currents (DC), and write one row of the run's `_record`.  An offline DER
-keeps its index: `qsdc_step` runs on the segment's `StepPlan` of the full
-communication graph and the DERs' online flags, which isolates the DER and
-holds its phase.  It carries no current (DC); its bus is passive (AC).
+keeps its index: the segment's `StepPlan` isolates it in the full
+communication graph, and `qsdc_step` holds its phase.  It carries no
+current (DC); its bus is passive (AC).
 
 `run_plant` records a run in the same `consensus.Trajectory` as a consensus
 run, with the plant series beside "phi", "pinner" and "online".
@@ -203,16 +203,16 @@ def _gain(kind: str, ders, network) -> float:
 
 class PlantSegment:
     """All that the steps up to the next event read, taken at the segment
-    start: the `StepPlan` of the DERs' online flags, their droops n_i or m_i,
-    the gain k or c (`_gain`; ValueError if a droop breaks its bound), the
-    pinner gains k*n_i or c*m_i, the nominal frequency or voltage, and
-    copies of the network arrays (AC: bus loads, line operators and the
-    `_passive_table` of the offline DERs' buses; DC: R_i + m_i, R_L and the
-    online DERs' indices)."""
+    start: the `StepPlan` of `config`, `mixing` and the DERs' online flags,
+    their droops n_i or m_i, the gain k or c (`_gain`; ValueError if a droop
+    breaks its bound), the pinner gains k*n_i or c*m_i, the nominal
+    frequency or voltage, and copies of the network arrays (AC: bus loads,
+    line operators and the `_passive_table` of the offline DERs' buses; DC:
+    R_i + m_i, R_L and the online DERs' indices)."""
 
-    def __init__(self, kind: str, ders, network, comm: CommGraph):
+    def __init__(self, kind: str, ders, network, comm: CommGraph, config, mixing=()):
         online = np.array([d.online for d in ders])
-        self.plan = StepPlan(comm, online)
+        self.plan = StepPlan(comm, config, online, mixing)
         self.droops = np.array([d.droop for d in ders])
         # a droop_change can break the bound the run's gain met at its start
         self.gain = _gain(kind, ders, network)
@@ -228,8 +228,8 @@ class PlantSegment:
             self.online_idx = np.flatnonzero(online)
 
 
-def ac_step(protocol: ProtocolState, deltas: np.ndarray, config: ProtocolConfig, mixing,
-            segment: PlantSegment, record: dict, row: int) -> tuple[ProtocolState, np.ndarray]:
+def ac_step(protocol: ProtocolState, deltas: np.ndarray, segment: PlantSegment, record: dict,
+            row: int) -> tuple[ProtocolState, np.ndarray]:
     """One co-simulation step of dt on `segment` from bus angles `deltas`:
     power flow, consensus update with pinners k*n_i*P_i, droop frequencies,
     angle integration.  Writes row `row` of `record` but "online"."""
@@ -238,11 +238,11 @@ def ac_step(protocol: ProtocolState, deltas: np.ndarray, config: ProtocolConfig,
     power = ac_power_flow(deltas, segment.operators, segment.loads)
     record["pinner"][row] = pinners = segment.pinner_gains * power
 
-    protocol = qsdc_step(protocol, segment.plan, config, pinners, mixing)
+    protocol = qsdc_step(protocol, segment.plan, pinners)
 
     omega = nominal - segment.droops * power + protocol.phis / segment.gain
     omega[segment.plan.offline] = nominal
-    deltas = deltas + config.dt * 2.0 * math.pi * (omega - nominal)
+    deltas = deltas + segment.plan.config.dt * 2.0 * math.pi * (omega - nominal)
 
     record["omega"][row], record["power"][row], record["phi"][row] = omega, power, protocol.phis
     return protocol, deltas
@@ -266,14 +266,14 @@ def dc_solve(v_src, r_series, r_load: float, online) -> tuple[float, np.ndarray]
     return float(vb), currents
 
 
-def dc_step(protocol: ProtocolState, currents: np.ndarray, config: ProtocolConfig, mixing,
-            segment: PlantSegment, record: dict, row: int) -> tuple[ProtocolState, np.ndarray]:
+def dc_step(protocol: ProtocolState, currents: np.ndarray, segment: PlantSegment, record: dict,
+            row: int) -> tuple[ProtocolState, np.ndarray]:
     """One co-simulation step from DER currents `currents`: consensus with
     pinners c*m_i*I_i, then the droop-closed bus solve with the updated
     phases; the rest as in `ac_step`."""
     record["pinner"][row] = pinners = segment.pinner_gains * currents
 
-    protocol = qsdc_step(protocol, segment.plan, config, pinners, mixing)
+    protocol = qsdc_step(protocol, segment.plan, pinners)
     phis = protocol.phis
 
     v_src = segment.nominal + phis / segment.gain
@@ -364,10 +364,10 @@ def run_plant(
             applied.append(f"t={ev.time:g} {_apply_event(ev, ders, network, kind)}")
             if ev.kind in ("plug", "unplug"):
                 _check_comm_connected(comm, ders, f"after {ev.kind} at t={ev.time:g}")
-        segment = PlantSegment(kind, ders, network, comm)
+        segment = PlantSegment(kind, ders, network, comm, config, mixing)
         data["online"][start:stop] = segment.plan.online
         for kstep in range(start, stop):
-            protocol, carry = step(protocol, carry, config, mixing, segment, data, kstep)
+            protocol, carry = step(protocol, carry, segment, data, kstep)
             if protocol.warnings:
                 noted.append((kstep, protocol.warnings))
 

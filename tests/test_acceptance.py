@@ -98,7 +98,7 @@ def test_criterion_2_backend_equivalence():
             for c in rk4_coefficients(cfg.dt / cfg.substeps)], cfg.substeps)
         for _step in range(25):
             for b in states:
-                states[b] = qsdc_step(states[b], StepPlan(g), cfgs[b], pinners)
+                states[b] = qsdc_step(states[b], StepPlan(g, cfgs[b]), pinners)
             full, bloch = states["full"], states["bloch"]
             fx = full.s * np.cos(full.phis)
             fy = full.s * np.sin(full.phis)

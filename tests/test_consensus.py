@@ -110,6 +110,16 @@ def test_mixing_event_rejects_a_negative_node():
         MixingEvent(nodes=(2, -1), t_start=0.0, t_end=1.0, p=0.1)
 
 
+@pytest.mark.parametrize("backend", ["full", "bloch", "phase"])
+@pytest.mark.parametrize("nodes, t_start", [((7,), 0.0), ((1, 3), 50.0)])
+def test_run_rejects_a_mixing_node_outside_the_graph(backend, nodes, t_start):
+    # checked when the plan is built, also for a window the 0.1 s run never
+    # opens; node 7 of 3 used to raise a bare IndexError at the first active step
+    events = [MixingEvent(nodes, t_start, t_start + 1.0, p=0.1)]
+    with pytest.raises(ValueError, match=rf"^mixing node {max(nodes)} outside 0 \.\. 2$"):
+        run_consensus(PAPER_INIT, PI / 3, TRIANGLE, exact_cfg(backend), 0.1, events)
+
+
 def test_qdc_mode_forces_equator_theta():
     cfg = ProtocolConfig(mode="qdc_legacy", theta=ThetaConfig.uniform(0.3, 2.0))
     assert cfg.theta.kind == "fixed"
@@ -171,18 +181,18 @@ def test_step_fixed_point_exact():
     for backend in ("full", "bloch", "phase"):
         cfg = exact_cfg(backend, theta=PAPER_THETA)
         state = ProtocolState(phis=np.full(3, PI / 3))
-        out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.full(3, PI / 3))
+        out = qsdc_step(state, StepPlan(TRIANGLE, cfg), np.full(3, PI / 3))
         assert np.max(np.abs(out.phis - PI / 3)) <= 1e-9
 
 
 def test_step_pinner_clamp_warning():
     cfg = exact_cfg("phase")
     state = ProtocolState(phis=np.full(3, 0.8))
-    out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.array([2.0, 0.5, 0.5]))
+    out = qsdc_step(state, StepPlan(TRIANGLE, cfg), np.array([2.0, 0.5, 0.5]))
     assert any("clamped" in w for w in out.warnings)
     assert out.pinners[0] == PI / 2
     # an offline node's pinner is clamped too, but no warning names it
-    off = qsdc_step(state, StepPlan(TRIANGLE, [False, True, True]), cfg,
+    off = qsdc_step(state, StepPlan(TRIANGLE, cfg, [False, True, True]),
                     np.array([2.0, 0.5, 0.5]))
     assert off.pinners[0] == PI / 2
     assert not off.warnings
@@ -190,14 +200,14 @@ def test_step_pinner_clamp_warning():
 
 def test_step_online_flags_need_one_per_node():
     with pytest.raises(ValueError, match="3 online flags"):
-        StepPlan(TRIANGLE, [False])
+        StepPlan(TRIANGLE, exact_cfg("phase"), [False])
 
 
 def test_step_full_backend_capacity():
     g = build_graph(11, [(i, i + 1) for i in range(10)])
     cfg = exact_cfg("full")
     with pytest.raises(CapacityError):
-        qsdc_step(ProtocolState(phis=np.full(11, 0.4)), StepPlan(g), cfg, np.full(11, 0.4))
+        qsdc_step(ProtocolState(phis=np.full(11, 0.4)), StepPlan(g, cfg), np.full(11, 0.4))
 
 
 def test_full_step_keeps_the_sign_of_a_zero_y(monkeypatch):
@@ -207,8 +217,8 @@ def test_full_step_keeps_the_sign_of_a_zero_y(monkeypatch):
     m = np.array([[0.5, -0.5], [-0.5 + 2.0**-54, 0.5]], dtype=complex)
     monkeypatch.setattr(consensus.engine, "evolve",
                         lambda rho, jumps, dt, substeps: DensityMatrix(matrix=m, qubit_count=1))
-    out = qsdc_step(ProtocolState(phis=np.array([0.4])), StepPlan(build_graph(1, [])),
-                    exact_cfg("full"), [0.4])
+    out = qsdc_step(ProtocolState(phis=np.array([0.4])),
+                    StepPlan(build_graph(1, []), exact_cfg("full")), [0.4])
     assert out.phis[0] == 0.0 and not out.warnings
 
 
@@ -216,7 +226,7 @@ def test_step_mixing_aborts_node_when_coherence_collapses():
     cfg = exact_cfg("phase")
     ev = MixingEvent(nodes=(0,), t_start=0.0, t_end=1.0, p=0.75)  # shrink to 0
     state = ProtocolState(phis=np.full(3, 0.5))
-    out = qsdc_step(state, StepPlan(TRIANGLE), cfg, np.full(3, 0.7), events=[ev])
+    out = qsdc_step(state, StepPlan(TRIANGLE, cfg, mixing=[ev]), np.full(3, 0.7))
     assert out.phis[0] == 0.5  # held at its previous estimate
     assert any("node 0" in w for w in out.warnings)
     assert out.phis[1] != 0.5
@@ -224,7 +234,7 @@ def test_step_mixing_aborts_node_when_coherence_collapses():
 
 def test_step_node_state_view():
     cfg = exact_cfg("phase", theta=ThetaConfig.fixed(1.1, 1.2, 1.3))
-    out = qsdc_step(ProtocolState(phis=np.full(3, 0.5)), StepPlan(TRIANGLE), cfg,
+    out = qsdc_step(ProtocolState(phis=np.full(3, 0.5)), StepPlan(TRIANGLE, cfg),
                     np.full(3, 0.6))
     assert out.thetas[2] == 1.3
     assert out.pinners[2] == 0.6
@@ -235,8 +245,8 @@ def test_step_sampled_mode_deterministic():
     cfg = ProtocolConfig(dt=0.01, substeps=2, shots=500,
                          theta=ThetaConfig.uniform(0.5, 2.5), seed=21,
                          backend="phase")
-    a = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE), cfg, np.full(3, 0.9))
-    b = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE), cfg, np.full(3, 0.9))
+    a = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE, cfg), np.full(3, 0.9))
+    b = qsdc_step(ProtocolState(phis=np.full(3, 0.4)), StepPlan(TRIANGLE, cfg), np.full(3, 0.9))
     assert np.array_equal(a.phis, b.phis)
 
 
@@ -259,14 +269,14 @@ def test_step_draws_one_theta_stream_and_one_shot_draw(monkeypatch):
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     state = ProtocolState(phis=np.full(6, 0.4), step=3)
     uniform = ThetaConfig.uniform(0.5, 2.5)
-    qsdc_step(state, StepPlan(g), exact_cfg("phase", theta=uniform), np.full(6, 0.9))
+    qsdc_step(state, StepPlan(g, exact_cfg("phase", theta=uniform)), np.full(6, 0.9))
     assert (streams, draws) == ([(0, _STREAM_TAG["theta"], 0)], [])
     for mode, shape in (("qsdc", (2, 6)), ("qdc_legacy", (1, 6))):
         streams.clear()
         draws.clear()
         sampled = ProtocolConfig(dt=0.01, substeps=2, shots=64, theta=uniform, seed=8,
                                  mode=mode)
-        qsdc_step(state, StepPlan(g, [True, False] * 3), sampled, np.full(6, 0.9))
+        qsdc_step(state, StepPlan(g, sampled, [True, False] * 3), np.full(6, 0.9))
         # qdc_legacy fixes theta, so it draws no theta block
         assert streams == ([(8, _STREAM_TAG["theta"], 0)] if mode == "qsdc" else [])
         assert draws == [shape]  # every basis and node, offline ones too
@@ -372,8 +382,8 @@ def test_sampled_estimate_ignores_isolated_node_going_offline():
                          theta=ThetaConfig.uniform(0.5, 2.5), seed=5)
     state = ProtocolState(phis=np.array([0.3, 0.4, 0.6, 0.8]), step=2)
     pinners = np.full(4, 0.7)
-    on = qsdc_step(state, StepPlan(g), cfg, pinners)
-    off = qsdc_step(state, StepPlan(g, [False, True, True, True]), cfg, pinners)
+    on = qsdc_step(state, StepPlan(g, cfg), pinners)
+    off = qsdc_step(state, StepPlan(g, cfg, [False, True, True, True]), pinners)
     assert np.array_equal(on.phis[1:], off.phis[1:])
     assert off.phis[0] == 0.3 and on.phis[0] != 0.3
 
@@ -389,8 +399,8 @@ def test_offline_node_step_equals_hand_pruned_graph():
     online = np.arange(7) != 4
     for backend in ("phase", "bloch"):
         cfg = exact_cfg(backend, theta=ThetaConfig.uniform(0.4, 2.6), seed=3)
-        masked = qsdc_step(state, StepPlan(g, online), cfg, pinners)
-        by_hand = qsdc_step(state, StepPlan(pruned), cfg, pinners)
+        masked = qsdc_step(state, StepPlan(g, cfg, online), pinners)
+        by_hand = qsdc_step(state, StepPlan(pruned, cfg), pinners)
         assert np.max(np.abs(masked.phis - by_hand.phis)[online]) <= 1e-14
         assert masked.phis[4] == state.phis[4]
 
@@ -402,9 +412,9 @@ def test_sampled_degenerate_node_holds_phase():
     online = np.arange(6) != 5
     state = ProtocolState(phis=np.array([0.2, 1.9, 0.6, -0.3, 1.1, 1.7]))
     degenerate = 0
-    plan = StepPlan(g, online)
+    plan = StepPlan(g, cfg, online)
     for _ in range(40):
-        out = qsdc_step(state, plan, cfg, np.full(6, 0.8))
+        out = qsdc_step(state, plan, np.full(6, 0.8))
         assert out.phis[5] == 1.7
         held = state.phis.clip(0.0, PI / 2)
         for w in out.warnings:
@@ -418,7 +428,7 @@ def test_sampled_degenerate_node_holds_phase():
 
 
 def test_step_plan_prunes_offline_edges():
-    plan = StepPlan(TRIANGLE, [True, False, True])
+    plan = StepPlan(TRIANGLE, exact_cfg("bloch"), [True, False, True])
     core = plan.core
     assert plan.graph.edges == ((0, 2),)
     assert np.array_equal(plan.offline, [1])
@@ -441,33 +451,16 @@ def test_step_plan_reuse_matches_fresh_plans_bitwise():
     for shots in (None, 64):
         cfg = ProtocolConfig(dt=0.01, substeps=3, shots=shots, backend="bloch", seed=4,
                              theta=ThetaConfig.uniform(0.4, 2.7))
-        plan = StepPlan(g, online)
+        plan = StepPlan(g, cfg, online, events)
         shared = fresh = ProtocolState(phis=np.array([0.1, 1.2, 0.7, 0.3, 1.5]))
         for k in range(10):
             pinners = np.linspace(0.2, 1.3, 5) + 0.05 * k
-            shared = qsdc_step(shared, plan, cfg, pinners, events)
-            fresh = qsdc_step(fresh, StepPlan(g, online), cfg, pinners, events)
+            shared = qsdc_step(shared, plan, pinners)
+            fresh = qsdc_step(fresh, StepPlan(g, cfg, online, events), pinners)
             for c, m in zip(rk4_coefficients(cfg.dt / cfg.substeps), plan.mats):
                 assert m[off].tobytes() == (c * plan.core)[off].tobytes()
             for got, want in ((shared.phis, fresh.phis), (shared.s, fresh.s)):
                 assert got.tobytes() == want.tobytes()
-
-
-def test_step_plan_rebuilds_its_stages_when_the_substep_changes():
-    # one plan stepped under a second substep length h = dt/substeps and
-    # then the first again must match fresh plans bitwise at every step
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)], weights=[1, 0.5, 2, 1.5])
-    theta = ThetaConfig.uniform(0.4, 2.7)
-    cfgs = [ProtocolConfig(dt=0.01, substeps=4, backend="bloch", seed=2, theta=theta),
-            ProtocolConfig(dt=0.02, substeps=3, backend="bloch", seed=2, theta=theta)]
-    plan = StepPlan(g)
-    shared = fresh = ProtocolState(phis=np.array([0.1, 1.2, 0.7, 0.3]))
-    for k, cfg in enumerate(cfgs + cfgs[:1] + cfgs):
-        pinners = np.linspace(0.2, 1.3, 4) + 0.05 * k
-        shared = qsdc_step(shared, plan, cfg, pinners)
-        fresh = qsdc_step(fresh, StepPlan(g), cfg, pinners)
-        assert shared.phis.tobytes() == fresh.phis.tobytes(), k
-        assert shared.s.tobytes() == fresh.s.tobytes(), k
 
 
 def test_full_run_builds_its_swap_indices_once_per_plan(monkeypatch):
@@ -499,7 +492,7 @@ def test_backend_equivalence_small():
             state = ProtocolState(phis=init.copy())
             trace = []
             for _step in range(20):
-                state = qsdc_step(state, StepPlan(g), cfg, pinners)
+                state = qsdc_step(state, StepPlan(g, cfg), pinners)
                 trace.append(state.phis.copy())
             results[backend] = np.array(trace)
         assert np.max(np.abs(results["full"] - results["bloch"])) <= 1e-6
@@ -516,7 +509,7 @@ def test_full_backend_local_expectations_match_bloch_rhs_integration():
     thetas = rng.uniform(0.4, PI - 0.4, n)
     pinners = rng.uniform(0.1, 1.4, n)
     cfg = exact_cfg("full", theta=ThetaConfig.fixed(*thetas), dt=0.001, substeps=4)
-    out = qsdc_step(ProtocolState(phis=phis.copy()), StepPlan(g), cfg, pinners)
+    out = qsdc_step(ProtocolState(phis=phis.copy()), StepPlan(g, cfg), pinners)
 
     alphas = pinners - phis
     from qsdcsim.netgraph import adjacency_matrix
@@ -567,7 +560,7 @@ def test_full_step_matches_bloch_step_to_rounding():
             for backend in ("full", "bloch"):
                 cfg = exact_cfg(backend, theta=theta, seed=5)
                 out[backend] = qsdc_step(ProtocolState(phis=phis.copy()),
-                                         StepPlan(g, online), cfg, pinners, events)
+                                         StepPlan(g, cfg, online, events), pinners)
             for name in ("phis", "s"):
                 gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
                 assert gap <= 1e-12, (n, online, name, gap)
@@ -583,13 +576,14 @@ def test_overlapping_mixing_events_shrink_full_and_bloch_alike():
     out = {}
     for backend in ("full", "bloch"):
         cfg = exact_cfg(backend, theta=PAPER_THETA, seed=5)
-        out[backend] = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)), StepPlan(TRIANGLE),
-                                 cfg, np.full(3, 1.0), events)
+        out[backend] = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)),
+                                 StepPlan(TRIANGLE, cfg, mixing=events), np.full(3, 1.0))
     for name in ("phis", "s"):
         gap = np.max(np.abs(getattr(out["full"], name) - getattr(out["bloch"], name)))
         assert gap <= 1e-12, (name, gap)
-    alone = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)), StepPlan(TRIANGLE),
-                      exact_cfg("bloch", theta=PAPER_THETA, seed=5), np.full(3, 1.0))
+    alone = qsdc_step(ProtocolState(phis=np.array(PAPER_INIT)),
+                      StepPlan(TRIANGLE, exact_cfg("bloch", theta=PAPER_THETA, seed=5)),
+                      np.full(3, 1.0))
     shrinks = [events[0].bloch_shrink, events[0].bloch_shrink * events[1].bloch_shrink,
                events[1].bloch_shrink]
     assert np.allclose(out["bloch"].s, alone.s * shrinks, rtol=1e-14, atol=0.0)
@@ -604,7 +598,7 @@ def test_phase_matches_bloch_at_low_coherence():
     out = {}
     for backend in ("bloch", "phase"):
         out[backend] = qsdc_step(ProtocolState(phis=np.array([0.2, 0.8, 1.2])),
-                                 StepPlan(TRIANGLE), exact_cfg(backend, theta=theta),
+                                 StepPlan(TRIANGLE, exact_cfg(backend, theta=theta)),
                                  np.full(3, 1.0))
     assert out["bloch"].s[0] < 0.02
     assert not out["phase"].warnings
@@ -765,7 +759,7 @@ def test_step_that_leaves_the_bloch_ball_fails(backend, weight):
     with pytest.raises(IntegrationDivergedError, match="use more substeps"):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(100):
-                state = qsdc_step(state, StepPlan(graph), cfg, PI / 3)
+                state = qsdc_step(state, StepPlan(graph, cfg), PI / 3)
 
 
 @pytest.mark.parametrize("backend", ["bloch", "phase"])
@@ -777,7 +771,7 @@ def test_step_fails_on_a_nan_coherence_behind_an_isolated_node(backend):
     state = ProtocolState(phis=np.array([0.3, 0.1, 1.2, 0.5]))
     with pytest.raises(IntegrationDivergedError, match="coherence nan"):
         with np.errstate(over="ignore", invalid="ignore"):
-            qsdc_step(state, StepPlan(graph, [False, True, True, True]), cfg, 0.8)
+            qsdc_step(state, StepPlan(graph, cfg, [False, True, True, True]), 0.8)
 
 
 def test_stiff_but_stable_step_runs():
@@ -785,8 +779,8 @@ def test_stiff_but_stable_step_runs():
     graph = build_graph(3, [(0, 1), (1, 2), (0, 2)], [5.0] * 3)
     state = ProtocolState(phis=np.array(PAPER_INIT))
     for _ in range(100):
-        state = qsdc_step(state, StepPlan(graph),
-                          exact_cfg("bloch", PAPER_THETA, dt=0.1, substeps=1), PI / 3)
+        state = qsdc_step(state, StepPlan(graph, exact_cfg("bloch", PAPER_THETA, dt=0.1,
+                                                           substeps=1)), PI / 3)
     assert np.max(state.s) <= 1.0
     assert np.max(np.abs(state.phis - PI / 3)) <= 1e-4
 

@@ -61,10 +61,10 @@ def one_step(kind, protocol, carry, ders, net, comm, cfg):
     """A plant step on its own from (protocol, carry): the segment and
     one-row record a run would build around it, with the online row the run
     fills; returns the step's (protocol, carry) and that row."""
-    segment, record = PlantSegment(kind, ders, net, comm), _record(kind, 1, len(ders))
+    segment, record = PlantSegment(kind, ders, net, comm, cfg), _record(kind, 1, len(ders))
     record["online"][0] = segment.plan.online
     step = ac_step if kind == "ac" else dc_step
-    out = step(protocol, carry, cfg, (), segment, record, 0)
+    out = step(protocol, carry, segment, record, 0)
     return out, {name: arr[0] for name, arr in record.items()}
 
 
@@ -341,7 +341,7 @@ def test_offline_der_keeps_its_streams():
                                   np.zeros(3), ders, net, comm, cfg)
     assert np.array_equal(protocol.thetas[1:], cfg.theta.draw(4, 7, 3)[1:])
     isolated = qsdc_step(ProtocolState(phis=np.full(3, 0.5), step=7),
-                         StepPlan(build_graph(3, [(1, 2)])), cfg, out["pinner"])
+                         StepPlan(build_graph(3, [(1, 2)]), cfg), out["pinner"])
     assert np.array_equal(protocol.phis[1:], isolated.phis[1:])
     assert protocol.phis[0] == 0.5
 
@@ -557,16 +557,16 @@ def test_step_reads_its_segment_not_the_network(kind):
 
     def row(segment):
         record, step = _record(kind, 1, 3), ac_step if kind == "ac" else dc_step
-        step(ProtocolState(phis=np.full(3, 0.4)), np.array([0.01, 0.5, 0.2]), phase_cfg(),
-             (), segment, record, 0)
+        step(ProtocolState(phis=np.full(3, 0.4)), np.array([0.01, 0.5, 0.2]), segment,
+             record, 0)
         return {name: arr[0].tobytes() for name, arr in record.items() if name != "online"}
 
-    segment = PlantSegment(kind, ders, net, comm)
+    segment = PlantSegment(kind, ders, net, comm, phase_cfg())
     before = row(segment)
     for name in names:
         setattr(net, name, getattr(net, name) / 2)
     assert row(segment) == before
-    assert row(PlantSegment(kind, ders, net, comm)) != before  # a new segment sees them
+    assert row(PlantSegment(kind, ders, net, comm, phase_cfg())) != before  # a new segment sees them
 
 
 def test_dc_droop_change_sets_the_pinner_gain_from_its_step():
@@ -637,6 +637,14 @@ def test_event_node_outside_the_ders_raises(node):
     events = [Event(time=1.0, kind="unplug", payload={"node": node})]
     with pytest.raises(ValueError, match=rf"^event at t=1.0 names node {node} outside 0 .. 2$"):
         run_plant("ac", ders, net, comm, phase_cfg(), horizon=2.0, events=events)
+
+
+@pytest.mark.parametrize("kind", ["ac", "dc"])
+def test_run_plant_rejects_a_mixing_node_outside_the_ders(kind):
+    ders, net, comm = ac3() if kind == "ac" else dc3()
+    mixing = [MixingEvent(nodes=(7,), t_start=0.0, t_end=1.0, p=0.1)]
+    with pytest.raises(ValueError, match=r"^mixing node 7 outside 0 \.\. 2$"):
+        run_plant(kind, ders, net, comm, phase_cfg(), horizon=0.1, mixing=mixing)
 
 
 def test_timeseries_csv(tmp_path):
