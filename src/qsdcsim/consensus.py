@@ -166,8 +166,9 @@ class ProtocolConfig:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (self.shots is None or isinstance(self.shots, Integral) and self.shots >= 1):
-            raise ValueError(f"shots must be an integer >= 1 or None, got {self.shots}")
+        shots = self.shots  # numpy's binomial takes a C long
+        if not (shots is None or isinstance(shots, Integral) and 1 <= shots < 2**63):
+            raise ValueError(f"shots must be an integer in 1 .. 2**63 - 1 or None, got {shots}")
         if self.mode == "qdc_legacy":
             object.__setattr__(self, "theta", ThetaConfig.fixed())
 

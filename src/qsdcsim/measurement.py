@@ -10,7 +10,7 @@ X, Y or Z component (Hadamard for X, S-dagger then Hadamard for Y, nothing
 for Z).  `_gate_level_p0` in `tests/oracles.py` applies the actual 2x2
 circuit, the oracle of the closed form.
 
-Everything measures arrays: one draw of `_sample_zeros` (numpy's binomial
+Everything measures arrays: one draw of `_draw_zeros` (numpy's binomial
 draw, made at one shot from one uniform per entry) takes the counts of all
 nodes in every measured basis of a protocol step, or of all intercepted
 steps in one basis, and a node that is offline or aborted draws and
@@ -150,8 +150,17 @@ def _clamped(e) -> np.ndarray:
 
 def _sample_zeros(rng: np.random.Generator, shots: int, e):
     """Zero outcomes of `shots` shots on each qubit whose component in the
-    measured basis is `e`: the package's one sampler.  It draws what
-    `rng.binomial(shots, p)` draws, p = 0.5 * (1.0 + e), one count per entry.
+    measured basis is `e`: the package's one validated sampler.  It raises
+    `InvalidStateError` on a nan or on a component beyond [-1, 1] by more
+    than 1e-9 (`_clamped`), then draws with `_draw_zeros`."""
+    return _draw_zeros(rng, shots, _clamped(e))
+
+
+def _draw_zeros(rng: np.random.Generator, shots: int, e):
+    """The draw of `_sample_zeros` on components `e` that the caller has
+    already checked: an ndarray, every entry in [-1, 1] and none a nan, as
+    `_clamped` returns.  It draws what `rng.binomial(shots, p)` draws,
+    p = 0.5 * (1.0 + e), one count per entry.
 
     At one shot (a bool per entry) it makes binomial's own event from the
     same uniforms without binomial's per-entry cost: numpy inverts the CDF
@@ -164,7 +173,7 @@ def _sample_zeros(rng: np.random.Generator, shots: int, e):
     from the same stream position.  numpy compares U with exp(log(t)) for
     the threshold t, which can lie an ulp from t, so an outcome can differ
     only when U falls between the two: about 1e-16 per draw."""
-    p = _clamped(e) + 1.0
+    p = e + 1.0
     p *= 0.5  # bitwise 0.5 * (1.0 + e)
     if shots != 1:
         return rng.binomial(shots, p)
@@ -238,14 +247,19 @@ class EveReport:
 def constant_phase_stream(phi: float, thetas, r: float) -> np.ndarray:
     """Bloch components (x, y, z), one row per step, of a qubit with fixed
     phase and varying theta and Bloch length r, as seen by an interceptor on
-    one channel; a scenario's r defaults in `scenario._apply_defaults`."""
+    one channel; a scenario's r defaults in `scenario._apply_defaults`.
+
+    The rows are x = (r sin theta) cos phi, y = (r sin theta) sin phi and
+    z = r cos theta.  They come as the (steps, 3) transpose of a (3, steps)
+    block, so each component is contiguous: a basis view of `eve_intercept`
+    strides 8 bytes a step, not 24."""
     thetas = np.asarray(thetas, dtype=float)
-    x, y, z = (out := np.empty((thetas.size, len(BASES)))).T
+    x, y, z = out = np.empty((len(BASES), thetas.size))
     np.multiply(np.sin(thetas, out=x), r, out=x)  # r sin(theta)
     np.multiply(x, math.sin(phi), out=y)
     x *= math.cos(phi)
     np.multiply(np.cos(thetas, out=z), r, out=z)
-    return out
+    return out.T
 
 
 def eve_intercept(stream, bases_policy: str, shots_per_step: int, seed: int,
@@ -264,6 +278,11 @@ def eve_intercept(stream, bases_policy: str, shots_per_step: int, seed: int,
     view; a mean sums its view left to right from +0.0 (`np.cumsum`): the
     pinned bundled outputs carry that rounding, and a pairwise `sum` moves it.
     A scenario's policy, shots and seed default in `scenario._apply_defaults`.
+
+    The whole stream is range-checked once, by `_clamped`, so a nan or an
+    out-of-range component raises `InvalidStateError` even in a column the
+    policy never reads; the draws then take the checked views as they are
+    (`_draw_zeros`, not `_sample_zeros`, which would check them again).
     """
     comps = _clamped(stream)
     if comps.ndim != 2 or comps.shape[1] != len(BASES) or not len(comps):
@@ -279,8 +298,11 @@ def eve_intercept(stream, bases_policy: str, shots_per_step: int, seed: int,
     hist: dict[str, CountHistogram] = {}
     if not exact:
         for b, v in views.items():
-            zeros = int(_sample_zeros(stream_rng(seed, _STREAM_TAG[b]), shots_per_step, v).sum())
-            hist[b] = CountHistogram(zeros, len(v) * shots_per_step - zeros)
+            shots = len(v) * shots_per_step
+            counts = _draw_zeros(stream_rng(seed, _STREAM_TAG[b]), shots_per_step, v)
+            # an int64 sum wraps beyond 2**63 - 1 shots; Python ints do not
+            zeros = int(counts.sum(dtype=object if shots >= 2**63 else None))
+            hist[b] = CountHistogram(zeros, shots - zeros)
     ex, ey = (hist[b].p0 - hist[b].p1 if b in hist else means.get(b) for b in "XY")
     naive = None if ex is None else math.acos(max(-1.0, min(1.0, ex)))
     informed = None if None in (ex, ey) or ex == ey == 0.0 else math.atan2(ey, ex)

@@ -18,12 +18,15 @@ normalizes it.
 
 Each rule has one home.  The schema holds the file format: types, keys and
 the ranges no runtime object needs (`seed >= 0`, `horizon > 0`, the eve
-fields).  Its per-kind `allOf` branches list the top-level keys each kind
-reads, and a file with any other key is rejected; an eve file's protocol
-holds only its seed.  The constructors hold the rest: ProtocolConfig (dt,
-substeps, shots, backend, mode), ThetaConfig (bounds, values, one per node),
-MixingEvent (p, window), AcDer and DcDer (positivity), Event (kinds),
-pinner_gain, build_graph, convergence_rate (the rate epsilon).
+fields).  `eve.steps` stops at 2**26, where the thetas and the stream, 32
+bytes a step, take 2 GiB, and `eve.shots_per_step` at 2**63 - 1, the largest
+count numpy's binomial takes.  Its per-kind `allOf` branches list the
+top-level keys each kind reads, and a file with any other key is rejected;
+an eve file's protocol holds only its seed.  The constructors hold the rest:
+ProtocolConfig (dt, substeps, shots, backend, mode), ThetaConfig (bounds,
+values, one per node), MixingEvent (p, window), AcDer and DcDer
+(positivity), Event (kinds), pinner_gain, build_graph, convergence_rate (the
+rate epsilon).
 `_physics_checks` builds them, and checks the rules that tie fields together.
 `Scenario.rate_graph` holds the rule that `rate.weights` replace the graph's
 weights in the rate bound.  Defaults are the dataclass fields.

@@ -87,6 +87,10 @@ def test_protocol_config_validation():
         ProtocolConfig(backend="gpu")
     with pytest.raises(ValueError):
         ProtocolConfig(shots=0)
+    # numpy's binomial raised an OverflowError on a count above a C long
+    assert ProtocolConfig(shots=2**63 - 1).shots == 2**63 - 1
+    with pytest.raises(ValueError, match="shots"):
+        ProtocolConfig(shots=2**63)
 
 
 @pytest.mark.parametrize("field, value", [("substeps", 2.5), ("shots", 1.5)])

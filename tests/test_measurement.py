@@ -230,7 +230,7 @@ def test_one_shot_eve_report_equals_the_binomial_reference(monkeypatch):
     thetas = stream_rng(2, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, 9001)
     stream = constant_phase_stream(math.pi / 6, thetas, 1.0)
     got = eve_intercept(stream, "cycle", shots_per_step=1, seed=4)
-    monkeypatch.setattr(measurement, "_sample_zeros", binomial_sampler)
+    monkeypatch.setattr(measurement, "_draw_zeros", binomial_sampler)
     want = eve_intercept(stream, "cycle", shots_per_step=1, seed=4)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
@@ -437,11 +437,44 @@ def test_eve_basis_totals_follow_policy(monkeypatch, policy, measured):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_eve_rejects_a_nan_component(exact):
-    # exact mode reported informed_phi and a mean of nan
-    stream = constant_phase_stream(0.4, np.full(7, 1.0), 1.0)
-    stream[4, 1] = math.nan
-    with pytest.raises(InvalidStateError, match="nan"):
-        eve_intercept(stream, "cycle", shots_per_step=1, seed=1, exact=exact)
+    # exact mode reported informed_phi and a mean of nan; cycle measures Y at
+    # step 4, so its Z component is never read, and must still be a state
+    for column, value, message in ((1, math.nan, "nan"), (2, math.nan, "nan"),
+                                   (2, 1 + 1e-6, "lies outside")):
+        stream = constant_phase_stream(0.4, np.full(7, 1.0), 1.0)
+        stream[4, column] = value
+        with pytest.raises(InvalidStateError, match=message):
+            eve_intercept(stream, "cycle", shots_per_step=1, seed=1, exact=exact)
+
+
+def test_eve_checks_the_stream_once(monkeypatch):
+    # one range check of the whole stream; the draws take its basis views as
+    # they are, unchecked again
+    checked = []
+
+    def counted(e):
+        checked.append(np.shape(e))
+        return _clamped(e)
+
+    monkeypatch.setattr(measurement, "_clamped", counted)
+    stream = constant_phase_stream(0.6, np.linspace(0.3, 2.8, 300), 1.0)
+    for shots in (1, 3):
+        checked.clear()
+        eve_intercept(stream, "cycle", shots_per_step=shots, seed=2)
+        assert checked == [(300, 3)]
+
+
+def test_constant_phase_stream_is_the_row_formula_in_component_rows():
+    # x = (r sin theta) cos phi, y = (r sin theta) sin phi, z = r cos theta,
+    # bit for bit, each component one contiguous row of a (3, steps) block
+    thetas = np.concatenate(([0.0, math.pi / 2, math.pi],
+                             stream_rng(6, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, 997)))
+    for phi, r in ((math.pi / 6, 1.0), (0.6, 0.9), (math.pi, 0.3)):
+        stream = constant_phase_stream(phi, thetas, r)
+        rs = r * np.sin(thetas)
+        want = np.stack((rs * math.cos(phi), rs * math.sin(phi), r * np.cos(thetas)), axis=1)
+        assert stream.shape == want.shape and stream.tobytes() == want.tobytes()
+        assert stream.T.flags.c_contiguous
 
 
 def test_eve_empty_stream_rejected():
@@ -462,6 +495,16 @@ def test_eve_sampling_needs_a_shot_per_step(shots):
     with pytest.raises(ValueError, match="shots_per_step"):
         eve_intercept(stream, "cycle", shots, 0)
     assert eve_intercept(stream, "cycle", shots, 0, exact=True).shots_total == 0
+
+
+def test_eve_counts_past_an_int64_stay_exact():
+    # 2**63 - 1 shots a step: the int64 sum of three steps' counts wrapped,
+    # reporting p0 0.2663, or raised "counts must be non-negative"
+    stream = constant_phase_stream(math.pi / 6, np.full(30, math.pi / 2), 1.0)
+    for steps in (3, 6, 30):
+        rep = eve_intercept(stream[:steps], "x", 2**63 - 1, seed=7)
+        assert rep.histograms["X"].shots == steps * (2**63 - 1)
+        assert rep.histograms["X"].p0 == pytest.approx(rep.exact_p0["X"], abs=1e-6)
 
 
 def test_eve_schedule_names_each_basis_in_at_most_one_slot():
@@ -510,14 +553,16 @@ def test_eve_matches_the_masked_reference_exactly(policy, exact):
     # stream's x components are all -0.0 (theta 0, phi pi)
     for steps in (1, 2, 4, 7, 3001):
         thetas = stream_rng(5, _STREAM_TAG["eve_theta"]).uniform(0.0, math.pi, steps)
-        for stream in (constant_phase_stream(0.6, thetas, r=0.9),
-                       constant_phase_stream(math.pi, np.zeros(steps), 1.0)):
-            got = eve_intercept(stream, policy, shots_per_step=3, seed=11, exact=exact)
-            want = masked_eve_report(stream, policy, 3, 11, exact)
-            assert got.to_json_dict() == want.to_json_dict()
-            assert got.exact_p0 == want.exact_p0
-            # the text too: == does not tell -0.0 from 0.0
-            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        for returned in (constant_phase_stream(0.6, thetas, r=0.9),
+                         constant_phase_stream(math.pi, np.zeros(steps), 1.0)):
+            # as returned and in C order: the layout changes no report
+            for stream in (returned, np.ascontiguousarray(returned)):
+                got = eve_intercept(stream, policy, shots_per_step=3, seed=11, exact=exact)
+                want = masked_eve_report(stream, policy, 3, 11, exact)
+                assert got.to_json_dict() == want.to_json_dict()
+                assert got.exact_p0 == want.exact_p0
+                # the text too: == does not tell -0.0 from 0.0
+                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def test_binary_entropy_edges():

@@ -19,6 +19,7 @@ from qsdcsim.microgrid import AcNetwork, DcNetwork, PartitionError
 from qsdcsim.netgraph import GraphValidationError
 from qsdcsim.scenario import (
     ScenarioError,
+    _check_option,
     parse_scenario,
     scenario_from_dict,
     validate_scenario,
@@ -566,9 +567,29 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("consensus", "consensus3", lambda d: None, ["--dt", "0.5"],
                  "--dt: dt must lie in (0, 0.1], got 0.5", id="option-dt"),
     pytest.param("dc", "dc9", lambda d: None, ["--backend", "phase", "--shots", "0"],
-                 "--shots: shots must be an integer >= 1 or None, got 0", id="option-shots"),
+                 "--shots: shots must be an integer in 1 .. 2**63 - 1 or None, got 0",
+                 id="option-shots"),
     pytest.param("eve", "eve_pi6", lambda d: None, ["--seed", "-1"],
                  "--seed: -1 is less than the minimum of 0", id="option-seed"),
+    # counts that numpy's binomial cannot take, and an eve stream that cannot
+    # be allocated: each ended in an OverflowError or a MemoryError traceback
+    pytest.param("eve", "eve_pi6", lambda d: d["eve"].update(shots_per_step=2**70), [],
+                 f"$.eve.shots_per_step: {2**70} is greater than the maximum of {2**63 - 1}",
+                 id="eve-shots-per-step-above-c-long"),
+    pytest.param("eve", "eve_pi6", lambda d: None, ["--shots", str(2**70)],
+                 f"--shots: {2**70} is greater than the maximum of {2**63 - 1}",
+                 id="eve-option-shots-above-c-long"),
+    pytest.param("consensus", "consensus3",
+                 lambda d: d["protocol"].update(backend="bloch", shots=2**70), [],
+                 f"$.protocol.shots: shots must be an integer in 1 .. 2**63 - 1 or None, "
+                 f"got {2**70}", id="protocol-shots-above-c-long"),
+    pytest.param("consensus", "consensus3", lambda d: None,
+                 ["--backend", "bloch", "--shots", str(2**70)],
+                 f"--shots: shots must be an integer in 1 .. 2**63 - 1 or None, got {2**70}",
+                 id="option-shots-above-c-long"),
+    pytest.param("eve", "eve_pi6", lambda d: d["eve"].update(steps=10**15), [],
+                 f"$.eve.steps: {10**15} is greater than the maximum of {2**26}",
+                 id="eve-steps-1e15"),
     # rules that the runtime objects hold, reported at the field's path
     pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(dt=0.5), [],
                  "$.protocol.dt: dt must lie in (0, 0.1], got 0.5", id="protocol-dt-range"),
@@ -616,6 +637,21 @@ def test_cli_input_errors_exit_1_with_their_paths(tmp_path, capsys, command, sce
     code, _, err = run_cli([command, "--scenario", str(path), *args], tmp_path, capsys)
     assert code == 1
     assert err.strip() == f"validation error: {message}"
+
+
+def test_largest_counts_still_parse():
+    # 2**63 - 1 shots is numpy's largest binomial count, and 2**26 eve steps
+    # keep the thetas and the stream, 32 bytes a step, within 2 GiB; parsed,
+    # never run
+    most = 2**63 - 1
+    eve = json.loads((SCENARIOS / "eve_pi6.json").read_text())
+    eve["eve"].update(steps=2**26, shots_per_step=most)
+    assert scenario_from_dict(eve).raw["eve"] == eve["eve"]
+    _check_option("shots", most, "#/$defs/eve/properties/shots_per_step")
+    doc = json.loads((SCENARIOS / "consensus3.json").read_text())
+    doc["protocol"].update(backend="bloch", shots=most)
+    assert scenario_from_dict(doc).protocol().shots == most
+    assert scenario_from_dict(minimal_consensus_doc()).protocol(shots=most).shots == most
 
 
 def ac_loads_with_fractional_step(doc, form):
