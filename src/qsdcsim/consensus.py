@@ -217,12 +217,19 @@ class ProtocolState:
     warnings: list = field(default_factory=list)
 
 
+def _clamp_quadrant(a: np.ndarray) -> np.ndarray:
+    """np.clip(a, 0, pi/2) bit for bit, or `a` itself when all of it is in
+    range.  min and max skip a nan that is not first, so the sum catches it."""
+    vals = a.ravel().tolist()  # ravel: a may be 0-d; a list's reductions are cheaper
+    if 0.0 <= min(vals) and max(vals) <= math.pi / 2 and not math.isnan(sum(vals)):
+        return a
+    return a.clip(0.0, math.pi / 2)
+
+
 def _clamp_pinners(pinners: np.ndarray, online: np.ndarray, warnings: list) -> np.ndarray:
-    clamped = pinners.clip(0.0, math.pi / 2)
-    changed = (clamped != pinners) & online
-    if changed.any():
-        bad = np.flatnonzero(changed).tolist()
-        warnings.append(f"pinners clamped to [0, pi/2] at nodes {bad}")
+    clamped = _clamp_quadrant(pinners)
+    if clamped is not pinners and (bad := (clamped != pinners) & online).any():
+        warnings.append(f"pinners clamped to [0, pi/2] at nodes {np.flatnonzero(bad).tolist()}")
     return clamped
 
 
@@ -299,15 +306,13 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, pinners) -> ProtocolState:
     both zero, keeps its phase and gets a warning.
     """
     config, online = plan.config, plan.online
-    n = len(online)
     warnings: list = []
     pt = _clamp_pinners(np.asarray(pinners, dtype=float), online, warnings)
     prev = np.asarray(state.phis, dtype=float)
-    phis = prev.clip(0.0, math.pi / 2)
-    thetas = config.theta.draw(config.seed, state.step, n)
+    phis = _clamp_quadrant(prev)
+    thetas = config.theta.draw(config.seed, state.step, len(online))
     alphas = pt - phis
-    t_now = state.step * config.dt
-    mixing = [ev for ev in plan.mixing if ev.active(t_now, config.dt)]
+    mixing = [ev for ev in plan.mixing if ev.active(state.step * config.dt, config.dt)]
 
     if config.backend == "full":
         rho = engine.product_state(thetas, phis)
@@ -317,32 +322,30 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, pinners) -> ProtocolState:
             rho = engine.depolarize_local(rho, ev.nodes, ev.p)
         # a view of the x and y columns: x + 1j*y would turn a y of -0.0 into +0.0
         w = engine.local_bloch(rho)[:, :2].view(complex)[:, 0]
-        final_rho = rho
     else:  # bloch and phase: w' = A w, w = x + i*y
         stages = plan.stages(alphas)
         w = _rk4(np.sin(thetas) * np.exp(1j * phis), stages, config.substeps)
         for ev in mixing:
             for i in ev.nodes:
                 w[i] *= ev.bloch_shrink
-        final_rho = None
+        rho = None
 
     s_after = np.hypot(w.real, w.imag)
-    # the exact flow keeps s_i <= sin(theta_i) <= 1.  A list's max and sum
-    # are the cheaper reductions at these sizes.  An overflow turns the
-    # connected nodes to nan, but not an isolated one; max skips a nan that
-    # is not first, so the sum catches it
+    # the exact flow keeps s_i <= sin(theta_i) <= 1.  An overflow turns the connected
+    # nodes to nan but not an isolated one, so the sum looks for a nan, as in `_clamp_quadrant`
     coherences = s_after.tolist()
     if not max(coherences) <= 1.0 + 1e-9 or math.isnan(sum(coherences)):
         raise engine.IntegrationDivergedError(
             f"step {state.step}: integration left the Bloch ball (coherence "
             f"{s_after.max():.3g}); use more substeps")
     sx, sy = _measure_node(w, config, state.step)
-    new_phis = (qdc_from_expectation(sx) if config.mode == "qdc_legacy"
-                else np.arctan2(sy, sx)).clip(0.0, math.pi / 2)
-    aborted = s_after < S_FLOOR  # exact mode: sx, sy both zero means s_after == 0
+    new_phis = _clamp_quadrant(qdc_from_expectation(sx) if config.mode == "qdc_legacy"
+                               else np.arctan2(sy, sx))
+    # exact mode: sx, sy both zero means s_after == 0; the guard's list holds no nan
+    aborted = None if config.exact and min(coherences) >= S_FLOOR else s_after < S_FLOOR
     if not config.exact:
         aborted |= (sx == 0.0) & (sy == 0.0)
-    if aborted.any():
+    if aborted is not None and aborted.any():
         aborted &= online
         for i in np.flatnonzero(aborted).tolist():
             warnings.append(
@@ -351,17 +354,11 @@ def qsdc_step(state: ProtocolState, plan: StepPlan, pinners) -> ProtocolState:
                 else f"node {i}: degenerate coherence; step aborted for this node"
             )
         new_phis[aborted] = phis[aborted]
-    new_phis[plan.offline] = prev[plan.offline]
+    if len(plan.offline):
+        new_phis[plan.offline] = prev[plan.offline]
 
-    return ProtocolState(
-        phis=new_phis,
-        step=state.step + 1,
-        thetas=thetas,
-        s=s_after,
-        pinners=pt,
-        rho=final_rho,
-        warnings=warnings,
-    )
+    return ProtocolState(phis=new_phis, step=state.step + 1, thetas=thetas, s=s_after,
+                         pinners=pt, rho=rho, warnings=warnings)
 
 
 def lyapunov_rows(phis: np.ndarray, pinners: np.ndarray, online: np.ndarray) -> np.ndarray:

@@ -233,18 +233,22 @@ def ac_step(protocol: ProtocolState, deltas: np.ndarray, segment: PlantSegment, 
     """One co-simulation step of dt on `segment` from bus angles `deltas`:
     power flow, consensus update with pinners k*n_i*P_i, droop frequencies,
     angle integration.  Writes row `row` of `record` but "online"."""
-    nominal = segment.nominal
+    nominal, offline = segment.nominal, segment.plan.offline
     deltas = _solve_passive_buses(deltas, segment.buses)
     power = ac_power_flow(deltas, segment.operators, segment.loads)
-    record["pinner"][row] = pinners = segment.pinner_gains * power
+    pinners = np.multiply(segment.pinner_gains, power, out=record["pinner"][row])
 
     protocol = qsdc_step(protocol, segment.plan, pinners)
 
-    omega = nominal - segment.droops * power + protocol.phis / segment.gain
-    omega[segment.plan.offline] = nominal
+    # nominal - droops * power + phis / gain, in that order, in the record's row
+    omega = np.multiply(segment.droops, power, out=record["omega"][row])
+    np.subtract(nominal, omega, out=omega)
+    omega += protocol.phis / segment.gain
+    if len(offline):
+        omega[offline] = nominal
     deltas = deltas + segment.plan.config.dt * 2.0 * math.pi * (omega - nominal)
 
-    record["omega"][row], record["power"][row], record["phi"][row] = omega, power, protocol.phis
+    record["power"][row], record["phi"][row] = power, protocol.phis
     return protocol, deltas
 
 
@@ -271,18 +275,19 @@ def dc_step(protocol: ProtocolState, currents: np.ndarray, segment: PlantSegment
     """One co-simulation step from DER currents `currents`: consensus with
     pinners c*m_i*I_i, then the droop-closed bus solve with the updated
     phases; the rest as in `ac_step`."""
-    record["pinner"][row] = pinners = segment.pinner_gains * currents
+    pinners = np.multiply(segment.pinner_gains, currents, out=record["pinner"][row])
 
     protocol = qsdc_step(protocol, segment.plan, pinners)
     phis = protocol.phis
 
     v_src = segment.nominal + phis / segment.gain
     vb, currents = dc_solve(v_src, segment.r_series, segment.r_load, segment.online_idx)
-    v_refs = v_src - segment.droops * currents
-    v_refs[segment.plan.offline] = segment.nominal
+    v_refs = np.multiply(segment.droops, currents, out=record["vref"][row])
+    np.subtract(v_src, v_refs, out=v_refs)
+    if len(segment.plan.offline):
+        v_refs[segment.plan.offline] = segment.nominal
 
-    record["vbus"][row], record["current"][row], record["vref"][row] = vb, currents, v_refs
-    record["phi"][row] = phis
+    record["vbus"][row], record["current"][row], record["phi"][row] = vb, currents, phis
     return protocol, currents
 
 

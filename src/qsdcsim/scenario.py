@@ -22,11 +22,12 @@ fields).  `eve.steps` stops at 2**26, where the thetas and the stream, 32
 bytes a step, take 2 GiB, and `eve.shots_per_step` at 2**63 - 1, the largest
 count numpy's binomial takes.  Its per-kind `allOf` branches list the
 top-level keys each kind reads, and a file with any other key is rejected;
-an eve file's protocol holds only its seed.  The constructors hold the rest:
-ProtocolConfig (dt, substeps, shots, backend, mode), ThetaConfig (bounds,
-values, one per node), MixingEvent (p, window), AcDer and DcDer
-(positivity), Event (kinds), pinner_gain, build_graph, convergence_rate (the
-rate epsilon).
+an eve file's protocol holds only its seed.  `Scenario.protocol` holds a
+consensus, ac or dc run's record, after `--dt`, to 2 GiB (RECORD_BYTES).
+The constructors hold the rest: ProtocolConfig (dt, substeps, shots,
+backend, mode), ThetaConfig (bounds, values, one per node), MixingEvent (p,
+window), AcDer and DcDer (positivity), Event (kinds), pinner_gain,
+build_graph, convergence_rate (the rate epsilon).
 `_physics_checks` builds them, and checks the rules that tie fields together.
 `Scenario.rate_graph` holds the rule that `rate.weights` replace the graph's
 weights in the rate bound.  Defaults are the dataclass fields.
@@ -55,6 +56,8 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
+# 8 bytes a value of a run's (steps, n) series: phi and pinner, and a plant's two signals
+RECORD_BYTES = 2**31  # as `eve.steps` bounds an eve run's thetas and stream
 
 
 @dataclass
@@ -91,7 +94,12 @@ class Scenario:
         if "theta" in kwargs:
             kwargs["theta"] = _theta(kwargs["theta"])
         options = {key: f"--{key}" for key, val in overrides.items() if val is not None}
-        return _built("$.protocol", consensus.ProtocolConfig, names=options, **kwargs)
+        config = _built("$.protocol", consensus.ProtocolConfig, names=options, **kwargs)
+        steps, n = self.horizon / config.dt, self.raw["graph"]["nodes"]
+        if (size := steps * n * (16 if self.kind == "consensus" else 32)) > RECORD_BYTES:
+            raise ScenarioError(f"{options.get('dt', '$.horizon')}: {steps:.3g} steps on {n} nodes "
+                                f"need a {size / 2**30:.3g} GiB record, above the 2 GiB limit")
+        return config
 
     def graph(self) -> CommGraph:
         if "graph" not in self.raw:

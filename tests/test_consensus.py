@@ -378,6 +378,47 @@ def test_pinner_clamp_keeps_np_clip_bits():
     assert warnings == ["pinners clamped to [0, pi/2] at nodes [1, 2]"]
 
 
+EDGE_VALUES = [-0.0, 0.0, PI / 2, np.nan, np.inf, -np.inf, -1e-300, -2.0,
+               np.nextafter(PI / 2, 4.0), 7.0]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_quadrant_clamp_keeps_np_clip_bits(value):
+    # alone, 0-d, first and last among in-range values: min and max skip a
+    # nan that is not first, so each position is its own case
+    for a in (np.array([value]), np.asarray(value), np.array([value, 0.3, 1.2]),
+              np.array([0.3, 1.2, value])):
+        assert consensus._clamp_quadrant(a).tobytes() == np.clip(a, 0.0, PI / 2).tobytes()
+
+
+def test_quadrant_clamp_returns_in_range_input_itself():
+    for a in (np.array([-0.0, 0.0, 0.7, PI / 2]), np.asarray(PI / 3), np.full((2, 3), 0.1)):
+        assert consensus._clamp_quadrant(a) is a
+    for a in (np.array([0.7, np.nan]), np.asarray(2.0), np.array([0.7, -1e-300])):
+        assert consensus._clamp_quadrant(a) is not a
+
+
+@pytest.mark.parametrize("backend", ["full", "bloch", "phase"])
+@pytest.mark.parametrize("pinner", [0.7, 2.0])
+def test_step_neither_writes_nor_returns_its_inputs(backend, pinner):
+    # node 0 offline, node 1 depolarized to the centre of the Bloch ball
+    # (aborted), node 2's pinner clamped when it is 2.0; the inputs are
+    # read-only, so a write to them raises
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    mixing = [MixingEvent(nodes=(1,), t_start=0.0, t_end=1.0, p=0.75)]
+    plan = StepPlan(graph, exact_cfg(backend, theta=ThetaConfig.fixed(1.2)),
+                    [False, True, True, True], mixing)
+    phis, pinners = np.array([0.3, 0.4, 0.6, 0.8]), np.array([0.7, 0.7, pinner, 0.9])
+    for a in (phis, pinners):
+        a.setflags(write=False)
+    out = qsdc_step(ProtocolState(phis=phis), plan, pinners)
+    assert phis.tolist() == [0.3, 0.4, 0.6, 0.8] and pinners.tolist() == [0.7, 0.7, pinner, 0.9]
+    assert out.phis is not phis and out.phis is not pinners
+    assert out.phis[0] == 0.3 and out.phis[1] == 0.4
+    assert out.warnings[-1].startswith("node 1: coherence")
+    assert (pinner > PI / 2) == (out.warnings[0] == "pinners clamped to [0, pi/2] at nodes [2]")
+
+
 def test_sampled_estimate_ignores_isolated_node_going_offline():
     # node 0 has no edges, so whether it is online must not move the others,
     # although all nodes draw from the same per-step streams

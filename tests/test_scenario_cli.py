@@ -590,6 +590,17 @@ def edited_scenario(tmp_path, scenario, edit):
     pytest.param("eve", "eve_pi6", lambda d: d["eve"].update(steps=10**15), [],
                  f"$.eve.steps: {10**15} is greater than the maximum of {2**26}",
                  id="eve-steps-1e15"),
+    # a run whose record, 8 bytes a step and node of each (steps, n) series,
+    # passes 2 GiB; each ended in a MemoryError traceback
+    pytest.param("consensus", "consensus3", lambda d: d.update(horizon=1e15), [],
+                 "$.horizon: 1e+17 steps on 3 nodes need a 4.47e+09 GiB record, above the "
+                 "2 GiB limit", id="consensus-horizon-1e15"),
+    pytest.param("consensus", "consensus3", lambda d: None, ["--dt", "1e-12"],
+                 "--dt: 1e+13 steps on 3 nodes need a 4.47e+05 GiB record, above the "
+                 "2 GiB limit", id="option-dt-1e-12"),
+    pytest.param("ac", "ac15", lambda d: d.update(horizon=1e15), [],
+                 "$.horizon: 1e+17 steps on 15 nodes need a 4.47e+10 GiB record, above the "
+                 "2 GiB limit", id="ac-horizon-1e15"),
     # rules that the runtime objects hold, reported at the field's path
     pytest.param("consensus", "consensus3", lambda d: d["protocol"].update(dt=0.5), [],
                  "$.protocol.dt: dt must lie in (0, 0.1], got 0.5", id="protocol-dt-range"),
@@ -652,6 +663,16 @@ def test_largest_counts_still_parse():
     doc["protocol"].update(backend="bloch", shots=most)
     assert scenario_from_dict(doc).protocol().shots == most
     assert scenario_from_dict(minimal_consensus_doc()).protocol(shots=most).shots == most
+    # the longest consensus3 record within 2 GiB, 16 bytes a step and node
+    # (phi and pinner); one step more does not parse
+    doc = json.loads((SCENARIOS / "consensus3.json").read_text())
+    steps = 2**31 // (3 * 16)
+    doc["protocol"]["dt"] = 2**-4  # steps * dt and horizon / dt are exact
+    doc["horizon"] = steps * 2**-4
+    assert scenario_from_dict(doc).horizon == doc["horizon"]
+    doc["horizon"] += 2**-4
+    with pytest.raises(ScenarioError, match="2 GiB limit"):
+        scenario_from_dict(doc)
 
 
 def ac_loads_with_fractional_step(doc, form):
